@@ -4,7 +4,7 @@ Subpackage tour:
 
 * ``grids``      -- time grids, step functions, sampled (grid) functions
 * ``sobolev``    -- fractional Sobolev norms and the integrand norm
-* ``chaos``      -- Hermite basis, discrete white noise, second-chaos forms
+* ``chaos``      -- discrete white noise, second-chaos forms
 * ``processes``  -- fractional Brownian motion, second-chaos processes
 * ``integrals``  -- Wiener integrals, isometry reports, operator-valued norms
 * ``spde``       -- spectral heat-type models driven by fractional noise

@@ -1,9 +1,5 @@
 """Finite Wiener chaos over a discretized white-noise window.
 
-Hermite polynomials here carry the 1/n! normalization, so the generating
-identity is exp(tx - t^2/2) = sum_n H_n(x) t^n and the three-term
-recurrence reads (n+1) H_{n+1}(x) = x H_n(x) - H_{n-1}(x).
-
 The driving noise is discretized on a uniform window that extends well to
 the left of the observation interval, because the moving-average kernels
 fed into it integrate from -infinity.  Single and double integrals against
@@ -24,47 +20,9 @@ from .rng import BLOCK_PATHS, block_generator, map_path_blocks
 __all__ = [
     "ChaosSample",
     "DiscreteIsonormal",
-    "HermiteBasis",
     "double_wiener_integral",
-    "hermite_poly",
     "moment_ratio",
 ]
-
-
-def hermite_poly(n: int, x) -> Union[float, np.ndarray]:
-    """Evaluate the n-th Hermite polynomial (1/n! normalization) at ``x``."""
-    if n < 0:
-        raise ValueError("polynomial order must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev) if arr.ndim == 0 else prev
-    cur = arr.copy()
-    for k in range(1, n):
-        prev, cur = cur, (arr * cur - prev) / (k + 1)
-    return float(cur) if arr.ndim == 0 else cur
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Hermite polynomials of all orders up to ``max_order`` at once."""
-
-    max_order: int
-
-    def __post_init__(self):
-        if self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
-
-    def values(self, x) -> np.ndarray:
-        """Stack H_0(x) .. H_max(x) along a new leading axis."""
-        arr = np.asarray(x, dtype=float)
-        out = np.empty((self.max_order + 1,) + arr.shape)
-        out[0] = 1.0
-        if self.max_order >= 1:
-            out[1] = arr
-        for k in range(1, self.max_order):
-            out[k + 1] = (arr * out[k] - out[k - 1]) / (k + 1)
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,8 @@ wall clock, so reruns are byte-identical; timestamps live in the
 manifest alone.
 
 Exit codes: 0 all in-config assertions passed; 1 assertion failures
-(a failure table is printed); 2 invalid config (diagnostics on stderr).
+(a failure table is printed); 2 invalid config, including a parameter
+the model rejects (diagnostics on stderr).
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import numpy as np
 from . import __version__
 from .experiments import (
     ConfigError,
-    ExperimentConfig,
     ExperimentResult,
     SUMMARY_VERSION,
     column_docs_text,

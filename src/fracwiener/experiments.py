@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -167,10 +167,6 @@ def _floats(raw: str) -> tuple:
     return tuple(_float(t) for t in toks)
 
 
-def _str(raw: str) -> str:
-    return raw
-
-
 def _choice(*options: str):
     def coerce(raw: str) -> str:
         if raw in options:
@@ -188,7 +184,7 @@ def _ge(bound):
 
 
 def _positive(v):
-    return None if v > 0 else "must be positive"
+    return None if math.isfinite(v) and v > 0 else "must be positive and finite"
 
 
 def _open_unit(v):
@@ -304,7 +300,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    return EXPERIMENTS[cfg.kind].runner(cfg, threads)
+    """Run a validated config; a parameter the model rejects is a ConfigError.
+
+    The runner's summary is stamped with the summary version, kind and seed.
+    """
+    try:
+        res = EXPERIMENTS[cfg.kind].runner(cfg, threads)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
+    header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
+    return replace(res, summary={**header, **res.summary})
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +328,19 @@ def _aligned_step(rng: np.random.Generator, grid: TimeGrid, pieces: int) -> Step
 
 
 def _frac_params(family: str, h: float, sigma: float, p: Mapping) -> FracParams:
-    try:
-        fam = Family(family)
-        if fam is Family.FBM:
-            return FracParams.fbm(h, sigma)
-        if fam is Family.ROSENBLATT:
-            return FracParams.rosenblatt(h, sigma)
-        if p.get("alpha") is None or p.get("beta") is None:
-            raise ValueError("the generalized family needs keys alpha and beta")
-        pr = FracParams.generalized(p["alpha"], p["beta"], int(p.get("k") or 2), sigma)
-        if abs(pr.h - h) > 1e-12:
-            raise ValueError(
-                f"hurst {h:g} inconsistent with alpha + beta + k/2 + 1 = {pr.h:g}"
-            )
-        return pr
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    fam = Family(family)
+    if fam is Family.FBM:
+        return FracParams.fbm(h, sigma)
+    if fam is Family.ROSENBLATT:
+        return FracParams.rosenblatt(h, sigma)
+    if p.get("alpha") is None or p.get("beta") is None:
+        raise ValueError("the generalized family needs keys alpha and beta")
+    pr = FracParams.generalized(p["alpha"], p["beta"], int(p.get("k") or 2), sigma)
+    if abs(pr.h - h) > 1e-12:
+        raise ValueError(
+            f"hurst {h:g} inconsistent with alpha + beta + k/2 + 1 = {pr.h:g}"
+        )
+    return pr
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +377,6 @@ def _run_norm_identity(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
                 Verdict(case, ok, f"ratio {ratio:.8g} vs constant {target:.8g} (rel dev {rel:.2e})")
             )
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "target_constant": targets,
         "max_rel_deviation": worst,
         "ratio_rtol": p["ratio_rtol"],
@@ -434,9 +433,6 @@ def _run_isometry(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         )
     ]
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "family": p["family"],
         "z_scores": zs,
         "z_max": p["z_max"],
@@ -499,9 +495,6 @@ def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         ),
     ]
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "gaussian_ratio": g_ratio,
         "chaos2_ratio": c_ratio,
         "combo_max_ratio": combo_max,
@@ -532,18 +525,15 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
             f"truncation = {p['truncation']} is coarse for the smoothing-exponent fit; "
             "128+ modes give a stable slope"
         )
-    try:
-        model = build_spectral_model(
-            p["length"], p["m"], p["truncation"], lambda_shift=p["lambda_shift"], p=p["p"]
-        )
-        params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
-        grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
-        ens = solve_mild(
-            model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed, threads=threads,
-            n_noise_cells=p["n_noise_cells"],
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    model = build_spectral_model(
+        p["length"], p["m"], p["truncation"], lambda_shift=p["lambda_shift"], p=p["p"]
+    )
+    params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
+    grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
+    ens = solve_mild(
+        model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed, threads=threads,
+        n_noise_cells=p["n_noise_cells"],
+    )
 
     n_check = min(p["check_modes"], model.truncation)
     rows, verdicts = [], []
@@ -587,9 +577,6 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
         )
 
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "family": p["family"],
         "hurst": p["hurst"],
         "alpha": p["alpha"],
@@ -618,11 +605,8 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         warnings.append(f"n_paths = {p['n_paths']} is small for stable z-scores")
     if p["x_nodes"] is not None and p["n_x"] is not None:
         raise ConfigError(["give either x_nodes or n_x, not both"])
-    try:
-        kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"], p["image_terms"])
-        params = FracParams.fbm(p["hurst"], p["sigma"])
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"], p["image_terms"])
+    params = FracParams.fbm(p["hurst"], p["sigma"])
 
     rec = neumann_boundary_integral(kcfg)
     trace = [float(v) for v in rec.refinement_trace]
@@ -646,13 +630,10 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         kwargs["x_nodes"] = np.asarray(p["x_nodes"], dtype=float)
     elif p["n_x"] is not None:
         kwargs["n_x"] = p["n_x"]
-    try:
-        check = boundary_solution_check(
-            kcfg, params, p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
-            threads=threads, kernel_pieces=p["kernel_pieces"], **kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    check = boundary_solution_check(
+        kcfg, params, p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
+        threads=threads, kernel_pieces=p["kernel_pieces"], **kwargs,
+    )
 
     rows = []
     se_rel = math.sqrt(2.0 / p["n_paths"])  # Gaussian driver: var of a squared mean
@@ -663,9 +644,6 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         verdicts.append(Verdict(f"wall variance at x={x:g}", ok, f"z = {z:.3f}"))
 
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "integral_value": rec.value,
         "integral_diverged": rec.diverged,
         "refinement_trace": trace,
@@ -688,10 +666,7 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 
 def _run_threshold_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     p = cfg.params
-    try:
-        model = build_spectral_model(p["length"], p["m"], p["truncation"], p=p["p"])
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    model = build_spectral_model(p["length"], p["m"], p["truncation"], p=p["p"])
     rows, verdicts = [], []
     flips = {}
     for h in p["hurst"]:
@@ -699,13 +674,10 @@ def _run_threshold_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResul
         flags = []
         all_rows_ok = True
         for a in p["alpha"]:
-            try:
-                rep = existence_report(
-                    model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"],
-                    n_x=p["n_x"],
-                )
-            except ValueError as exc:
-                raise ConfigError([str(exc)]) from None
+            rep = existence_report(
+                model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"],
+                n_x=p["n_x"],
+            )
             diverged = not rep.finite
             if abs(a - threshold) <= p["margin"]:
                 ok = True  # indeterminate zone around the threshold
@@ -725,9 +697,6 @@ def _run_threshold_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResul
             msg += f"; first diverged at alpha = {first_div:g} (threshold {threshold:g})"
         verdicts.append(Verdict(f"H={h:g} sweep", ok, msg))
     summary = {
-        "summary_version": SUMMARY_VERSION,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "first_diverged_alpha": flips,
         "margin": p["margin"],
         "n_cases": len(rows),

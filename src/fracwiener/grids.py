@@ -234,10 +234,6 @@ class GridFunction:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr.astype(complex if np.iscomplexobj(arr) else float))
 
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.cell_midpoints)))
-
     def to_step(self) -> StepFunction:
         if np.iscomplexobj(self.samples):
             raise ValueError("complex grid functions have no step representation")

@@ -239,25 +239,12 @@ class HSOperator:
         return float(np.sum(self.column_norms_sq(params)))
 
 
-def _geometric_tail(contributions: np.ndarray) -> float:
-    """Tail bound from the decay ratio of the last two positive terms."""
-    c = np.asarray(contributions, dtype=float)
-    if c.size == 0 or c[-1] == 0.0:
-        return 0.0
-    if c.size == 1 or c[-2] <= 0.0:
-        return math.inf
-    rho = c[-1] / c[-2]
-    if rho >= 1.0:
-        return math.inf
-    return float(c[-1] * rho / (1.0 - rho))
-
-
 def cylindrical_integral(a: HSOperator, ens: CylindricalEnsemble) -> ElementaryIntegralResult:
     """Sum of the per-component integrals ``sum_k int (A e_k) dZ_k``.
 
     The result record carries ``series_tail``, a geometric-decay bound on
-    the column-norm series beyond the configured dimension; it is only
-    meaningful when the columns actually decay.
+    the column-norm series beyond the configured dimension; it is infinite
+    unless the columns are seen to decay.
     """
     if a.dim_u != ens.dim_u:
         raise ValueError(
@@ -279,7 +266,7 @@ def cylindrical_integral(a: HSOperator, ens: CylindricalEnsemble) -> ElementaryI
         f=combined,
         params=ens.components[0].params,
         snap_distance=moved,
-        series_tail=_geometric_tail(np.array(variances)),
+        series_tail=_series_tail(variances),
         component_variances=tuple(variances),
     )
 
@@ -350,52 +337,68 @@ def gamma_norm_lp(field: LpKernelField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finiteness conditions for operator-norm profiles
+# dyadic refinement toward a singular endpoint, and the finiteness conditions
 
 _FLAT_RATIO = 0.95  # shell contributions decaying slower than this look divergent
 
 
-def _refine_dyadic(shell_increment: Callable, max_shells: int, rtol: float) -> float:
-    """Sum contributions of dyadic shells closing in on 0.
+def _series_tail(terms: Sequence[float]) -> float:
+    """Geometric extrapolation of a nonnegative series past its last term.
+
+    The decay ratio is the geometric mean of the last (up to six) ratios
+    of consecutive positive terms.  A series whose last term is positive
+    but which is not seen to decay has no finite tail.
+    """
+    if not terms or terms[-1] <= 0.0:
+        return 0.0
+    ratios = [
+        terms[i] / terms[i - 1]
+        for i in range(max(1, len(terms) - 6), len(terms))
+        if terms[i - 1] > 0 and terms[i] > 0
+    ]
+    if not ratios:
+        return math.inf
+    rho = float(np.exp(np.mean(np.log(ratios))))
+    if rho >= 1.0:
+        return math.inf
+    return terms[-1] * rho / (1.0 - rho)
+
+
+def _dyadic_shell(top: float, j: int, x: np.ndarray, w: np.ndarray):
+    """Gauss rule ``(x, w)`` on [-1, 1] moved to the shell [top 2^-j-1, top 2^-j]."""
+    b = top * 2.0 ** (-j)
+    a = 0.5 * b
+    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+
+
+def _dyadic_sum(shell: Callable, max_shells: int, rtol: float):
+    """Sum the contributions ``shell(j)`` of dyadic shells closing in on 0.
 
     Convergence is declared when a shell adds less than ``rtol`` of the
     running total; the remaining tail is extrapolated geometrically.
-    Divergence is declared when the last contributions stop decaying
-    (ratio >= 0.95 twice in a row), which catches both power growth and
-    the constant-increment signature of a logarithmic blowup.
+    When the cap is reached, divergence is declared if the last
+    contributions stop decaying (ratio >= 0.95 twice in a row), which
+    catches both power growth and the constant-increment signature of a
+    logarithmic blowup.  Returns the value (``math.inf`` on divergence)
+    and the partial sums.
     """
     total = 0.0
-    hist = []
+    terms, sums = [], []
     for j in range(max_shells):
-        d = float(shell_increment(j))
+        d = float(shell(j))
         total += d
-        hist.append(d)
+        terms.append(d)
+        sums.append(total)
         if total == 0.0:
             if j >= 7:
-                return 0.0
+                return 0.0, sums
             continue
         if d <= rtol * total:
-            return total + _extrapolated_tail(hist)
-    ratios = [hist[i] / hist[i - 1] for i in range(1, len(hist)) if hist[i - 1] > 0]
+            return total + _series_tail(terms), sums
+    ratios = [terms[i] / terms[i - 1] for i in range(1, len(terms)) if terms[i - 1] > 0]
     if len(ratios) >= 2 and min(ratios[-2:]) >= _FLAT_RATIO:
-        return math.inf
-    return total + _extrapolated_tail(hist)
-
-
-def _extrapolated_tail(hist: Sequence[float]) -> float:
-    if not hist or hist[-1] <= 0.0:
-        return 0.0
-    ratios = [
-        hist[i] / hist[i - 1]
-        for i in range(max(1, len(hist) - 6), len(hist))
-        if hist[i - 1] > 0 and hist[i] > 0
-    ]
-    if not ratios:
-        return 0.0
-    rho = float(np.exp(np.mean(np.log(ratios))))
-    if rho >= 1.0:
-        return 0.0
-    return hist[-1] * rho / (1.0 - rho)
+        return math.inf, sums
+    return total + _series_tail(terms), sums
 
 
 def condition_singular(
@@ -424,14 +427,11 @@ def condition_singular(
     cache = []
 
     def shell(j: int) -> float:
-        b = tau * 2.0 ** (-j)
-        a = 0.5 * b
-        un = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        uw = 0.5 * (b - a) * wg
+        un, uw = _dyadic_shell(tau, j, xg, wg)
         gv = np.abs(np.asarray(g(un), dtype=float))
         d = float(uw @ gv**2)
         # same-shell diagonal: v = u - w with weight w^{2H} pulled into the rule
-        span = un - a
+        span = un - 0.5 * tau * 2.0 ** (-j)
         wmat = span[:, None] * 0.5 * (xj[None, :] + 1.0)
         gvm = np.abs(np.asarray(g(un[:, None] - wmat), dtype=float))
         phi = ((gv[:, None] - gvm) / wmat) ** 2
@@ -444,7 +444,7 @@ def condition_singular(
         cache.append((un, uw, gv))
         return d
 
-    return _refine_dyadic(shell, max_shells, rtol)
+    return _dyadic_sum(shell, max_shells, rtol)[0]
 
 
 def condition_regular(
@@ -468,11 +468,8 @@ def condition_regular(
     xg, wg = np.polynomial.legendre.leggauss(gl_points)
 
     def shell(j: int) -> float:
-        b = tau * 2.0 ** (-j)
-        a = 0.5 * b
-        un = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        uw = 0.5 * (b - a) * wg
+        un, uw = _dyadic_shell(tau, j, xg, wg)
         gv = np.abs(np.asarray(g(un), dtype=float))
         return float(uw @ gv ** (1.0 / hurst))
 
-    return _refine_dyadic(shell, max_shells, rtol)
+    return _dyadic_sum(shell, max_shells, rtol)[0]

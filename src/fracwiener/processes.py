@@ -35,7 +35,6 @@ fixed; no pilot Monte Carlo run is involved.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -58,12 +57,9 @@ __all__ = [
     "default_isonormal",
     "hermite_covariance",
     "holder_regression",
-    "read_ensemble_binary",
     "simulate_cylindrical",
     "simulate_fbm",
     "simulate_hermite_k2",
-    "write_ensemble_binary",
-    "write_ensemble_csv",
 ]
 
 
@@ -137,11 +133,11 @@ class FracParams:
         return int(self.k)
 
 
-def covariance_rh(s: float, t: float, h: float) -> float:
-    """The fractional covariance (|s|^2H + |t|^2H - |t-s|^2H) / 2."""
+def covariance_rh(s, t, h: float):
+    """The fractional covariance (|s|^2H + |t|^2H - |t-s|^2H) / 2, elementwise."""
     if not 0.0 < h < 1.0:
         raise ValueError("H must lie in (0, 1)")
-    return 0.5 * (abs(s) ** (2 * h) + abs(t) ** (2 * h) - abs(t - s) ** (2 * h))
+    return 0.5 * (np.abs(s) ** (2 * h) + np.abs(t) ** (2 * h) - np.abs(t - s) ** (2 * h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +227,7 @@ def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid, jitter: float):
     if n > 2048:
         raise ValueError("Cholesky route limited to 2048 steps; use method='circulant'")
     t = grid.nodes[1:]
-    cov = params.sigma**2 * (
-        0.5
-        * (
-            np.abs(t[:, None]) ** (2 * params.h)
-            + np.abs(t[None, :]) ** (2 * params.h)
-            - np.abs(t[:, None] - t[None, :]) ** (2 * params.h)
-        )
-    )
+    cov = params.sigma**2 * covariance_rh(t[:, None], t[None, :], params.h)
     if jitter > 0.0:
         cov = cov + jitter * np.max(np.diag(cov)) * np.eye(n)
     try:
@@ -484,7 +473,7 @@ def simulate_cylindrical(
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and export
+# diagnostics
 
 
 @dataclass(frozen=True)
@@ -506,38 +495,3 @@ def holder_regression(ensemble: PathEnsemble, max_lags: int = 6) -> HolderFit:
     lag_times = np.array(lags, dtype=float) * ensemble.grid.dt
     slope, intercept = np.polyfit(np.log(lag_times), np.log(rms), 1)
     return HolderFit(float(slope), float(intercept), lag_times, np.asarray(rms))
-
-
-def write_ensemble_csv(ensemble: PathEnsemble, path: str):
-    """Columnar text export: header t, path_0 ... path_{n-1}."""
-    n_paths = ensemble.n_paths
-    header = ",".join(["t"] + [f"path_{i}" for i in range(n_paths)])
-    data = np.column_stack([ensemble.grid.nodes, ensemble.paths.T])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-_BIN_MAGIC = b"FWNS"
-_BIN_VERSION = 1
-
-
-def write_ensemble_binary(ensemble: PathEnsemble, path: str):
-    """Compact export: 4-byte magic, u32 version, u64 n_paths, u64 n_nodes,
-    f64 t0, f64 dt, then row-major little-endian f64 path data."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<IQQdd", _BIN_VERSION, ensemble.n_paths,
-                             ensemble.paths.shape[1], ensemble.grid.t0, ensemble.grid.dt))
-        fh.write(np.ascontiguousarray(ensemble.paths, dtype="<f8").tobytes())
-
-
-def read_ensemble_binary(path: str):
-    """Inverse of write_ensemble_binary; returns (TimeGrid, paths array)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise ValueError("not an ensemble file")
-        version, n_paths, n_nodes, t0, dt = struct.unpack("<IQQdd", fh.read(36))
-        if version != _BIN_VERSION:
-            raise ValueError(f"unsupported ensemble file version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n_paths, n_nodes)
-    return TimeGrid(t0, dt, int(n_nodes) - 1), data.astype(float)

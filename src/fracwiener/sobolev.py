@@ -33,6 +33,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma
 
 from .grids import GridFunction, StepFunction, TimeGrid
+from .processes import covariance_rh
 
 __all__ = [
     "SobolevOrder",
@@ -251,11 +252,6 @@ def integrand_norm(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _rh(s, t, hurst):
-    tw = 2.0 * hurst
-    return 0.5 * (np.abs(s) ** tw + np.abs(t) ** tw - np.abs(s - t) ** tw)
-
-
 def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float = 1.0) -> float:
     """Exact inner product of step integrands via the increment covariance.
 
@@ -265,14 +261,9 @@ def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float
     h = _check_hurst(hurst)
     if f.n_pieces == 0 or g.n_pieces == 0:
         return 0.0
-    fa, fb = f.breakpoints[:-1], f.breakpoints[1:]
-    ga, gb = g.breakpoints[:-1], g.breakpoints[1:]
-    m = (
-        _rh(fb[:, None], gb[None, :], h)
-        - _rh(fb[:, None], ga[None, :], h)
-        - _rh(fa[:, None], gb[None, :], h)
-        + _rh(fa[:, None], ga[None, :], h)
-    )
+    # increment covariances of all piece pairs: mixed second differences of R_H
+    r = covariance_rh(f.breakpoints[:, None], g.breakpoints[None, :], h)
+    m = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
     return float(sigma**2 * f.values @ m @ g.values)
 
 

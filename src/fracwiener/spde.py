@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from scipy.signal import lfilter
 
 from .grids import StepFunction, TimeGrid
-from .integrals import LpKernelField, gamma_norm_lp
+from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, gamma_norm_lp
 from .processes import (
     Family,
     FracParams,
@@ -53,7 +52,8 @@ __all__ = [
     "boundary_solution_check",
 ]
 
-_FLAT_RATIO = 0.95  # increments decaying slower than this read as divergence
+# a bias-extrapolated doubling-block ratio at or above this reads as divergence
+_CRITICAL_RATIO = 0.96
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,16 @@ class ExistenceReport:
         }
 
 
+def _noise_coefficients(model: SpectralModel, noise_decay) -> np.ndarray:
+    """Per-mode noise coefficients: ones when absent, else one per mode."""
+    if noise_decay is None:
+        return np.ones(model.truncation)
+    decay = np.asarray(noise_decay, dtype=float)
+    if decay.shape != (model.truncation,):
+        raise ValueError("need one noise coefficient per mode")
+    return decay
+
+
 def _mode_step_norms(
     model: SpectralModel,
     hurst: float,
@@ -194,15 +204,11 @@ def _mode_step_norms(
     t0: float,
     sigma: float,
     n_modes: int,
-    noise_decay,
+    decay: np.ndarray,
 ) -> np.ndarray:
     wide = model.truncated(n_modes)
     lams = wide.eigenvalues
     weights = wide.fractional_weights(alpha)
-    decay = np.ones(n_modes) if noise_decay is None else np.asarray(noise_decay, dtype=float)
-    if decay.size < n_modes:
-        # config sequences are finite; extend by their last value
-        decay = np.concatenate((decay, np.full(n_modes - decay.size, decay[-1])))
     out = np.empty(n_modes)
     for i, lam in enumerate(lams):
         f = _exp_kernel_step(lam, t0)
@@ -234,7 +240,10 @@ def existence_report(
     if not t0 > 0:
         raise ValueError("horizon must be positive")
     k_max = model.truncation * 2**doublings
-    norms = _mode_step_norms(model, hurst, alpha, t0, sigma, k_max, noise_decay)
+    decay = _noise_coefficients(model, noise_decay)
+    # the doubled truncations carry the last coefficient on to the new modes
+    decay = np.concatenate((decay, np.full(k_max - decay.size, decay[-1])))
+    norms = _mode_step_norms(model, hurst, alpha, t0, sigma, k_max, decay)
     xs, ws = model.spatial_quadrature(max(n_x, 4 * k_max))
     modes = model.truncated(k_max).eigenfunctions(xs)  # (n_x, k_max)
     mass = []
@@ -249,9 +258,9 @@ def existence_report(
     # critical case, whose extrapolated ratio sits at 1
     if len(ratios) >= 2:
         limit_ratio = 2.0 * ratios[-1] - ratios[-2]
-        diverged = limit_ratio >= 0.96
+        diverged = limit_ratio >= _CRITICAL_RATIO
     else:
-        diverged = bool(ratios) and ratios[-1] >= 0.96
+        diverged = bool(ratios) and ratios[-1] >= _CRITICAL_RATIO
     return ExistenceReport(
         gamma_norm_lp_value=mass[0] ** (1.0 / model.p),
         per_mode_tail=tuple(float(d) for d in incs),
@@ -280,7 +289,7 @@ def assemble_kernel_field(
     """
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    decay = np.ones(model.truncation) if noise_decay is None else np.asarray(noise_decay)
+    decay = _noise_coefficients(model, noise_decay)
     xs, ws = model.spatial_quadrature(n_x)
     modes = model.eigenfunctions(xs)
     base = [_exp_kernel_step(lam, t0) for lam in lams]
@@ -313,7 +322,7 @@ def semigroup_smoothing_exponent(
         raise ValueError("fractional order alpha must be nonnegative")
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    decay = np.ones(model.truncation) if noise_decay is None else np.asarray(noise_decay)
+    decay = _noise_coefficients(model, noise_decay)
     u0 = 2.0 / lams[-1] if u_start is None else u_start
     us = np.geomspace(u0, 100.0 * u0, n_times)
     vals = np.empty(n_times)
@@ -394,12 +403,10 @@ def solve_mild(
     ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
     semigroup decomposition property tested against it.
     """
-    decay = np.ones(model.truncation) if noise_decay is None else np.asarray(noise_decay, float)
-    if decay.size != model.truncation:
-        raise ValueError("need one noise coefficient per mode")
+    decay = _noise_coefficients(model, noise_decay)
     if check_existence:
         rep = existence_report(
-            model, params.h, alpha, grid.t_end, sigma=params.sigma, noise_decay=noise_decay
+            model, params.h, alpha, grid.t_end, sigma=params.sigma, noise_decay=decay
         )
         if not rep.finite:
             raise ValueError(
@@ -529,28 +536,6 @@ def _surrogate_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x: float, d: i
         )
 
 
-def _graded_time_integral(
-    q: Callable, t0: float, expo: float, gl_points: int = 12, max_shells: int = 120
-) -> float:
-    """``int_0^{t0} q(s)^{expo} ds`` on dyadic shells toward s = 0.
-
-    The integrands met here always decay exponentially once the shell
-    falls below the kernel scale, so the loop exits early; no divergence
-    handling is needed at this level.
-    """
-    xg, wg = np.polynomial.legendre.leggauss(gl_points)
-    total = 0.0
-    for j in range(max_shells):
-        b = t0 * 2.0 ** (-j)
-        a = 0.5 * b
-        sn = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        d = float((0.5 * (b - a) * wg) @ q(sn) ** expo)
-        total += d
-        if total > 0 and d <= 1e-12 * total:
-            break
-    return total
-
-
 @dataclass(frozen=True)
 class NeumannIntegralRecord:
     value: float
@@ -595,31 +580,26 @@ def neumann_boundary_integral(
             return _surrogate_kernel_sq(cfg, s, x, surrogate_d)
 
     xg, wg = np.polynomial.legendre.leggauss(gl_points)
-    half = 0.5 * cfg.length
-    total = 0.0
-    trace = []
-    hist = []
-    for j in range(max_outer_shells):
-        b = half * 2.0 ** (-j)
-        a = 0.5 * b
-        xn = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        xw = 0.5 * (b - a) * wg
-        inner = np.array(
-            [_graded_time_integral(lambda s: q(s, x), cfg.t0, expo) for x in xn]
-        )
-        d = 2.0 * float(xw @ inner**outer_pow)
-        total += d
-        hist.append(d)
-        trace.append(total)
-        if total > 0 and d <= rtol * total:
-            break
-    ratios = [hist[i] / hist[i - 1] for i in range(1, len(hist)) if hist[i - 1] > 0]
-    diverged = len(ratios) >= 2 and min(ratios[-2:]) >= _FLAT_RATIO
-    if not diverged and ratios and 0 < ratios[-1] < 1:
-        total += hist[-1] * ratios[-1] / (1.0 - ratios[-1])
+    sg, sw = np.polynomial.legendre.leggauss(12)
+
+    def time_integral(x: float) -> float:
+        # int_0^{t0} q(s, x)^expo ds; the integrand decays exponentially
+        # once the shell falls below the kernel scale
+        def time_shell(j: int) -> float:
+            sn, snw = _dyadic_shell(cfg.t0, j, sg, sw)
+            return float(snw @ q(sn, x) ** expo)
+
+        return _dyadic_sum(time_shell, 120, 1e-12)[0]
+
+    def space_shell(j: int) -> float:
+        xn, xw = _dyadic_shell(0.5 * cfg.length, j, xg, wg)
+        inner = np.array([time_integral(x) for x in xn])
+        return 2.0 * float(xw @ inner**outer_pow)
+
+    value, trace = _dyadic_sum(space_shell, max_outer_shells, rtol)
     return NeumannIntegralRecord(
-        value=math.inf if diverged else total,
-        diverged=diverged,
+        value=value,
+        diverged=math.isinf(value),
         refinement_trace=tuple(trace),
     )
 

@@ -1,96 +1,20 @@
-"""Tests for Hermite polynomials, discretized noise, and chaos samples.
+"""Tests for discretized noise and chaos samples.
 
-Hermite oracle values were computed with sympy from the differentiation
-definition (-1)^n/n! e^{x^2/2} d^n/dx^n e^{-x^2/2} and cross-checked
-against the symbolic three-term recurrence; the exact rationals are
-frozen below.  Gaussian moment oracles: E(xi^2-1)^2 = 2, E(xi^2-1)^4 = 60.
+Gaussian moment oracles: E(xi^2-1)^2 = 2, E(xi^2-1)^4 = 60.
 """
 import numpy as np
 import pytest
-from numpy.polynomial import hermite_e
-from scipy.special import factorial
 
 from fracwiener import GridFunction, StepFunction, TimeGrid
 from fracwiener.chaos import (
     ChaosSample,
     DiscreteIsonormal,
-    HermiteBasis,
     double_wiener_integral,
-    hermite_poly,
     moment_ratio,
 )
 
-# (n, x) -> H_n(x), exact rationals from the symbolic oracle
-HERMITE_ORACLE = {
-    (4, -1.5): -29.0 / 128.0,
-    (4, 0.25): 673.0 / 6144.0,
-    (4, 1.4): -1537.0 / 7500.0,
-    (7, -1.5): -155.0 / 14336.0,
-    (7, 0.25): -80707.0 / 16515072.0,
-    (7, 1.4): 108031.0 / 14062500.0,
-    (10, -1.5): -6833.0 / 137625600.0,
-    (10, 0.25): -693988559.0 / 3805072588800.0,
-    (10, 1.4): 14098601.0 / 158203125000.0,
-}
-
 CHAOS2_RATIO = 60.0**0.25 / 2.0**0.5  # (E(xi^2-1)^4)^(1/4) / (E(xi^2-1)^2)^(1/2)
 GAUSS_RATIO = 3.0**0.25
-
-
-class TestHermitePoly:
-    def test_order_zero(self):
-        for x in (-3.0, 0.0, 2.5):
-            assert hermite_poly(0, x) == 1.0
-
-    def test_low_order_values(self):
-        assert hermite_poly(1, 1.0) == pytest.approx(1.0, rel=1e-15)
-        assert hermite_poly(2, 2.0) == pytest.approx(1.5, rel=1e-15)
-        assert hermite_poly(3, 1.0) == pytest.approx(-1.0 / 3.0, rel=1e-15)
-
-    @pytest.mark.parametrize("key", sorted(HERMITE_ORACLE))
-    def test_symbolic_oracle(self, key):
-        n, x = key
-        assert hermite_poly(n, x) == pytest.approx(HERMITE_ORACLE[key], rel=1e-13)
-
-    @pytest.mark.parametrize("n", range(11))
-    def test_against_monic_hermite(self, n):
-        # independent route: numpy's He_n divided by n!
-        x = np.linspace(-4.0, 4.0, 33)
-        coef = np.zeros(n + 1)
-        coef[n] = 1.0
-        ref = hermite_e.hermeval(x, coef) / factorial(n)
-        assert np.allclose(hermite_poly(n, x), ref, rtol=1e-12, atol=1e-14)
-
-    def test_recurrence_identity(self):
-        x = np.linspace(-5.0, 5.0, 41)
-        for n in range(1, 10):
-            lhs = (n + 1) * hermite_poly(n + 1, x)
-            rhs = x * hermite_poly(n, x) - hermite_poly(n - 1, x)
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
-
-    def test_shapes_and_domain(self):
-        assert isinstance(hermite_poly(3, 1.0), float)
-        assert hermite_poly(3, np.zeros((2, 5))).shape == (2, 5)
-        with pytest.raises(ValueError):
-            hermite_poly(-1, 0.0)
-
-
-class TestHermiteBasis:
-    def test_matches_single_evaluations(self):
-        basis = HermiteBasis(6)
-        x = np.linspace(-3.0, 3.0, 17)
-        vals = basis.values(x)
-        assert vals.shape == (7, 17)
-        for n in range(7):
-            assert np.allclose(vals[n], hermite_poly(n, x), rtol=1e-14)
-
-    def test_constant_row(self):
-        vals = HermiteBasis(4).values(np.array([-2.0, 0.0, 3.0]))
-        assert np.all(vals[0] == 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            HermiteBasis(-2)
 
 
 class TestDiscreteIsonormal:

@@ -312,6 +312,8 @@ class TestInvalidConfigExit2:
             NORM_CFG.replace("config_version = 1", "config_version = 99"),
             NORM_CFG + "seed = 1\n",  # duplicate key
             BOUNDARY_CFG + "n_x = 4\n",  # conflicts with x_nodes
+            ISO_CFG.replace("grid_steps = 128", "grid_steps = 4096\nmethod = cholesky"),
+            NORM_CFG + "t_end = inf\n",
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):

@@ -18,12 +18,9 @@ from fracwiener.processes import (
     default_isonormal,
     hermite_covariance,
     holder_regression,
-    read_ensemble_binary,
     simulate_cylindrical,
     simulate_fbm,
     simulate_hermite_k2,
-    write_ensemble_binary,
-    write_ensemble_csv,
 )
 
 NINE_POINT = [0.25, 0.5, 1.0]
@@ -381,33 +378,3 @@ class TestCylindrical:
         b = simulate_fbm(FracParams.fbm(0.6), g2, 50, seed=1)
         with pytest.raises(ValueError):
             CylindricalEnsemble((a, b))
-
-
-class TestEnsembleExport:
-    def _small_ensemble(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 4)
-        return simulate_fbm(FracParams.fbm(0.6), grid, 7, seed=3)
-
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        ens = self._small_ensemble()
-        out = tmp_path / "paths.csv"
-        write_ensemble_csv(ens, str(out))
-        first = out.read_text().splitlines()[0]
-        assert first == "t," + ",".join(f"path_{i}" for i in range(7))
-        arr = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.allclose(arr[:, 0], ens.grid.nodes)
-        assert np.allclose(arr[:, 1:].T, ens.paths)
-
-    def test_binary_roundtrip(self, tmp_path):
-        ens = self._small_ensemble()
-        out = tmp_path / "paths.bin"
-        write_ensemble_binary(ens, str(out))
-        grid, data = read_ensemble_binary(str(out))
-        assert grid == ens.grid
-        assert np.array_equal(data, ens.paths)
-
-    def test_binary_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "junk.bin"
-        bad.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            read_ensemble_binary(str(bad))

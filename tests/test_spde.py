@@ -197,8 +197,16 @@ class TestSolveMild:
     def test_noise_decay_length_checked(self):
         mod = build_spectral_model(L_PI, 1, 4)
         grid = TimeGrid(0.0, 1.0 / 32, 32)
-        with pytest.raises(ValueError, match="per mode"):
-            solve_mild(mod, FracParams.fbm(0.6), grid, 8, noise_decay=np.ones(3))
+        short = np.ones(3)
+        routes = (
+            lambda: solve_mild(mod, FracParams.fbm(0.6), grid, 8, noise_decay=short),
+            lambda: existence_report(mod, 0.6, 0.0, 1.0, noise_decay=short),
+            lambda: assemble_kernel_field(mod, 0.6, 0.0, 1.0, noise_decay=short),
+            lambda: semigroup_smoothing_exponent(mod, 0.0, noise_decay=short),
+        )
+        for route in routes:
+            with pytest.raises(ValueError, match="per mode"):
+                route()
 
     def test_single_mode_variance_anchor(self):
         mod = build_spectral_model(L_PI, 1, 1)
