@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .grids import GridFunction, TimeGrid
-from .rng import BLOCK_PATHS, block_generator, map_path_blocks
+from .rng import block_generator, map_path_blocks
 
 __all__ = [
     "ChaosSample",
@@ -42,11 +42,6 @@ class ChaosSample:
 
     def variance(self) -> float:
         return float(np.var(self.values, ddof=1))
-
-    def abs_moment(self, q: float) -> float:
-        if q <= 0:
-            raise ValueError("moment exponent must be positive")
-        return float(np.mean(np.abs(self.values) ** q))
 
 
 @dataclass(frozen=True)

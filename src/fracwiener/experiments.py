@@ -98,11 +98,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    columns: tuple
     rows: list
     summary: dict
     verdicts: list
     warnings: list = field(default_factory=list)
+    columns: tuple = ()  # set by run_experiment from the kind's registry entry
 
     @property
     def passed(self) -> bool:
@@ -302,14 +302,15 @@ def load_config(path) -> ExperimentConfig:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run a validated config; a parameter the model rejects is a ConfigError.
 
-    The runner's summary is stamped with the summary version, kind and seed.
+    The result takes its columns from the kind's registry entry, and the
+    runner's summary is stamped with the summary version, kind and seed.
     """
     try:
         res = EXPERIMENTS[cfg.kind].runner(cfg, threads)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
-    return replace(res, summary={**header, **res.summary})
+    return replace(res, columns=EXPERIMENTS[cfg.kind].columns, summary={**header, **res.summary})
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +384,7 @@ def _run_norm_identity(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         "n_cases": len(rows),
         "n_failed": sum(not v.passed for v in verdicts),
     }
-    return ExperimentResult(
-        columns=("H", "f-id", "dh_norm", "fourier_norm", "ratio", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +437,7 @@ def _run_isometry(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         "n_cases": len(rows),
         "passed": passed,
     }
-    return ExperimentResult(
-        columns=("family", "H", "f-id", "dh_norm_sq", "mc_var", "z", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-        warnings=warnings,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +492,7 @@ def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         "n_draws": p["n_draws"],
         "n_paths": p["n_paths"],
     }
-    return ExperimentResult(
-        columns=("check", "draw", "ratio", "reference", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-        warnings=warnings,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +569,7 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
         "n_modes_checked": n_check,
         "n_failed": sum(not v.passed for v in verdicts),
     }
-    return ExperimentResult(
-        columns=("mode", "eigenvalue", "mc_second_moment", "expected_second_moment", "z", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-        warnings=warnings,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +629,7 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         "n_paths": p["n_paths"],
         "n_failed": sum(not v.passed for v in verdicts),
     }
-    return ExperimentResult(
-        columns=("x", "mc_variance", "expected_variance", "z", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-        warnings=warnings,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +673,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResul
         "margin": p["margin"],
         "n_cases": len(rows),
     }
-    return ExperimentResult(
-        columns=("H", "alpha", "threshold", "gamma_norm", "diverged", "pass"),
-        rows=rows,
-        summary=summary,
-        verdicts=verdicts,
-    )
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------

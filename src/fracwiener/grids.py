@@ -234,11 +234,6 @@ class GridFunction:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr.astype(complex if np.iscomplexobj(arr) else float))
 
-    def to_step(self) -> StepFunction:
-        if np.iscomplexobj(self.samples):
-            raise ValueError("complex grid functions have no step representation")
-        return StepFunction(self.grid.nodes, self.samples.copy()).dropped_zero_tails()
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         if self.grid != other.grid:
             raise ValueError("grid mismatch")

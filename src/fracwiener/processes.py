@@ -23,13 +23,15 @@ checks at Monte Carlo precision:
   increments, so the warped object has exactly the right law.
 * Kernel columns are cell averages (exact antiderivative in the linear
   zone), making the discrete kernel the L2 projection of the true one.
-* The diagonal is renormalized rather than dropped: the estimator is
-  z_t = C [ sum_m w_m k_t(u_m) F_m^2 - trace_t ],  F = Gbar dW,
-  whose covariance is the full projected-kernel pairing.  Dropping the
-  diagonal cells would lose a sqrt(dx) fraction of the variance because
-  the kernel behaves like |y1 - y2|^{a+1} near the diagonal.
+* The diagonal is renormalized rather than dropped, which would lose a
+  sqrt(dx) fraction of the variance (the kernel behaves like
+  |y1 - y2|^{a+1} there).  F = Gbar dW has low numerical rank r, so
+  F = a zeta with r standard normals zeta per path, a = sqrt(dx) Gbar V_r,
+  where V_r spans the cell Gram dx Gbar^T Gbar up to _ENERGY_TOL of its
+  trace.  With Q_t = a^T diag(w k_t(u)) a (r x r) the estimator is
+  z_t = C [zeta^T Q_t zeta - tr Q_t], centred exactly.
 
-The covariance of the simulated object is available in closed form
+Its covariance 2 C^2 tr(Q_s Q_t) is available in closed form
 (hermite_covariance), which is also how the calibration constant C is
 fixed; no pilot Monte Carlo run is involved.
 """
@@ -154,12 +156,6 @@ class PathEnsemble:
     def variance_at(self, t: float) -> float:
         k, _ = self.grid.nearest_node(t)
         return float(np.var(self.paths[:, k], ddof=1))
-
-    def covariance_at(self, s: float, t: float) -> float:
-        i, _ = self.grid.nearest_node(s)
-        j, _ = self.grid.nearest_node(t)
-        a, b = self.paths[:, i], self.paths[:, j]
-        return float(np.mean(a * b) - np.mean(a) * np.mean(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,8 +367,40 @@ def _filter_nodes(times: np.ndarray, beta: float, y_edges: np.ndarray, x_edges: 
     return _graded_gauss(base, scheme.gl_points, scheme.grade)
 
 
+# Relative energy the rank-r factor may drop (the covariance then matches the
+# full pairing to ~1e-15); the fixed sketch key keeps it free of the path seed.
+_ENERGY_TOL = 1e-13
+_SKETCH_KEY = 0x5EC0DC4A05
+# float64 elements of one zeta^T Q_t chunk in sample_block (64 MB), so long
+# time grids do not hold an (n_paths, n_t r) array per block
+_CHUNK_ELEMENTS = 1 << 23
+
+
+def _low_rank_factor(gbar: np.ndarray, dx: float):
+    """Factor a (n_u x r) with a a^T = dx gbar gbar^T up to _ENERGY_TOL, and its dropped energy.
+
+    a = sqrt(dx) gbar V_r, where V_r spans the cell Gram M = dx gbar^T gbar:
+    a randomized range finder (Halko, Martinsson & Tropp 2011) whose sketch
+    width doubles from 64 until trace(M) - trace(V_r^T M V_r) is small enough.
+    """
+    m = dx * (gbar.T @ gbar)
+    n, total = m.shape[0], np.trace(m)
+    gen = np.random.Generator(np.random.Philox(key=_SKETCH_KEY))
+    y = np.empty((n, 0))
+    while True:
+        width = min(2 * y.shape[1] or 64, n)
+        y = np.hstack([y, m @ gen.standard_normal((n, width - y.shape[1]))])
+        q = np.linalg.qr(y)[0]
+        lam, w = np.linalg.eigh(q.T @ m @ q)
+        dropped = (total - np.cumsum(lam[::-1])) / total
+        fits = np.flatnonzero(dropped <= _ENERGY_TOL)
+        if fits.size or width == n:
+            r = fits[0] + 1 if fits.size else n
+            return np.sqrt(dx) * (gbar @ (q @ w[:, ::-1][:, :r])), float(dropped[r - 1])
+
+
 class _HermiteOperator:
-    """Shared machinery: kernel factorization and exact covariance."""
+    """Rank-r quadratic forms Q_t = a^T diag(omega_t) a and their covariance."""
 
     def __init__(self, params: FracParams, times: np.ndarray, iso: DiscreteIsonormal,
                  scheme: HermiteScheme):
@@ -381,36 +409,37 @@ class _HermiteOperator:
         t_end = float(np.max(times))
         if iso.grid.t_end < t_end - 1e-12:
             raise ValueError("noise window ends before the requested horizon")
-        self.params = params
-        self.times = times
-        self.iso = iso
         x_edges = iso.grid.nodes
         x_b = -t_end
         c = scheme.warp_scale * t_end
         y_edges, _ = _warp(x_edges, x_b, c)
         u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c, scheme)
-        self.gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
-        self.omega = np.array([w * _filter_weight(t, u, params.beta) for t in times])
-        self.dx = iso.grid.dt
-        gram = self.dx * (self.gbar @ self.gbar.T)
-        self.pair = gram * gram  # Cov(F_m^2, F_m'^2) / 2
-        self.trace = self.omega @ np.diag(gram)
-        raw_end = self.raw_cov_at(t_end)
+        gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
+        a, self.dropped = _low_rank_factor(gbar, iso.grid.dt)
+        self.rank = a.shape[1]
+        # zeta = V_r^T xi is white noise on r unit cells: the same keys
+        # (seed, stream, block) draw r standard normals per path
+        self.latent = DiscreteIsonormal(TimeGrid(0.0, 1.0, self.rank), iso.seed, iso.stream)
+        omega = [w * _filter_weight(t, u, params.beta) for t in times]
+        forms = np.array([(a * om[:, None]).T @ a for om in omega])  # Q_t, one GEMM each
+        flat = forms.reshape(len(times), -1)
+        raw_cov = 2.0 * (flat @ flat.T)  # 2 tr(Q_s Q_t); every Q_t is symmetric
+        raw_end = raw_cov[np.argmax(times), np.argmax(times)]
         if raw_end <= 0:
             raise ValueError("degenerate kernel discretization")
-        self.scale = params.sigma * t_end**params.h / np.sqrt(raw_end)
-
-    def raw_cov_at(self, t: float) -> float:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return 2.0 * float(self.omega[i] @ self.pair @ self.omega[i])
-
-    def covariance(self) -> np.ndarray:
-        return 2.0 * self.scale**2 * (self.omega @ self.pair @ self.omega.T)
+        scale = params.sigma * t_end**params.h / np.sqrt(raw_end)
+        self.covariance = scale**2 * raw_cov
+        forms *= scale  # calibrated to sigma^2 t_end^2H
+        self.trace = np.trace(forms, axis1=1, axis2=2)
+        # [Q_0 | Q_1 | ...], r x (n_t r): one GEMM gives zeta^T Q_t for every t
+        self.stacked = forms.transpose(1, 0, 2).reshape(self.rank, -1)
 
     def sample_block(self, block: int, b: int) -> np.ndarray:
-        dw = self.iso.increment_block(block, b)
-        f = dw @ self.gbar.T
-        return self.scale * ((f * f) @ self.omega.T - self.trace[None, :])
+        zeta = self.latent.increment_block(block, b)
+        step = max(1, _CHUNK_ELEMENTS // (b * self.rank)) * self.rank
+        quad = [(zeta @ self.stacked[:, j:j + step]).reshape(b, -1, self.rank) @ zeta[:, :, None]
+                for j in range(0, self.stacked.shape[1], step)]
+        return np.concatenate(quad, axis=1)[:, :, 0] - self.trace
 
 
 def simulate_hermite_k2(
@@ -441,8 +470,7 @@ def hermite_covariance(
     This is what the simulated ensemble converges to in Monte Carlo; its
     distance to sigma^2 R_H measures the discretization quality alone.
     """
-    op = _HermiteOperator(params, np.asarray(times, dtype=float), iso, scheme)
-    return op.covariance()
+    return _HermiteOperator(params, np.asarray(times, dtype=float), iso, scheme).covariance
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracwiener import processes
 from fracwiener.grids import TimeGrid
 from fracwiener.processes import (
     CylindricalEnsemble,
@@ -220,6 +221,25 @@ class TestSimulateHermite:
         b = simulate_hermite_k2(par, grid, iso, 6000, threads=6).paths
         assert np.array_equal(a, b)
 
+    def test_centred(self):
+        # the subtracted trace is that of the truncated forms, so E z_t = 0
+        par = FracParams.rosenblatt(0.75)
+        iso = default_isonormal(1.0, seed=33, n_cells=256)
+        ens = simulate_hermite_k2(par, TimeGrid(0.0, 0.25, 4), iso, 30_000, threads=4)
+        x = ens.paths[:, 1:]
+        z = x.mean(axis=0) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
+        assert np.abs(z).max() < 4.0
+
+    def test_time_chunks_agree(self, monkeypatch):
+        # one time node per chunk of the stacked forms, as on long grids
+        par = FracParams.rosenblatt(0.75)
+        iso = default_isonormal(1.0, seed=4, n_cells=128)
+        grid = TimeGrid(0.0, 0.125, 8)
+        whole = simulate_hermite_k2(par, grid, iso, 500).paths
+        monkeypatch.setattr(processes, "_CHUNK_ELEMENTS", 1)
+        chunked = simulate_hermite_k2(par, grid, iso, 500).paths
+        assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-14)
+
     def test_family_validation(self):
         iso = default_isonormal(1.0, seed=1, n_cells=64)
         grid = TimeGrid(0.0, 0.25, 4)
@@ -317,6 +337,36 @@ class TestSimulateHermite:
         a = hermite_covariance(par, [1.0], base)[0, 0]
         b = hermite_covariance(par, [1.0], wide)[0, 0]
         assert abs(a - b) / a < 0.03
+
+    @pytest.mark.parametrize(
+        "h,sigma,n_cells,lead,warp",
+        [(0.75, 1.0, 4096, 10.0, 0.6), (0.9, 1.0, 2048, 20.0, 0.35), (0.75, 1.2, 1024, 10.0, 0.6)],
+        ids=["c03-H0.75", "c03-H0.9", "c05"],
+    )
+    def test_low_rank_factor_matches_full_gram(self, h, sigma, n_cells, lead, warp):
+        # the rank-r operator against the untruncated pairing
+        # 2 C^2 omega (G o G) omega^T, G = dx gbar gbar^T, built here from
+        # the same cell averages; the operator's covariance is what
+        # hermite_covariance returns
+        par = FracParams.rosenblatt(h, sigma)
+        iso = default_isonormal(1.0, seed=1, n_cells=n_cells, lead_factor=lead)
+        scheme = HermiteScheme(warp_scale=warp)
+        times = TimeGrid(0.0, 0.25, 4).nodes
+        op = processes._HermiteOperator(par, times, iso, scheme)
+        assert op.dropped <= processes._ENERGY_TOL
+        assert op.rank < n_cells
+
+        x, x_b, c = iso.grid.nodes, -1.0, warp  # horizon t_end = 1
+        y_edges, _ = processes._warp(x, x_b, c)
+        u, w = processes._filter_nodes(times, par.beta, y_edges, x, x_b, c, scheme)
+        gbar = processes._cell_averages(u, x, x_b, c, par.alpha)
+        omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
+        gram = iso.grid.dt * (gbar @ gbar.T)
+        del gbar
+        gram *= gram
+        raw = 2.0 * (omega @ gram @ omega.T)
+        oracle = sigma**2 * raw / raw[-1, -1]
+        assert np.abs(op.covariance - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_scheme_refined(self):
         s = HermiteScheme()
