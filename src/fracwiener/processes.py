@@ -2,7 +2,8 @@
 
 Two simulators live here.  Fractional Brownian motion is sampled exactly
 from its covariance (Cholesky, with an optional circulant fast path that
-must agree in law).  Second-chaos processes (Rosenblatt and the k = 2
+must agree in law and draws two paths per complex circulant transform, its
+real and imaginary parts).  Second-chaos processes (Rosenblatt and the k = 2
 generalized family) are built as discrete double Wiener integrals of a
 moving-average kernel
 
@@ -257,13 +258,15 @@ def _fbm_circulant_drawer(params: FracParams, grid: TimeGrid):
     scale = np.sqrt(eig / m)
 
     def draw(gen: np.random.Generator, b: int) -> np.ndarray:
-        zr = gen.standard_normal((b, m))
-        zi = gen.standard_normal((b, m))
-        spec = (zr + 1j * zi) * scale
-        fgn = np.fft.fft(spec, axis=1).real[:, :n]
+        # one complex transform carries two independent paths: the covariance
+        # of its real and imaginary parts is sum_j eig_j sin(.) / m, which
+        # vanishes because eig_j = eig_{m-j}
+        h = (b + 1) // 2
+        fgn = np.fft.fft(gen.standard_normal((h, 2 * m)).view(np.complex128) * scale, axis=1)
         out = np.empty((b, n + 1))
         out[:, 0] = 0.0
-        np.cumsum(fgn, axis=1, out=out[:, 1:])
+        np.cumsum(fgn.real[:, :n], axis=1, out=out[:h, 1:])
+        np.cumsum(fgn.imag[:b - h, :n], axis=1, out=out[h:, 1:])
         return out
 
     return draw
@@ -307,8 +310,7 @@ def _warp(x: np.ndarray, x_b: float, c: float):
 
 def _pos_pow(base: np.ndarray, expo: float) -> np.ndarray:
     # (base)_+^expo with 0^negative treated as 0
-    mask = base > 0
-    return np.where(mask, base, 1.0) ** expo * mask
+    return np.power(base, expo, out=np.zeros_like(base), where=base > 0)
 
 
 def _filter_weight(t: float, u: np.ndarray, beta: float) -> np.ndarray:
@@ -321,23 +323,21 @@ def _cell_averages(u: np.ndarray, x_edges: np.ndarray, x_b: float, c: float,
                    alpha: float) -> np.ndarray:
     """Cell averages of (u - phi(x))_+^{alpha/2} sqrt(phi'(x))."""
     nu = alpha / 2.0 + 1.0
-    lo, hi = x_edges[:-1], x_edges[1:]
-    out = np.zeros((u.size, lo.size))
-    lin = lo >= x_b - 1e-15
-    if np.any(lin):
-        a_, b_ = lo[lin], hi[lin]
-        pa = _pos_pow(u[:, None] - a_[None, :], nu)
-        pb = _pos_pow(u[:, None] - b_[None, :], nu)
-        out[:, lin] = (pa - pb) / (nu * (b_ - a_)[None, :])
-    if np.any(~lin):
+    out = np.empty((u.size, x_edges.size - 1))
+    # cells from i_lin on form the linear zone: one power per shared edge
+    i_lin = int(np.searchsorted(x_edges[:-1], x_b - 1e-15))
+    edges = x_edges[i_lin:]
+    pw = _pos_pow(u[:, None] - edges[None, :], nu)
+    out[:, i_lin:] = (pw[:, :-1] - pw[:, 1:]) / (nu * np.diff(edges))[None, :]
+    if i_lin:
         # stretched zone: integrand is smooth there, 2-point Gauss per cell
-        a_, b_ = lo[~lin], hi[~lin]
+        a_, b_ = x_edges[:i_lin], x_edges[1:i_lin + 1]
         mid, off = 0.5 * (a_ + b_), 0.5 * (b_ - a_) / np.sqrt(3.0)
         acc = 0.0
         for xq in (mid - off, mid + off):
             y, j = _warp(xq, x_b, c)
             acc = acc + _pos_pow(u[:, None] - y[None, :], alpha / 2.0) * np.sqrt(j)[None, :]
-        out[:, ~lin] = 0.5 * acc
+        out[:, :i_lin] = 0.5 * acc
     return out
 
 

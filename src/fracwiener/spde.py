@@ -461,17 +461,23 @@ def holder_exponent_estimate(
     if len(lags) < 2:
         raise ValueError("grid too short for a lag regression")
     i0 = int(n * start_fraction)
+    c = ens.coeffs
     means = []
     if p != 2.0:
-        ef = ens.model.eigenfunctions(ens.model.spatial_quadrature(n_x)[0])
-        wq = ens.model.spatial_quadrature(n_x)[1]
+        xq, wq = ens.model.spatial_quadrature(n_x)
+        ef = ens.model.eigenfunctions(xq)
     for lag in lags:
-        starts = np.arange(i0, n + 1 - lag)
-        diff = ens.coeffs[:, :, starts + lag] - ens.coeffs[:, :, starts]
+        # increments over the starts i0..n-lag, as basic slices (no copies)
+        later, earlier = c[..., i0 + lag:], c[..., i0:n + 1 - lag]
         if p == 2.0:
-            norms = np.sqrt(np.einsum("pks,pks->ps", diff, diff))
+            # sum_k d_k^2 one mode at a time: one (n_paths, n_starts) temporary
+            sq = np.zeros((ens.n_paths, later.shape[-1]))
+            d = np.empty_like(sq, dtype=c.dtype)
+            for k in range(ens.n_modes):
+                sq += np.square(np.subtract(later[:, k], earlier[:, k], out=d), out=d)
+            norms = np.sqrt(sq)
         else:
-            fields = np.einsum("pks,xk->pxs", diff, ef)
+            fields = np.einsum("pks,xk->pxs", later - earlier, ef)
             norms = np.einsum("x,pxs->ps", wq, np.abs(fields) ** p) ** (1.0 / p)
         means.append(float(np.mean(norms)))
     slope = np.polyfit(np.log(np.array(lags) * ens.grid.dt), np.log(means), 1)[0]

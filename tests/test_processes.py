@@ -100,11 +100,13 @@ class TestSimulateFbm:
     def test_deterministic_and_thread_invariant(self):
         grid = TimeGrid.from_window(0.0, 1.0, 16)
         p = FracParams.fbm(0.6)
-        a = simulate_fbm(p, grid, 9000, seed=5, threads=1).paths
-        b = simulate_fbm(p, grid, 9000, seed=5, threads=6).paths
-        assert np.array_equal(a, b)
-        c = simulate_fbm(p, grid, 9000, seed=5, stream=3).paths
-        assert not np.array_equal(a, c)
+        # 9001 circulant paths: three blocks, the last with an odd count
+        for method, n_paths, threads in (("cholesky", 9000, 6), ("circulant", 9001, 4)):
+            a = simulate_fbm(p, grid, n_paths, seed=5, threads=1, method=method).paths
+            b = simulate_fbm(p, grid, n_paths, seed=5, threads=threads, method=method).paths
+            assert np.array_equal(a, b)
+            c = simulate_fbm(p, grid, n_paths, seed=5, stream=3, method=method).paths
+            assert not np.array_equal(a, c)
 
     def test_sigma_scales_paths_exactly(self):
         grid = TimeGrid.from_window(0.0, 1.0, 16)
@@ -172,6 +174,30 @@ class TestSimulateFbm:
         band = 4 * np.sqrt(2.0 / (circ.n_paths - 1))
         assert np.all(np.abs(rel - 1.0) < band)
         assert stats.ks_2samp(chol.paths[:, -1], circ.paths[:, -1]).pvalue > 0.01
+
+    def test_circulant_pair_uncorrelated(self):
+        # one block of 4000 paths: path i is the real part of transform i,
+        # path i + 2000 its imaginary part
+        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        ens = simulate_fbm(FracParams.fbm(0.3), grid, 4000, seed=6, method="circulant")
+        h = ens.n_paths // 2
+        re, im = ens.paths[:h, 1:], ens.paths[h:, 1:]
+        corr = np.mean(re * im, axis=0) / np.sqrt(np.mean(re**2, axis=0) * np.mean(im**2, axis=0))
+        assert np.all(np.abs(corr) < 4.0 / np.sqrt(h))
+
+    def test_circulant_increment_covariance(self):
+        # the fGn Toeplitz matrix as the mixed second difference of R_H
+        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        h = 0.3
+        ens = simulate_fbm(FracParams.fbm(h), grid, 20_001, seed=12, method="circulant")
+        t = grid.nodes
+        r = covariance_rh(t[:, None], t[None, :], h)
+        target = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+        inc = np.diff(ens.paths, axis=1)
+        prod = inc[:, :, None] * inc[:, None, :]
+        se = np.std(prod, axis=0, ddof=1) / np.sqrt(ens.n_paths)
+        z = (np.mean(prod, axis=0) - target) / se
+        assert np.abs(z).max() < 4.5
 
     def test_method_validation_and_limits(self):
         grid = TimeGrid.from_window(0.0, 1.0, 16)

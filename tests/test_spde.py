@@ -337,6 +337,39 @@ class TestHolderEstimate:
         assert slope > 0.45 - 0.125 - 0.05
         assert slope < 0.5
 
+    @pytest.mark.parametrize(
+        "dtype,p,rtol",
+        [(np.float64, 2.0, 1e-12), (np.float64, 1.5, 1e-12),
+         (np.float32, 2.0, 1e-6), (np.float32, 1.5, 1e-6)],
+    )
+    def test_lag_means_match_indexed_oracle(self, monkeypatch, dtype, p, rtol):
+        mod = build_spectral_model(L_PI, 1, 12)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
+        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 300, seed=8, dtype=dtype)
+        fits = []
+        polyfit = np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append(y) or polyfit(x, y, deg))
+        slope = holder_exponent_estimate(ens, p)
+        # the fit's definition with explicitly indexed increment copies
+        n, i0 = grid.n_steps, grid.n_steps // 2
+        xs, wq = mod.spatial_quadrature(64)
+        ef = mod.eigenfunctions(xs)
+        lags = [1, 2, 4, 8, 16]
+        oracle = []
+        for lag in lags:
+            starts = np.arange(i0, n + 1 - lag)
+            diff = ens.coeffs[:, :, starts + lag] - ens.coeffs[:, :, starts]
+            if p == 2.0:
+                norms = np.sqrt(np.einsum("pks,pks->ps", diff, diff))
+            else:
+                fields = np.einsum("pks,xk->pxs", diff, ef)
+                norms = np.einsum("x,pxs->ps", wq, np.abs(fields) ** p) ** (1.0 / p)
+            oracle.append(float(np.mean(norms)))
+        assert len(fits) == 1  # the fit regresses the log lag means
+        assert np.allclose(np.exp(fits[0]), oracle, rtol=rtol, atol=0.0)
+        expected = polyfit(np.log(np.array(lags) * grid.dt), np.log(oracle), 1)[0]
+        assert slope == pytest.approx(expected, rel=10 * rtol)
+
     def test_smooth_control_slope_is_one(self):
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ks = np.arange(1, 9)
