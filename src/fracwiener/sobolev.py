@@ -10,10 +10,11 @@ homogeneous Sobolev norm of order 1/2 - H, and this module carries
 several independent routes to these quantities:
 
 * ``integrand_norm`` with ``method="transform"``: L2 norm of the tail
-  transform, evaluated from closed-form piecewise antiderivatives and
-  adaptive quadrature,
+  transform, its edge sum in plain float arithmetic integrated piece by
+  piece with adaptive quadrature,
 * ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
-  the process increment covariance (no quadrature at all),
+  the process increment covariance (no quadrature at all); the spde mode
+  norms use it, cached per H, with alpha and noise coefficients applied after,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
 * ``sobolev_norm_fourier``: FFT of sampled data with an analytic
   high-frequency tail correction,
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma
 
-from .grids import GridFunction, StepFunction, TimeGrid
+from .grids import GridFunction, StepFunction
 from .processes import covariance_rh
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "transform_constant",
     "norm_equivalence_constant",
     "fractional_transform",
-    "fractional_transform_grid",
     "integrand_norm",
     "integrand_inner",
     "singular_inner_product",
@@ -205,20 +205,26 @@ def fractional_transform(f: StepFunction, hurst: float):
     return evaluate
 
 
-def fractional_transform_grid(f: StepFunction, hurst: float, out_grid: TimeGrid) -> GridFunction:
-    """Transform sampled at the cells of ``out_grid`` (midpoint values)."""
-    return GridFunction(out_grid, fractional_transform(f, hurst)(out_grid.cell_midpoints))
-
-
 def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
-    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature."""
+    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature.
+
+    The integrand is the ``fractional_transform`` sum in plain float
+    arithmetic: ``quad`` evaluates it one point at a time, where numpy
+    overhead on a few-element array would dominate.
+    """
     edges, rise = f.jumps()
     if edges.size == 0:
         return 0.0
-    evaluate = fractional_transform(f, hurst)
+    g = hurst - 0.5
+    kappa = 1.0 / transform_constant(hurst)
+    pairs = [(float(e), -float(d)) for e, d in zip(edges, rise)]
 
     def sq(r):
-        return float(evaluate(r)) ** 2
+        acc = 0.0
+        for e, d in pairs:
+            if e > r:
+                acc += d * (e - r) ** g
+        return (kappa * acc) ** 2
 
     total = 0.0
     # left tail; the transform decays algebraically there

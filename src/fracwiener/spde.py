@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-
-from scipy.signal import lfilter
 
 from .grids import StepFunction, TimeGrid
 from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, gamma_norm_lp
@@ -197,26 +196,20 @@ def _noise_coefficients(model: SpectralModel, noise_decay) -> np.ndarray:
     return decay
 
 
+@lru_cache(maxsize=32)
 def _mode_step_norms(
-    model: SpectralModel,
-    hurst: float,
-    alpha: float,
-    t0: float,
-    sigma: float,
-    n_modes: int,
-    decay: np.ndarray,
+    length: float, order: int, hurst: float, t0: float, sigma: float, n_modes: int
 ) -> np.ndarray:
-    wide = model.truncated(n_modes)
-    lams = wide.eigenvalues
-    weights = wide.fractional_weights(alpha)
-    out = np.empty(n_modes)
-    for i, lam in enumerate(lams):
-        f = _exp_kernel_step(lam, t0)
-        out[i] = (
-            abs(decay[i])
-            * weights[i]
-            * integrand_norm(f, hurst, sigma, method="covariance")
-        )
+    """Covariance-route norms of the first ``n_modes`` mode kernels, unweighted.
+
+    They depend only on the geometry, H, t0 and sigma, so they are cached
+    per H and shared by every alpha; the fractional weights and the noise
+    coefficients are applied by the caller.  The array is read-only.
+    """
+    lams = SpectralModel(length, order, n_modes).eigenvalues
+    kernels = (_exp_kernel_step(lam, t0) for lam in lams)
+    out = np.array([integrand_norm(f, hurst, sigma, method="covariance") for f in kernels])
+    out.setflags(write=False)
     return out
 
 
@@ -243,7 +236,8 @@ def existence_report(
     decay = _noise_coefficients(model, noise_decay)
     # the doubled truncations carry the last coefficient on to the new modes
     decay = np.concatenate((decay, np.full(k_max - decay.size, decay[-1])))
-    norms = _mode_step_norms(model, hurst, alpha, t0, sigma, k_max, decay)
+    base = _mode_step_norms(model.length, model.order, hurst, t0, sigma, k_max)
+    norms = np.abs(decay) * model.truncated(k_max).fractional_weights(alpha) * base
     xs, ws = model.spatial_quadrature(max(n_x, 4 * k_max))
     modes = model.truncated(k_max).eigenfunctions(xs)  # (n_x, k_max)
     mass = []
@@ -432,11 +426,13 @@ def solve_mild(
         else:
             iso = default_isonormal(grid.t_end, seed, n_noise_cells, stream=k)
             drv = simulate_hermite_k2(params, grid, iso, n_paths, threads)
-        dz = np.diff(drv.paths, axis=1)
         fade = math.exp(-lams[k] * grid.dt)
-        # exact one-step form of the left-point convolution
-        y = lfilter([fade], [1.0, -fade], dz, axis=1)
-        coeffs[:, k, 1:] = (weights[k] * decay[k]) * y
+        # exact one-step form of the left-point convolution, time-major
+        y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
+        y *= fade
+        for i in range(1, y.shape[0]):
+            y[i] += fade * y[i - 1]
+        coeffs[:, k, 1:] = (weights[k] * decay[k]) * y.T
     return MildSolutionEnsemble(model, grid, coeffs, alpha, params)
 
 
@@ -477,8 +473,14 @@ def holder_exponent_estimate(
                 sq += np.square(np.subtract(later[:, k], earlier[:, k], out=d), out=d)
             norms = np.sqrt(sq)
         else:
-            fields = np.einsum("pks,xk->pxs", later - earlier, ef)
-            norms = np.einsum("x,pxs->ps", wq, np.abs(fields) ** p) ** (1.0 / p)
+            # one start column at a time, through reused (n_paths, K) and (n_paths, n_x) buffers
+            norms = np.empty((ens.n_paths, later.shape[-1]))
+            d = np.empty(later.shape[:2], dtype=c.dtype)
+            fields = np.empty((ens.n_paths, wq.size))
+            for s in range(later.shape[-1]):
+                np.subtract(later[..., s], earlier[..., s], out=d)
+                np.abs(np.matmul(d, ef.T, out=fields), out=fields)
+                norms[:, s] = (np.power(fields, p, out=fields) @ wq) ** (1.0 / p)
         means.append(float(np.mean(norms)))
     slope = np.polyfit(np.log(np.array(lags) * ens.grid.dt), np.log(means), 1)[0]
     return float(slope)

@@ -3,6 +3,9 @@ kind end to end, exit codes, artifact formats, byte-level determinism."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +256,16 @@ class TestListExperiments:
         for exp in EXPERIMENTS.values():
             for col in exp.columns:
                 assert col in exp.column_doc
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal (and the scipy.stats it pulls in) costs about 0.5 s of
+    # start-up per process; nothing in the package needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import fracwiener.cli, sys; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestNormIdentityRun:

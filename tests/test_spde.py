@@ -22,7 +22,7 @@ from fracwiener.spde import (
     semigroup_smoothing_exponent,
     solve_mild,
 )
-from fracwiener.spde import _exp_kernel_step
+from fracwiener.spde import _exp_kernel_step, _mode_step_norms
 
 L_PI = math.pi
 
@@ -157,6 +157,17 @@ class TestExistenceReport:
         field = assemble_kernel_field(mod, 0.4, 0.0, 1.0, n_x=256)
         rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0, n_x=256)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
+        # weights and noise coefficients applied to norms cached at another alpha
+        decay = 1.0 / np.arange(1, 7) ** 0.7
+        existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7, doublings=0)
+        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7, noise_decay=decay, n_x=256)
+        rep = existence_report(
+            mod, 0.35, 0.1, 1.0, sigma=1.7, noise_decay=decay, doublings=0, n_x=256
+        )
+        assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
+        cached = _mode_step_norms(mod.length, mod.order, 0.35, 1.0, 1.7, mod.truncation)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
     def test_horizon_validation(self):
         mod = build_spectral_model(L_PI, 1, 4)
