@@ -9,39 +9,18 @@ expectation and its variance is twice the squared kernel norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, TimeGrid
+from .grids import TimeGrid
 from .rng import block_generator, map_path_blocks
 
 __all__ = [
-    "ChaosSample",
     "DiscreteIsonormal",
     "double_wiener_integral",
     "moment_ratio",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ChaosSample:
-    """Monte Carlo draws from a fixed (finite) chaos level."""
-
-    values: np.ndarray
-    order: int
-    meta: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def variance(self) -> float:
-        return float(np.var(self.values, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -87,54 +66,34 @@ class DiscreteIsonormal:
             lambda b, sl: self.increment_block(b, sl.stop - sl.start), n_paths, threads
         )
 
-    def _cell_weights(self, v) -> np.ndarray:
-        if isinstance(v, GridFunction):
-            if v.grid != self.grid:
-                raise ValueError("grid function lives on a different grid")
-            return np.asarray(v.samples, dtype=float)
-        if callable(v):
-            return np.asarray(v(self.sample_points), dtype=float)
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (self.n_cells,):
+    def first_order(self, v, n_paths: int, threads: int = 1) -> np.ndarray:
+        """Single Wiener integral of cell samples ``v``, shape ``(n_paths,)``."""
+        w = np.asarray(v, dtype=float)
+        if w.shape != (self.n_cells,):
             raise ValueError("cell sample array has the wrong length")
-        return arr
-
-    def first_order(self, v, n_paths: int, threads: int = 1) -> ChaosSample:
-        """Single Wiener integral of a grid function, one draw per path."""
-        w = self._cell_weights(v)
 
         def run(block: int, sl: slice) -> np.ndarray:
             return self.increment_block(block, sl.stop - sl.start) @ w
 
-        return ChaosSample(map_path_blocks(run, n_paths, threads), order=1)
+        return map_path_blocks(run, n_paths, threads)
 
 
 def double_wiener_integral(
-    kernel: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    iso: DiscreteIsonormal,
-    n_paths: int,
-    threads: int = 1,
-) -> ChaosSample:
+    kernel: np.ndarray, iso: DiscreteIsonormal, n_paths: int, threads: int = 1
+) -> np.ndarray:
     """Off-diagonal double Wiener integral of a symmetric grid kernel.
 
-    ``kernel`` is either an (n_cells, n_cells) matrix of kernel values at
-    cell midpoints or a callable evaluated on the midpoint mesh.  The
-    diagonal is excluded; a non-symmetric matrix is symmetrized and the
-    result carries ``meta["symmetrized"] = True``.
+    ``kernel`` is the (n_cells, n_cells) symmetric matrix of kernel values
+    at cell midpoints; the diagonal is excluded.  Returns one draw per
+    path, shape ``(n_paths,)``.
     """
-    y = iso.sample_points
-    if callable(kernel):
-        mat = np.asarray(kernel(y[:, None], y[None, :]), dtype=float)
-    else:
-        mat = np.asarray(kernel, dtype=float)
+    mat = np.asarray(kernel, dtype=float)
     if mat.shape != (iso.n_cells, iso.n_cells):
         raise ValueError("kernel matrix does not match the noise grid")
     if not np.all(np.isfinite(mat)):
         raise ValueError("kernel values must be finite")
-    meta = {}
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
-        mat = 0.5 * (mat + mat.T)
-        meta["symmetrized"] = True
+        raise ValueError("kernel matrix must be symmetric")
     diag = np.diag(mat).copy()
 
     def run(block: int, sl: slice) -> np.ndarray:
@@ -142,14 +101,14 @@ def double_wiener_integral(
         te = e @ mat  # quadratic form via one GEMM, then a row dot
         return np.einsum("bi,bi->b", te, e) - (e * e) @ diag
 
-    return ChaosSample(map_path_blocks(run, n_paths, threads), order=2, meta=meta)
+    return map_path_blocks(run, n_paths, threads)
 
 
-def moment_ratio(sample, q: float, p: float) -> float:
+def moment_ratio(values, q: float, p: float) -> float:
     """Ratio of empirical absolute-moment norms, (E|X|^q)^{1/q} / (E|X|^p)^{1/p}."""
     if q <= 0 or p <= 0:
         raise ValueError("moment exponents must be positive")
-    values = sample.values if isinstance(sample, ChaosSample) else np.asarray(sample, dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("sample is empty")
     num = np.mean(np.abs(values) ** q) ** (1.0 / q)

@@ -150,9 +150,12 @@ def _int(raw: str) -> int:
 
 def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _bool(raw: str):
@@ -184,7 +187,7 @@ def _ge(bound):
 
 
 def _positive(v):
-    return None if math.isfinite(v) and v > 0 else "must be positive and finite"
+    return None if v > 0 else "must be positive"
 
 
 def _open_unit(v):
@@ -302,13 +305,17 @@ def load_config(path) -> ExperimentConfig:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run a validated config; a parameter the model rejects is a ConfigError.
 
-    The result takes its columns from the kind's registry entry, and the
-    runner's summary is stamped with the summary version, kind and seed.
+    So is a parameter that overflows the floating-point range on its way
+    through the model.  The result takes its columns from the kind's
+    registry entry, and the runner's summary is stamped with the summary
+    version, kind and seed.
     """
     try:
         res = EXPERIMENTS[cfg.kind].runner(cfg, threads)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
+    except OverflowError as exc:
+        raise ConfigError([f"a parameter overflowed the floating-point range: {exc}"]) from None
     header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
     return replace(res, columns=EXPERIMENTS[cfg.kind].columns, summary={**header, **res.summary})
 
@@ -452,8 +459,8 @@ def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     n_cells = p["n_cells"]
     iso = DiscreteIsonormal(TimeGrid(0.0, p["t_end"] / n_cells, n_cells), seed=cfg.seed)
     e = np.ones(n_cells) / math.sqrt(p["t_end"])  # unit L2 weight on the window
-    first = iso.first_order(e, p["n_paths"], threads).values
-    second = double_wiener_integral(np.outer(e, e), iso, p["n_paths"], threads).values
+    first = iso.first_order(e, p["n_paths"], threads)
+    second = double_wiener_integral(np.outer(e, e), iso, p["n_paths"], threads)
 
     g_ratio = moment_ratio(first, 4, 2)
     c_ratio = moment_ratio(second, 4, 2)

@@ -15,10 +15,9 @@ enters only through the simulated paths themselves.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,16 +43,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _inputs_hash(*parts) -> str:
-    sha = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            sha.update(np.ascontiguousarray(part).tobytes())
-        else:
-            sha.update(repr(part).encode())
-    return sha.hexdigest()[:12]
-
-
 @dataclass(frozen=True, eq=False)
 class ElementaryIntegralResult:
     """Per-path values of a Wiener integral, with provenance.
@@ -75,16 +64,8 @@ class ElementaryIntegralResult:
         return self.samples.size
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-    @property
     def variance(self) -> float:
         return float(np.var(self.samples, ddof=1))
-
-    @property
-    def se_mean(self) -> float:
-        return float(np.std(self.samples, ddof=1) / np.sqrt(self.n_paths))
 
     @property
     def se_variance(self) -> float:
@@ -93,23 +74,6 @@ class ElementaryIntegralResult:
         m2 = np.mean(c**2)
         m4 = np.mean(c**4)
         return float(np.sqrt(max(m4 - m2**2, 0.0) / self.n_paths))
-
-    def to_record(self) -> dict:
-        return {
-            "inputs": _inputs_hash(
-                self.f.breakpoints, self.f.values, self.params, self.n_paths
-            ),
-            "n_paths": self.n_paths,
-            "mean": self.mean,
-            "variance": self.variance,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-            "series_tail": self.series_tail,
-            "flags": {
-                "snapped": bool(self.snap_distance > 0.0),
-                "truncated": bool(self.series_tail > 0.0),
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -121,15 +85,6 @@ class IsometryReport:
     z_score: float
     se_var: float
     n_paths: int
-
-    def to_record(self) -> dict:
-        return {
-            "mc_var": self.mc_var,
-            "dh_norm_sq": self.dh_norm_sq,
-            "z_score": self.z_score,
-            "se_var": self.se_var,
-            "n_paths": self.n_paths,
-        }
 
 
 def _snap_breakpoints(f: StepFunction, grid: TimeGrid):
@@ -401,20 +356,13 @@ def _dyadic_sum(shell: Callable, max_shells: int, rtol: float):
     return total + _series_tail(terms), sums
 
 
-def condition_singular(
-    g: Callable,
-    hurst: float,
-    tau: float,
-    *,
-    max_shells: int = 40,
-    rtol: float = 1e-8,
-    gl_points: int = 12,
-) -> float:
+def condition_singular(g: Callable, hurst: float, tau: float) -> float:
     """Finiteness functional for rough drivers (hurst < 1/2).
 
     Evaluates ``int_0^tau g(u)^2 du`` plus the double integral of
     ``(g(u)-g(v))^2 |u-v|^{2H-2}`` over ``(0,tau)^2`` on dyadic shells
-    graded toward 0, with the near-diagonal kink absorbed by a Jacobi
+    graded toward 0 (12-point rules, at most 40 shells, relative shell
+    tolerance 1e-8), with the near-diagonal kink absorbed by a Jacobi
     rule.  ``g`` must accept numpy arrays and return operator norms.
     Returns ``math.inf`` when the refinement diagnoses divergence.
     """
@@ -422,8 +370,8 @@ def condition_singular(
         raise ValueError("singular-regime evaluator needs hurst in (0, 1/2)")
     if not tau > 0:
         raise ValueError("horizon tau must be positive")
-    xg, wg = np.polynomial.legendre.leggauss(gl_points)
-    xj, wj = roots_jacobi(gl_points, 0.0, 2.0 * hurst)
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    xj, wj = roots_jacobi(12, 0.0, 2.0 * hurst)
     cache = []
 
     def shell(j: int) -> float:
@@ -444,32 +392,25 @@ def condition_singular(
         cache.append((un, uw, gv))
         return d
 
-    return _dyadic_sum(shell, max_shells, rtol)[0]
+    return _dyadic_sum(shell, 40, 1e-8)[0]
 
 
-def condition_regular(
-    g: Callable,
-    hurst: float,
-    tau: float,
-    *,
-    max_shells: int = 48,
-    rtol: float = 1e-9,
-    gl_points: int = 16,
-) -> float:
+def condition_regular(g: Callable, hurst: float, tau: float) -> float:
     """Finiteness functional for smooth drivers (hurst >= 1/2).
 
     Evaluates ``int_0^tau g(u)^{1/H} du`` on dyadic shells graded toward
-    0; divergence (including the logarithmic edge case) returns inf.
+    0 (16-point rule, at most 48 shells, relative shell tolerance 1e-9);
+    divergence (including the logarithmic edge case) returns inf.
     """
     if not 0.5 <= hurst < 1.0:
         raise ValueError("regular-regime evaluator needs hurst in [1/2, 1)")
     if not tau > 0:
         raise ValueError("horizon tau must be positive")
-    xg, wg = np.polynomial.legendre.leggauss(gl_points)
+    xg, wg = np.polynomial.legendre.leggauss(16)
 
     def shell(j: int) -> float:
         un, uw = _dyadic_shell(tau, j, xg, wg)
         gv = np.abs(np.asarray(g(un), dtype=float))
         return float(uw @ gv ** (1.0 / hurst))
 
-    return _dyadic_sum(shell, max_shells, rtol)[0]
+    return _dyadic_sum(shell, 48, 1e-9)[0]

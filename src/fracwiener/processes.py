@@ -54,12 +54,10 @@ __all__ = [
     "Family",
     "FracParams",
     "HermiteScheme",
-    "HolderFit",
     "PathEnsemble",
     "covariance_rh",
     "default_isonormal",
     "hermite_covariance",
-    "holder_regression",
     "simulate_cylindrical",
     "simulate_fbm",
     "simulate_hermite_k2",
@@ -154,10 +152,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.paths.shape[0]
 
-    def variance_at(self, t: float) -> float:
-        k, _ = self.grid.nearest_node(t)
-        return float(np.var(self.paths[:, k], ddof=1))
-
 
 @dataclass(frozen=True, eq=False)
 class CylindricalEnsemble:
@@ -198,14 +192,13 @@ def simulate_fbm(
     stream: int = 0,
     threads: int = 1,
     method: str = "cholesky",
-    jitter: float = 0.0,
 ) -> PathEnsemble:
     """Exact Gaussian sampling of fBm at the grid nodes."""
     if params.family is not Family.FBM:
         raise ValueError("simulate_fbm needs FBM parameters")
     _require_zero_start(grid)
     if method == "cholesky":
-        draw = _fbm_cholesky_drawer(params, grid, jitter)
+        draw = _fbm_cholesky_drawer(params, grid)
     elif method == "circulant":
         draw = _fbm_circulant_drawer(params, grid)
     else:
@@ -219,20 +212,16 @@ def simulate_fbm(
     return PathEnsemble(grid, paths, params, seed)
 
 
-def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid, jitter: float):
+def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
     n = grid.n_steps
     if n > 2048:
         raise ValueError("Cholesky route limited to 2048 steps; use method='circulant'")
     t = grid.nodes[1:]
     cov = params.sigma**2 * covariance_rh(t[:, None], t[None, :], params.h)
-    if jitter > 0.0:
-        cov = cov + jitter * np.max(np.diag(cov)) * np.eye(n)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            "covariance factorization failed: grid too fine; retry with the jitter flag"
-        )
+        raise ValueError("covariance factorization failed: grid too fine; use method = circulant")
 
     def draw(gen: np.random.Generator, b: int) -> np.ndarray:
         z = gen.standard_normal((b, n)) @ chol.T
@@ -498,28 +487,3 @@ def simulate_cylindrical(
             iso = default_isonormal(grid.t_end, seed, n_noise_cells, stream=j)
             comps.append(simulate_hermite_k2(params, grid, iso, n_paths, threads, scheme))
     return CylindricalEnsemble(tuple(comps))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-@dataclass(frozen=True)
-class HolderFit:
-    slope: float
-    intercept: float
-    lag_times: np.ndarray
-    rms: np.ndarray
-
-
-def holder_regression(ensemble: PathEnsemble, max_lags: int = 6) -> HolderFit:
-    """Log-log regression of RMS increments against the lag."""
-    n = ensemble.grid.n_steps
-    lags = [2**j for j in range(max_lags) if 2**j <= max(1, n // 4)]
-    rms = []
-    for lag in lags:
-        d = ensemble.paths[:, lag:] - ensemble.paths[:, :-lag]
-        rms.append(np.sqrt(np.mean(d * d)))
-    lag_times = np.array(lags, dtype=float) * ensemble.grid.dt
-    slope, intercept = np.polyfit(np.log(lag_times), np.log(rms), 1)
-    return HolderFit(float(slope), float(intercept), lag_times, np.asarray(rms))

@@ -24,19 +24,18 @@ def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def path_blocks(n_paths: int, block_size: int = BLOCK_PATHS) -> Iterator[tuple[int, slice]]:
+def path_blocks(n_paths: int) -> Iterator[tuple[int, slice]]:
     """Yield ``(block_index, path_slice)`` covering ``range(n_paths)``."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    for b, start in enumerate(range(0, n_paths, block_size)):
-        yield b, slice(start, min(start + block_size, n_paths))
+    for b, start in enumerate(range(0, n_paths, BLOCK_PATHS)):
+        yield b, slice(start, min(start + BLOCK_PATHS, n_paths))
 
 
 def map_path_blocks(
     fn: Callable[[int, slice], np.ndarray],
     n_paths: int,
     threads: int = 1,
-    block_size: int = BLOCK_PATHS,
 ) -> np.ndarray:
     """Run ``fn`` over all path blocks and concatenate results in block order.
 
@@ -44,7 +43,7 @@ def map_path_blocks(
     leading dimension equals the slice length.  Assembly order is fixed by
     the block index, so thread count does not affect the output.
     """
-    blocks: Sequence[tuple[int, slice]] = list(path_blocks(n_paths, block_size))
+    blocks: Sequence[tuple[int, slice]] = list(path_blocks(n_paths))
     if threads <= 1 or len(blocks) == 1:
         parts = [fn(b, sl) for b, sl in blocks]
     else:

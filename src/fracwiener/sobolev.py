@@ -26,7 +26,6 @@ Cross-agreement of these routes is what the test suite leans on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,11 +36,9 @@ from .grids import GridFunction, StepFunction
 from .processes import covariance_rh
 
 __all__ = [
-    "SobolevOrder",
     "cosine_tail_constant",
     "transform_constant",
     "norm_equivalence_constant",
-    "fractional_transform",
     "integrand_norm",
     "integrand_inner",
     "singular_inner_product",
@@ -50,7 +47,6 @@ __all__ = [
     "sobolev_norm_gagliardo",
     "dh_norm_exponential",
     "dh_norm_smooth",
-    "mesh_average",
     "mesh_average_step",
     "affine_norm_pair",
     "restricted_norm",
@@ -80,26 +76,11 @@ def _check_hurst(hurst: float) -> float:
     return h
 
 
-@dataclass(frozen=True)
-class SobolevOrder:
-    """Smoothness order for the homogeneous scale on the line, |s| < 1/2."""
-
-    s: float
-
-    def __post_init__(self):
-        if not abs(self.s) < 0.5:
-            raise ValueError(f"order must satisfy |s| < 1/2, got {self.s}")
-
-    @classmethod
-    def for_hurst(cls, hurst: float) -> "SobolevOrder":
-        return cls(0.5 - _check_hurst(hurst))
-
-
 def _order(s) -> float:
-    if isinstance(s, SobolevOrder):
-        return s.s
+    """Smoothness order for the homogeneous scale on the line, |s| < 1/2."""
     val = float(s)
-    SobolevOrder(val)
+    if not abs(val) < 0.5:
+        raise ValueError(f"order must satisfy |s| < 1/2, got {val}")
     return val
 
 
@@ -163,58 +144,30 @@ def norm_equivalence_constant(hurst: float, sigma: float = 1.0) -> float:
 # weighted tail transform of step functions
 
 
-def fractional_transform(f: StepFunction, hurst: float):
-    """Vectorized evaluator of the weighted tail transform of ``f``.
+def _transform_sq(f: StepFunction, hurst: float):
+    """The squared weighted tail transform of ``f``, as a scalar function of r.
 
-    For H != 1/2 the transform of a step function collapses to a single
-    sum over edges,
+    The transform of a step function collapses to a single sum over edges,
 
         (Kf)(r) = (1/c_H) * sum_i d_i (tau_i - r)_+^(H-1/2),
 
     with ``d_i`` the drop of f across edge ``tau_i`` (left minus right
-    limit) and ``c_H`` the transform constant.  Equivalently this is
-    ``(H-1/2)/c_H`` times the tail integral of f against the kernel
-    ``(u-r)^(H-3/2)`` (regularized by subtracting f(r) when H < 1/2); the
-    prefactor is fixed so that the transform of an indicator is exactly
-    the moving-average kernel of the matching fractional Brownian motion,
-    which is what makes the L2 norm of the transform reproduce the driver
-    covariance.  For H < 1/2 the value blows up like an integrable power
-    on the left of each edge, and evaluation exactly at an edge returns
-    the finite part with the exploding term dropped.
-    """
-    h = _check_hurst(hurst)
-    if h == 0.5:
-        return lambda r: f(r)
-    edges, rise = f.jumps()
-    drop = -rise
-    g = h - 0.5
-    kappa = 1.0 / transform_constant(h)
+    limit) and ``c_H`` the transform constant; at H = 1/2 it is f itself.
+    Equivalently this is ``(H-1/2)/c_H`` times the tail integral of f
+    against the kernel ``(u-r)^(H-3/2)`` (regularized by subtracting f(r)
+    when H < 1/2); the prefactor is fixed so that the transform of an
+    indicator is exactly the moving-average kernel of the matching
+    fractional Brownian motion, which is what makes the L2 norm of the
+    transform reproduce the driver covariance.  For H < 1/2 the value
+    blows up like an integrable power on the left of each edge, and
+    evaluation exactly at an edge returns the finite part with the
+    exploding term dropped.
 
-    def evaluate(r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        if edges.size == 0:
-            out = np.zeros_like(rr)
-        else:
-            diff = edges[None, :] - rr[:, None]
-            mask = diff > 0
-            out = kappa * np.sum(np.where(mask, diff, 1.0) ** g * drop * mask, axis=1)
-        return out[0] if scalar else out
-
-    return evaluate
-
-
-def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
-    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature.
-
-    The integrand is the ``fractional_transform`` sum in plain float
-    arithmetic: ``quad`` evaluates it one point at a time, where numpy
-    overhead on a few-element array would dominate.
+    The sum runs in plain float arithmetic: ``quad`` evaluates it one
+    point at a time, where numpy overhead on a few-element array would
+    dominate.
     """
     edges, rise = f.jumps()
-    if edges.size == 0:
-        return 0.0
     g = hurst - 0.5
     kappa = 1.0 / transform_constant(hurst)
     pairs = [(float(e), -float(d)) for e, d in zip(edges, rise)]
@@ -226,6 +179,15 @@ def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
                 acc += d * (e - r) ** g
         return (kappa * acc) ** 2
 
+    return sq
+
+
+def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
+    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature."""
+    if f.n_pieces == 0:
+        return 0.0
+    edges = f.breakpoints
+    sq = _transform_sq(f, hurst)
     total = 0.0
     # left tail; the transform decays algebraically there
     total += _quad(sq, -np.inf, edges[0])
@@ -338,23 +300,24 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def sobolev_norm_fourier(
-    f: GridFunction,
-    s,
-    pad: int = 32,
-    n_bands: int = 16,
-) -> float:
+# Resolution of sobolev_norm_fourier: zero-padding factor of the FFT and the
+# number of aliasing bands integrated before the analytic tail
+_FOURIER_PAD = 32
+_FOURIER_BANDS = 16
+
+
+def sobolev_norm_fourier(f: GridFunction, s) -> float:
     """Homogeneous Sobolev norm of sampled data via the FFT.
 
     The samples are read as a piecewise-constant function on the grid
     cells, whose Fourier transform is available in closed form at the
     padded FFT frequencies.  The frequency integral is taken by Simpson's
-    rule over ``2 * n_bands`` aliasing bands of the FFT (reusing the
+    rule over ``2 * _FOURIER_BANDS`` aliasing bands of the FFT (reusing the
     periodic spectrum), the first cell around zero frequency is handled
     with an exact power-weighted rule, and the remaining high-frequency
     tail is added analytically from the jump content of the data.  For
     grid-aligned step data the only error left is the frequency-rule
-    resolution, controlled by ``pad``.
+    resolution, controlled by ``_FOURIER_PAD``.
     """
     sv = _order(s)
     h = f.grid.dt
@@ -362,7 +325,7 @@ def sobolev_norm_fourier(
     n = v.size
     if not np.any(v != 0):
         return 0.0
-    n_pad = pad * _next_pow2(n + 1)
+    n_pad = _FOURIER_PAD * _next_pow2(n + 1)
     spec = np.fft.fft(v, n_pad)
     half = n_pad // 2
     p_plus = np.abs(spec[: half + 1]) ** 2
@@ -380,7 +343,7 @@ def sobolev_norm_fourier(
     def band_integral(p_arr: np.ndarray) -> float:
         # sum over aliasing bands [2m lam, (2m+1) lam] and the mirrored halves
         total = 0.0
-        for m in range(n_bands):
+        for m in range(_FOURIER_BANDS):
             for forward in (True, False):
                 if forward:
                     xs = 2.0 * m * lam + x
@@ -412,7 +375,7 @@ def sobolev_norm_fourier(
 
     # analytic tail beyond the last band; self term plus first-order
     # oscillatory correction from the jump pairs
-    x_max = 2.0 * n_bands * lam
+    x_max = 2.0 * _FOURIER_BANDS * lam
     sum_sq = float(np.sum(np.abs(jumps) ** 2))
     tail = sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
     nz = np.flatnonzero(np.abs(jumps) > 0)
@@ -551,13 +514,13 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
     return float(norm_equivalence_constant(h, sigma) * np.sqrt(max(w_norm_sq, 0.0)))
 
 
-def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0, inner_nodes: int = 256) -> float:
+def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
     r"""Integrand norm of a smooth kernel on (0, t) for H >= 1/2.
 
     For H > 1/2 evaluates ``sigma^2 H(2H-1) * 2 \int_0^t w^{2H-2}
     \int_w^t fn(v) fn(v-w) dv dw`` with a Gauss rule on the inner
-    correlation integral and adaptive quadrature across the singular lag
-    weight.  ``fn`` must accept numpy arrays.
+    correlation integral (256 nodes) and adaptive quadrature across the
+    singular lag weight.  ``fn`` must accept numpy arrays.
     """
     h = _check_hurst(hurst)
     if h < 0.5:
@@ -569,7 +532,7 @@ def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0, inner_nodes: 
         val = _quad(lambda u: float(np.asarray(fn(u)) ** 2), 0.0, t)
         return float(sigma * np.sqrt(max(val, 0.0)))
 
-    nodes, weights = np.polynomial.legendre.leggauss(inner_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
 
     def corr(w):
         lo, hi = w, t
@@ -619,20 +582,6 @@ def mesh_average_step(f: StepFunction, offset: float, width: float) -> StepFunct
     edges = offset + width * np.arange(k0, k1 + 1)
     means = np.diff(_cumulative_at(f, edges)) / width
     return StepFunction(edges, means).dropped_zero_tails()
-
-
-def mesh_average(f: GridFunction, offset: float, width: float) -> GridFunction:
-    """Mesh-interval averaging of sampled data.
-
-    Interval means are exact for the piecewise-constant reading of the
-    samples; the output reassigns every grid cell the mean of the mesh
-    interval containing its midpoint, so it is an exact representation
-    whenever mesh edges land on grid nodes and a nearest representation
-    otherwise.
-    """
-    step = StepFunction(f.grid.nodes, np.asarray(f.samples, dtype=float))
-    averaged = mesh_average_step(step, offset, width)
-    return GridFunction(f.grid, averaged(f.grid.cell_midpoints))
 
 
 def affine_norm_pair(f: StepFunction, a: float, b: float, s) -> tuple[float, float]:

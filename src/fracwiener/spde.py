@@ -175,16 +175,6 @@ class ExistenceReport:
     alpha: float
     hurst: float
 
-    def to_record(self) -> dict:
-        return {
-            "gamma_norm_lp_value": self.gamma_norm_lp_value,
-            "per_mode_tail": list(self.per_mode_tail),
-            "finite": self.finite,
-            "threshold": self.threshold,
-            "alpha": self.alpha,
-            "hurst": self.hurst,
-        }
-
 
 def _noise_coefficients(model: SpectralModel, noise_decay) -> np.ndarray:
     """Per-mode noise coefficients: ones when absent, else one per mode."""
@@ -298,38 +288,31 @@ def assemble_kernel_field(
     return LpKernelField(nodes=xs, weights=ws, kernels=kernels, p=model.p, params=params)
 
 
-def semigroup_smoothing_exponent(
-    model: SpectralModel,
-    alpha: float,
-    *,
-    n_times: int = 17,
-    u_start: float | None = None,
-    noise_decay=None,
-) -> float:
+def semigroup_smoothing_exponent(model: SpectralModel, alpha: float) -> float:
     """Fitted decay rate of the gamma norm of the weighted semigroup.
 
-    Log-log regression over two decades of ``u``, anchored just above the
-    truncation floor so the spectral sum still behaves like its integral
-    limit; the expected slope is ``-d/4m - alpha`` in this 1-D setup.
+    Log-log regression over two decades of ``u`` (17 points), anchored at
+    ``2 / lam_K``, just above the truncation floor, so the spectral sum
+    still behaves like its integral limit; the expected slope is
+    ``-d/4m - alpha`` in this 1-D setup.
     """
     if alpha < 0:
         raise ValueError("fractional order alpha must be nonnegative")
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    decay = _noise_coefficients(model, noise_decay)
-    u0 = 2.0 / lams[-1] if u_start is None else u_start
-    us = np.geomspace(u0, 100.0 * u0, n_times)
-    vals = np.empty(n_times)
+    u0 = 2.0 / lams[-1]
+    us = np.geomspace(u0, 100.0 * u0, 17)
+    vals = np.empty(us.size)
     if model.p == 2.0:
         # Parseval collapses the spatial integral
         for i, u in enumerate(us):
-            g = decay * weights * np.exp(-lams * u)
+            g = weights * np.exp(-lams * u)
             vals[i] = math.sqrt(float(np.sum(g**2)))
     else:
         xs, ws = model.spatial_quadrature(max(256, 4 * model.truncation))
         modes_sq = model.eigenfunctions(xs) ** 2
         for i, u in enumerate(us):
-            g = decay * weights * np.exp(-lams * u)
+            g = weights * np.exp(-lams * u)
             node_sq = modes_sq @ g**2
             vals[i] = float(np.sum(ws * node_sq ** (model.p / 2.0))) ** (1.0 / model.p)
     slope = np.polyfit(np.log(us), np.log(vals), 1)[0]
@@ -358,24 +341,6 @@ class MildSolutionEnsemble:
     def n_modes(self) -> int:
         return self.coeffs.shape[1]
 
-    def mode_paths(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.n_modes:
-            raise ValueError("mode index out of range")
-        return self.coeffs[:, k - 1, :]
-
-    def coeffs_at(self, t: float) -> np.ndarray:
-        i, _ = self.grid.nearest_node(t)
-        return self.coeffs[:, :, i]
-
-    def l2_norm_sq_at(self, t: float) -> np.ndarray:
-        """Squared spatial L2 norm per path (Parseval over the modes)."""
-        c = self.coeffs_at(t)
-        return np.einsum("pk,pk->p", c, c)
-
-    def field_at(self, t: float, x) -> np.ndarray:
-        """Solution values at spatial points, shape (n_paths, len(x))."""
-        return self.coeffs_at(t) @ self.model.eigenfunctions(x).T
-
 
 def solve_mild(
     model: SpectralModel,
@@ -387,7 +352,6 @@ def solve_mild(
     seed: int = 0,
     threads: int = 1,
     noise_decay=None,
-    check_existence: bool = True,
     dtype=np.float64,
     n_noise_cells: int = 512,
 ) -> MildSolutionEnsemble:
@@ -395,20 +359,20 @@ def solve_mild(
 
     The discrete convolution satisfies the exact per-step recursion
     ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
-    semigroup decomposition property tested against it.
+    semigroup decomposition property tested against it.  A configuration
+    whose mode series diverges (``existence_report``) is refused.
     """
     decay = _noise_coefficients(model, noise_decay)
-    if check_existence:
-        rep = existence_report(
-            model, params.h, alpha, grid.t_end, sigma=params.sigma, noise_decay=decay
+    rep = existence_report(
+        model, params.h, alpha, grid.t_end, sigma=params.sigma, noise_decay=decay
+    )
+    if not rep.finite:
+        raise ValueError(
+            f"fractional order alpha={alpha:g} lies above the existence "
+            f"threshold H - 1/(4m) = {rep.threshold:g}: the mode series "
+            "for the convolution diverges, so there is no mild solution "
+            "to simulate. Lower alpha, raise H, or raise the operator order."
         )
-        if not rep.finite:
-            raise ValueError(
-                f"fractional order alpha={alpha:g} lies above the existence "
-                f"threshold H - 1/(4m) = {rep.threshold:g}: the mode series "
-                "for the convolution diverges, so there is no mild solution "
-                "to simulate. Lower alpha, raise H, or raise the operator order."
-            )
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
     n_nodes = grid.n_steps + 1
@@ -436,31 +400,26 @@ def solve_mild(
     return MildSolutionEnsemble(model, grid, coeffs, alpha, params)
 
 
-def holder_exponent_estimate(
-    ens: MildSolutionEnsemble,
-    p: float | None = None,
-    *,
-    max_lags: int = 6,
-    start_fraction: float = 0.5,
-    n_x: int = 64,
-) -> float:
+def holder_exponent_estimate(ens: MildSolutionEnsemble, p: float | None = None) -> float:
     """Slope of log E||Y_{t+h} - Y_t||_{L^p} against log h over dyadic lags.
 
-    Increment statistics are averaged over start points in the latter part
-    of the window, where the solution has forgotten its zero start.
+    The lags are 1, 2, .., 32 steps, up to a quarter of the grid.
+    Increment statistics are averaged over the start points in the second
+    half of the window, where the solution has forgotten its zero start;
+    for p != 2 the spatial norm uses a 64-cell midpoint rule.
     """
     if ens.n_paths == 0 or ens.coeffs.size == 0:
         raise ValueError("ensemble is empty")
     p = ens.model.p if p is None else p
     n = ens.grid.n_steps
-    lags = [2**j for j in range(max_lags) if 2**j <= n // 4]
+    lags = [2**j for j in range(6) if 2**j <= n // 4]
     if len(lags) < 2:
         raise ValueError("grid too short for a lag regression")
-    i0 = int(n * start_fraction)
+    i0 = n // 2
     c = ens.coeffs
     means = []
     if p != 2.0:
-        xq, wq = ens.model.spatial_quadrature(n_x)
+        xq, wq = ens.model.spatial_quadrature(64)
         ef = ens.model.eigenfunctions(xq)
     for lag in lags:
         # increments over the starts i0..n-lag, as basic slices (no copies)
@@ -550,28 +509,17 @@ class NeumannIntegralRecord:
     diverged: bool
     refinement_trace: tuple
 
-    def to_record(self) -> dict:
-        return {
-            "value": self.value,
-            "diverged": self.diverged,
-            "refinement_trace": list(self.refinement_trace),
-        }
-
 
 def neumann_boundary_integral(
-    cfg: NeumannKernelConfig,
-    *,
-    surrogate_d: int | None = None,
-    max_outer_shells: int = 34,
-    gl_points: int = 8,
-    rtol: float = 1e-7,
+    cfg: NeumannKernelConfig, *, surrogate_d: int | None = None
 ) -> NeumannIntegralRecord:
     """Mixed boundary-kernel integral with graded meshes at both singular ends.
 
     The outer spatial integral runs over dyadic shells toward the
     boundary (both endpoints at once, using the x <-> L-x symmetry of the
-    two-atom integrand); the trace of partial sums doubles as the
-    divergence detector.  ``surrogate_d`` switches the kernel to the
+    two-atom integrand; 8-point rule, at most 34 shells, relative shell
+    tolerance 1e-7); the trace of partial sums doubles as the divergence
+    detector.  ``surrogate_d`` switches the kernel to the
     Gaussian-bound power model with a formal dimension, which is the only
     way a 1-D setup can exhibit the supercritical regime.
     """
@@ -587,7 +535,7 @@ def neumann_boundary_integral(
         def q(s, x):
             return _surrogate_kernel_sq(cfg, s, x, surrogate_d)
 
-    xg, wg = np.polynomial.legendre.leggauss(gl_points)
+    xg, wg = np.polynomial.legendre.leggauss(8)
     sg, sw = np.polynomial.legendre.leggauss(12)
 
     def time_integral(x: float) -> float:
@@ -604,7 +552,7 @@ def neumann_boundary_integral(
         inner = np.array([time_integral(x) for x in xn])
         return 2.0 * float(xw @ inner**outer_pow)
 
-    value, trace = _dyadic_sum(space_shell, max_outer_shells, rtol)
+    value, trace = _dyadic_sum(space_shell, 34, 1e-7)
     return NeumannIntegralRecord(
         value=value,
         diverged=math.isinf(value),
@@ -619,15 +567,6 @@ class BoundaryCheckRecord:
     expected_profile: np.ndarray
     gamma_norm: float
     n_paths: int
-
-    def to_record(self) -> dict:
-        return {
-            "x_nodes": self.x_nodes.tolist(),
-            "variance_profile": self.variance_profile.tolist(),
-            "expected_profile": self.expected_profile.tolist(),
-            "gamma_norm": self.gamma_norm,
-            "n_paths": self.n_paths,
-        }
 
 
 def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float, n_pieces: int) -> StepFunction:
@@ -647,7 +586,6 @@ def boundary_solution_check(
     grid_steps: int = 64,
     n_x: int = 15,
     x_nodes=None,
-    atom_weights=(1.0, 1.0),
     seed: int = 0,
     threads: int = 1,
     kernel_pieces: int = 96,
@@ -658,8 +596,7 @@ def boundary_solution_check(
     profile is the per-point isometry target (sum over atoms of squared
     kernel norms), and the gamma norm is evaluated through the composed
     kernel field.  ``x_nodes`` overrides the default uniform interior
-    nodes, e.g. to cluster points toward a boundary; ``atom_weights``
-    scales the noise fed into each endpoint (zero switches it off).
+    nodes, e.g. to cluster points toward a boundary.
     """
     if abs(params.h - cfg.hurst) > 1e-12:
         raise ValueError("driver roughness must match the kernel configuration")
@@ -675,28 +612,20 @@ def boundary_solution_check(
             or np.any(np.diff(xs) <= 0)
         ):
             raise ValueError("x_nodes must increase strictly inside the domain")
-    wts = tuple(float(w) for w in atom_weights)
-    if len(wts) != 2:
-        raise ValueError("need one weight per boundary atom")
     cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed, threads=threads)
     lags = (grid.n_steps - np.arange(grid.n_steps)) * grid.dt
     total = np.zeros((n_paths, xs.size))
-    for atom, w, comp in zip((0.0, cfg.length), wts, cyl.components):
-        if w == 0.0:
-            continue
+    for atom, comp in zip((0.0, cfg.length), cyl.components):
         gmat = neumann_heat_kernel(
             lags[:, None], np.broadcast_to(xs, (lags.size, xs.size)), atom,
             cfg.length, cfg.image_terms,
         )
         dz = np.diff(comp.paths, axis=1)
-        total += w * (dz @ gmat)
+        total += dz @ gmat
     variance = np.mean(total**2, axis=0)
 
     steps = [
-        tuple(
-            _boundary_kernel_step(cfg, x, y, kernel_pieces).scaled(w)
-            for y, w in zip((0.0, cfg.length), wts)
-        )
+        tuple(_boundary_kernel_step(cfg, x, y, kernel_pieces) for y in (0.0, cfg.length))
         for x in xs
     ]
     expected = np.array(

@@ -1,0 +1,89 @@
+"""Every public name of the package is reached from the CLI or kept for a stated reason.
+
+Reachability is by identifier: starting from ``cli.main`` and the
+module-level statements of ``experiments`` (the registry calls), every
+``Name`` and ``Attribute`` identifier in reached code reaches the
+top-level definition, or method, of that name.  A class body is reached
+without its public methods, which are reached by attribute.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fracwiener"
+
+# names no CLI route reaches, with the live route they check or the test that pins them
+KEPT = {
+    "singular_inner_product": "oracle of integrand_norm, both routes (test_sobolev)",
+    "sobolev_norm_step": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
+    "cosine_tail_constant": "constant of the sobolev_norm_step oracle",
+    "sobolev_norm_gagliardo": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
+    "dh_norm_smooth": "oracle of dh_norm_exponential behind mode_norm for H > 1/2",
+    "assemble_kernel_field": "oracle of existence_report (test_spde)",
+    "hermite_covariance": "oracle of simulate_hermite_k2 in isometry (test_processes)",
+    "affine_norm_pair": "paper object pinned by c11",
+    "restricted_norm": "paper object pinned by c11",
+    "mesh_average_step": "paper object pinned by c11",
+    "condition_singular": "finiteness condition of the domain, rough drivers (test_integrals)",
+    "condition_regular": "finiteness condition of the domain, smooth drivers (test_integrals)",
+    "HSOperator": "Hilbert-Schmidt integrand of the cylindrical integral (test_integrals)",
+    "cylindrical_integral": "cylindrical Wiener integral (test_integrals)",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def _identifiers(node):
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        for child in ast.iter_child_nodes(n):
+            method = isinstance(child, ast.FunctionDef) and not child.name.startswith("__")
+            if not (isinstance(n, ast.ClassDef) and method):
+                stack.append(child)
+
+
+def _reached(modules) -> set:
+    defs = {}
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs.setdefault(item.name, []).append(item)
+    roots = [n for n in modules["cli"].body if getattr(n, "name", None) == "main"]
+    roots += [n for n in modules["experiments"].body
+              if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    seen, todo = {"main"}, list(roots)
+    while todo:
+        for name in _identifiers(todo.pop()):
+            if name not in seen:
+                seen.add(name)
+                todo.extend(defs.get(name, ()))
+    return seen
+
+
+def _public(modules) -> dict:
+    out = {}
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                out.update((ast.literal_eval(e), mod) for e in node.value.elts)
+    return out
+
+
+def test_public_names_are_reached_or_kept():
+    modules = _modules()
+    public, reached = _public(modules), _reached(modules)
+    unreached = sorted(f"{mod}.{name}" for name, mod in public.items()
+                       if name not in reached and name not in KEPT)
+    assert unreached == [], "public but reached only by tests: delete, or add to KEPT with a reason"
+    stale = sorted(name for name in KEPT if name in reached or name not in public)
+    assert stale == [], "KEPT entries that the CLI reaches or that are not public"

@@ -327,6 +327,15 @@ class TestInvalidConfigExit2:
             BOUNDARY_CFG + "n_x = 4\n",  # conflicts with x_nodes
             ISO_CFG.replace("grid_steps = 128", "grid_steps = 4096\nmethod = cholesky"),
             NORM_CFG + "t_end = inf\n",
+            # non-finite numbers, in a grid and as single values
+            SWEEP_CFG.replace("alpha = 0.0, 0.1, 0.2, 0.3", "alpha = 0.1, nan"),
+            SPDE_CFG.replace("alpha = 0.0", "alpha = inf"),
+            SPDE_CFG + "p = inf\n",
+            # finite parameters that overflow inside the model
+            ISO_CFG + "sigma = 1e300\n",
+            BOUNDARY_CFG + "sigma = 1e300\n",
+            SWEEP_CFG + "sigma = 1e300\n",
+            NORM_CFG + "t_end = 1e300\n",
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):

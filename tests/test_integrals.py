@@ -7,14 +7,13 @@ condition is tau^{2H-2g}/(H-g) * [1/(2H-1) - 2B(1-g,2H-1) + B(1-2g,2H-1)]
 with the Beta function continued past the pole (the poles cancel), and the
 smooth condition integrates to tau^{1-g/H}/(1-g/H).
 """
-import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
-from fracwiener.chaos import ChaosSample, moment_ratio
+from fracwiener.chaos import moment_ratio
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import (
     HSOperator,
@@ -128,14 +127,7 @@ class TestElementaryIntegral:
         res = elementary_integral(f, ens)
         dh_sq = integrand_norm(res.f, 0.3) ** 2
         assert abs(res.variance - dh_sq) < 3 * res.se_variance
-        assert abs(res.mean) < 4 * res.se_mean
-
-    def test_record_serializes(self, fbm_ensembles):
-        res = elementary_integral(StepFunction.indicator(0.0, 0.5), fbm_ensembles[0.5])
-        rec = json.loads(json.dumps(res.to_record()))
-        assert rec["n_paths"] == 30_000
-        assert rec["flags"] == {"snapped": False, "truncated": False}
-        assert rec["variance"] == pytest.approx(res.variance)
+        assert abs(np.mean(res.samples)) < 4 * np.sqrt(res.variance / res.n_paths)
 
 
 class TestIsometryReport:
@@ -151,9 +143,12 @@ class TestIsometryReport:
         assert abs(rep.z_score) <= 3.0
 
     def test_random_integrand_second_chaos(self, rosenblatt_ensemble):
-        # z-test against the exact variance w^T Cov w of the discrete object,
-        # so z measures sampling error only; its gap to the analytic norm is
-        # discretization bias, bounded deterministically
+        """isometry_report on a second-chaos driver, against the hermite_covariance oracle.
+
+        The z-test uses the exact variance w^T Cov w of the discrete object,
+        so z measures sampling error only; its gap to the analytic norm is
+        discretization bias, bounded deterministically.
+        """
         f = random_grid_step(np.random.default_rng(99), GRID_R)
         rep = isometry_report(f, rosenblatt_ensemble)
         idx = np.searchsorted(GRID_R.nodes, f.breakpoints)
@@ -181,11 +176,6 @@ class TestIsometryReport:
                 z.append(isometry_report(random_grid_step(rng, ens.grid), ens).z_score)
         inside = sum(abs(v) <= 3.0 for v in z)
         assert inside >= math.ceil(0.95 * len(z))
-
-    def test_record_round_trip(self, fbm_ensembles):
-        rep = isometry_report(StepFunction.indicator(0.0, 1.0), fbm_ensembles[0.7])
-        rec = json.loads(json.dumps(rep.to_record()))
-        assert set(rec) == {"mc_var", "dh_norm_sq", "z_score", "se_var", "n_paths"}
 
 
 class TestCylindricalIntegral:
@@ -235,13 +225,13 @@ class TestMomentEquivalence:
     def test_gaussian_integral_ratio(self, fbm_ensembles):
         f = random_grid_step(np.random.default_rng(5), GRID_F)
         res = elementary_integral(f, fbm_ensembles[0.7])
-        ratio = moment_ratio(ChaosSample(res.samples, order=1), 4, 2)
+        ratio = moment_ratio(res.samples, 4, 2)
         assert ratio <= 3.0**0.25 * 1.05
 
     def test_second_chaos_integral_ratio(self, rosenblatt_ensemble):
         f = random_grid_step(np.random.default_rng(6), GRID_R)
         res = elementary_integral(f, rosenblatt_ensemble)
-        ratio = moment_ratio(ChaosSample(res.samples, order=2), 4, 2)
+        ratio = moment_ratio(res.samples, 4, 2)
         assert ratio <= 3.0 * 1.05
 
 

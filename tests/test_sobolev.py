@@ -87,6 +87,7 @@ orders = st.floats(min_value=-0.45, max_value=0.45, allow_nan=False)
 
 class TestCosineTailConstant:
     def test_known_values(self):
+        """The constant of the sobolev_norm_step oracle, at its closed forms."""
         assert sb.cosine_tail_constant(1.0) == pytest.approx(np.pi / 2, rel=1e-14)
         assert sb.cosine_tail_constant(0.5) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
 
@@ -144,45 +145,46 @@ class TestNormEquivalenceConstant:
 
 
 class TestFractionalTransform:
+    """The squared tail transform that the transform route of integrand_norm integrates."""
+
     def test_identity_at_half(self):
         f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([1.5, -0.5]))
-        ev = sb.fractional_transform(f, 0.5)
-        r = np.array([-1.0, 0.5, 1.5, 2.5])
-        assert np.allclose(ev(r), f(r))
+        sq = sb._transform_sq(f, 0.5)
+        for r in (-1.0, 0.5, 1.5, 2.5):
+            assert sq(r) == pytest.approx(float(f(r)) ** 2, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("h", [0.25, 0.75])
     def test_indicator_point_value(self, h):
         # transform of 1_[0,1.5) strictly inside the support
         f = StepFunction.indicator(0.0, 1.5)
-        val = sb.fractional_transform(f, h)(0.6)
-        assert val == pytest.approx(TRANSFORM_AT[h], rel=1e-12)
-        assert val > 0
+        assert sb._transform_sq(f, h)(0.6) == pytest.approx(TRANSFORM_AT[h] ** 2, rel=1e-12)
 
     def test_support_structure(self):
-        f = StepFunction.indicator(0.0, 1.0)
-        ev = sb.fractional_transform(f, 0.75)
-        assert ev(1.1) == 0.0  # nothing to the right of the last edge
-        assert ev(-0.5) > 0.0  # long left tail for H > 1/2
+        sq = sb._transform_sq(StepFunction.indicator(0.0, 1.0), 0.75)
+        assert sq(1.1) == 0.0  # nothing to the right of the last edge
+        assert sq(-0.5) > 0.0  # long left tail for H > 1/2
 
     def test_blowup_side_for_rough_regime(self):
-        f = StepFunction.indicator(0.0, 1.0)
-        ev = sb.fractional_transform(f, 0.25)
+        sq = sb._transform_sq(StepFunction.indicator(0.0, 1.0), 0.25)
         # (1 - r)^(H - 1/2) explodes as r -> 1 from the left
-        assert ev(1.0 - 1e-8) > 1e1
-        assert ev(1.1) == 0.0
+        assert sq(1.0 - 1e-8) > 1e2
+        assert sq(1.1) == 0.0
 
     def test_linearity(self):
+        # pointwise parallelogram law: K(f+g)^2 + K(f-g)^2 = 2 (Kf)^2 + 2 (Kg)^2
         rng = np.random.default_rng(3)
         f, g = random_step(rng), random_step(rng)
         h = 0.3
-        r = np.linspace(-2.5, 2.5, 41)
-        lhs = sb.fractional_transform(f + g, h)(r)
-        rhs = sb.fractional_transform(f, h)(r) + sb.fractional_transform(g, h)(r)
-        assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+        sq_f, sq_g = sb._transform_sq(f, h), sb._transform_sq(g, h)
+        sq_sum, sq_diff = sb._transform_sq(f + g, h), sb._transform_sq(f - g, h)
+        for r in np.linspace(-2.5, 2.5, 41):
+            lhs = sq_sum(r) + sq_diff(r)
+            rhs = 2.0 * sq_f(r) + 2.0 * sq_g(r)
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_empty(self):
-        ev = sb.fractional_transform(StepFunction.empty(), 0.3)
-        assert np.all(ev(np.array([-1.0, 0.0, 1.0])) == 0.0)
+        sq = sb._transform_sq(StepFunction.empty(), 0.3)
+        assert all(sq(r) == 0.0 for r in (-1.0, 0.0, 1.0))
 
 
 class TestIntegrandNorm:
@@ -234,10 +236,12 @@ class TestSingularInnerProduct:
     @pytest.mark.parametrize("sigma", [1.0, 1.7])
     @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
     def test_unit_indicator(self, h, sigma):
+        """The singular-kernel oracle on the indicator anchor of the isometry."""
         f = StepFunction.indicator(0.0, 1.0)
         assert sb.singular_inner_product(f, f, h, sigma) == pytest.approx(sigma**2, rel=1e-13)
 
     def test_disjoint_indicators_match_covariance(self):
+        """Checks integrand_inner, the covariance route of the mode norms and gamma norms."""
         f = StepFunction.indicator(0.0, 1.0)
         g = StepFunction.indicator(2.0, 3.0)
         for h in (0.6, 0.9):
@@ -247,7 +251,10 @@ class TestSingularInnerProduct:
 
     @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
     def test_calibration_against_transform_route(self, h):
-        # the H(2H-1) prefactor is exactly what matches the squared norm
+        """Checks the transform route of integrand_norm (norm-identity, isometry).
+
+        The H(2H-1) prefactor is exactly what matches the squared norm.
+        """
         rng = np.random.default_rng(9)
         for _ in range(5):
             f = random_step(rng)
@@ -256,6 +263,7 @@ class TestSingularInnerProduct:
             assert quad_form == pytest.approx(norm**2, rel=1e-4)
 
     def test_zero_and_domain(self):
+        """The singular-kernel oracle's own domain, H > 1/2."""
         f = StepFunction.indicator(0.0, 1.0)
         assert sb.singular_inner_product(StepFunction.empty(), f, 0.75) == 0.0
         with pytest.raises(ValueError):
@@ -263,6 +271,8 @@ class TestSingularInnerProduct:
 
 
 class TestStepNorm:
+    """sobolev_norm_step, the exact oracle that sobolev_norm_fourier (norm-identity) is checked against."""
+
     @given(f=step_functions(), sv=orders)
     @settings(max_examples=60, deadline=None)
     def test_scaling_homogeneity(self, f, sv):
@@ -295,7 +305,7 @@ class TestStepNorm:
     def test_unit_identity(self, h, t):
         # the equivalence constant times the Sobolev norm is the integrand norm
         f = StepFunction.indicator(0.0, t)
-        val = sb.norm_equivalence_constant(h) * sb.sobolev_norm_step(f, sb.SobolevOrder.for_hurst(h))
+        val = sb.norm_equivalence_constant(h) * sb.sobolev_norm_step(f, 0.5 - h)
         assert val == pytest.approx(t**h, rel=1e-10)
 
     def test_empty(self):
@@ -323,6 +333,7 @@ class TestFourierNorm:
 
     @pytest.mark.parametrize("h", HURSTS)
     def test_matches_exact_step_norm(self, h):
+        """sobolev_norm_fourier (norm-identity) against the sobolev_norm_step oracle."""
         sv = 0.5 - h
         rng = np.random.default_rng(100 + int(h * 100))
         grid = TimeGrid(0.0, 1.0 / 256, 256)
@@ -333,7 +344,10 @@ class TestFourierNorm:
             assert approx == pytest.approx(exact, rel=3e-4)
 
     def test_unitary_convention_anchor(self):
-        # squared norm of a unit indicator is (2/pi) * cosine tail constant
+        """sobolev_norm_fourier (norm-identity) against the cosine tail constant.
+
+        The squared norm of a unit indicator is (2/pi) times that constant.
+        """
         grid = TimeGrid(0.0, 1.0 / 128, 128)
         f = StepFunction.indicator(0.0, 1.0).to_grid(grid)
         for sv in (-0.3, 0.2):
@@ -357,6 +371,8 @@ class TestFourierNorm:
 
 
 class TestGagliardoNorm:
+    """sobolev_norm_gagliardo, the difference-quotient oracle for sobolev_norm_fourier (norm-identity)."""
+
     @pytest.mark.parametrize("sv", [0.1, 0.25, 0.4])
     def test_indicator_line_oracle(self, sv):
         # closed form for the whole-line double integral of a unit indicator
@@ -417,6 +433,10 @@ class TestExponentialKernelNorm:
     @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
     @pytest.mark.parametrize("lam", [0.5, 4.0])
     def test_against_double_integral_route(self, h, lam):
+        """dh_norm_exponential (mode_norm, spde-distributed's expected_second_moment) for H > 1/2.
+
+        dh_norm_smooth is the only independent check of it there.
+        """
         t = 1.0
         a = sb.dh_norm_exponential(lam, t, h)
         b = sb.dh_norm_smooth(lambda v: np.exp(-lam * (t - v)), t, h)
@@ -443,6 +463,7 @@ class TestExponentialKernelNorm:
             sb.dh_norm_smooth(lambda v: v, 1.0, 0.3)
 
     def test_smooth_route_brownian_case(self):
+        """The dh_norm_smooth oracle at H = 1/2, where both routes have a closed form."""
         lam, t = 1.0, 2.0
         pred = np.sqrt((1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam))
         val = sb.dh_norm_smooth(lambda v: np.exp(-lam * (t - v)), t, 0.5)
@@ -495,14 +516,6 @@ class TestMeshAveraging:
             for m in range(11)
         ]
         assert vals[-1] < 0.7 * vals[0]
-
-    def test_grid_route_matches_step_route_when_aligned(self):
-        grid = TimeGrid(0.0, 1.0 / 32, 64)
-        rng = np.random.default_rng(30)
-        f = _aligned_step(rng, grid)
-        out = sb.mesh_average(f.to_grid(grid), offset=0.0, width=0.25)
-        ref = sb.mesh_average_step(f, 0.0, 0.25)
-        assert np.allclose(out.samples, ref(grid.cell_midpoints), rtol=1e-12, atol=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
