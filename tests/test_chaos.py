@@ -119,9 +119,19 @@ class TestDoubleWienerIntegral:
         bad = np.full((8, 8), np.nan)
         with pytest.raises(ValueError):
             double_wiener_integral(bad, iso, 10)
-        skew = np.triu(np.ones((8, 8)))
+
+    def test_symmetrization_flag(self):
+        # symmetrizing is the caller's step: a non-symmetric kernel is
+        # refused, and asymmetry at rounding level is accepted as given
+        iso = DiscreteIsonormal.for_window(1.0, 8, seed=4)
+        mat = np.random.default_rng(1).normal(size=(8, 8))
         with pytest.raises(ValueError, match="symmetric"):
-            double_wiener_integral(skew, iso, 10)
+            double_wiener_integral(mat, iso, 10)
+        sym = 0.5 * (mat + mat.T)
+        near = sym + np.triu(np.full((8, 8), 1e-14), 1)
+        a = double_wiener_integral(sym, iso, 2000)
+        b = double_wiener_integral(near, iso, 2000)
+        assert np.allclose(a, b, rtol=0.0, atol=1e-11)
 
     def test_thread_invariance(self):
         iso, e = _unit_indicator_iso(n_cells=64, seed=8)

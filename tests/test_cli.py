@@ -1,6 +1,7 @@
 """Runner coverage: flat-config parsing and validation, every experiment
 kind end to end, exit codes, artifact formats, byte-level determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from fracwiener.experiments import (
     list_experiments_text,
     load_config,
     parse_flat_config,
+    run_experiment,
     validate_config,
 )
 from fracwiener.sobolev import norm_equivalence_constant
@@ -201,6 +203,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             validate_config(self._raw(seed="-1"))
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("sigma", "nan"),
+            ("sigma", "NaN"),
+            ("sigma", "inf"),
+            ("sigma", "-inf"),
+            ("sigma", "1e999"),  # overflows while parsing
+            ("hurst", "0.3, nan"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match="finite number"):
+            validate_config(self._raw(**{key: raw}))
+
+    def test_large_finite_number_accepted(self):
+        # validation takes any finite number; an overflow inside the model
+        # is diagnosed when the config runs
+        assert validate_config(self._raw(sigma="1e300")).params["sigma"] == 1e300
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'wavelets'"):
             validate_config(self._raw(wavelets="9"))
@@ -345,6 +367,23 @@ class TestInvalidConfigExit2:
 
     def test_missing_file(self, capsys):
         assert main(["run", "no-such-file.cfg"]) == 2
+
+    def test_overflow_is_diagnosed(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, ISO_CFG + "sigma = 1e300\n")
+        assert code == 2
+        assert "overflowed the floating-point range" in capsys.readouterr().err
+
+    def test_zero_division_stays_loud(self, monkeypatch):
+        # only ValueError and OverflowError are config faults; any other
+        # arithmetic error is a bug and must raise
+        def boom(cfg, threads):
+            raise ZeroDivisionError("division by zero")
+
+        exp = EXPERIMENTS["norm-identity"]
+        monkeypatch.setitem(EXPERIMENTS, "norm-identity", dataclasses.replace(exp, runner=boom))
+        cfg = validate_config(parse_flat_config(NORM_CFG))
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(cfg)
 
     def test_supercritical_alpha_is_diagnosed(self, tmp_path, capsys):
         text = SPDE_CFG.replace("alpha = 0.0", "alpha = 0.3").replace("hurst = 0.5", "hurst = 0.4")

@@ -7,6 +7,8 @@ condition is tau^{2H-2g}/(H-g) * [1/(2H-1) - 2B(1-g,2H-1) + B(1-2g,2H-1)]
 with the Beta function continued past the pole (the poles cancel), and the
 smooth condition integrates to tau^{1-g/H}/(1-g/H).
 """
+import dataclasses
+import json
 import logging
 import math
 
@@ -129,6 +131,16 @@ class TestElementaryIntegral:
         assert abs(res.variance - dh_sq) < 3 * res.se_variance
         assert abs(np.mean(res.samples)) < 4 * np.sqrt(res.variance / res.n_paths)
 
+    def test_record_serializes(self, fbm_ensembles):
+        # provenance of a grid-aligned scalar integral: every path kept,
+        # nothing snapped, no truncation tail, plain-float statistics
+        res = elementary_integral(StepFunction.indicator(0.0, 0.5), fbm_ensembles[0.5])
+        assert res.n_paths == 30_000
+        assert res.snap_distance == 0.0 and res.series_tail == 0.0
+        rec = {"variance": res.variance, "se_variance": res.se_variance}
+        assert json.loads(json.dumps(rec)) == rec
+        assert res.variance == pytest.approx(0.5, rel=0.05)
+
 
 class TestIsometryReport:
     def test_unit_indicator_anchor_gaussian(self):
@@ -176,6 +188,14 @@ class TestIsometryReport:
                 z.append(isometry_report(random_grid_step(rng, ens.grid), ens).z_score)
         inside = sum(abs(v) <= 3.0 for v in z)
         assert inside >= math.ceil(0.95 * len(z))
+
+    def test_record_round_trip(self, fbm_ensembles):
+        # the isometry kind writes these fields; z is (mc_var - dh_norm_sq) / SE
+        rep = isometry_report(StepFunction.indicator(0.0, 1.0), fbm_ensembles[0.7])
+        rec = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(rec)) == rec
+        assert set(rec) == {"mc_var", "dh_norm_sq", "z_score", "se_var", "n_paths"}
+        assert rep.z_score == pytest.approx((rep.mc_var - rep.dh_norm_sq) / rep.se_var, rel=1e-12)
 
 
 class TestCylindricalIntegral:

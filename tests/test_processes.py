@@ -150,6 +150,24 @@ class TestSimulateFbm:
             se = v * np.sqrt(2.0 / (len(d) - 1))
             assert abs(v - target) < 3 * se
 
+    @pytest.mark.parametrize("h", [0.3, 0.75])
+    def test_holder_regression_recovers_h(self, h):
+        # log-log slope of RMS increments against dyadic lags up to n/4
+        grid = TimeGrid.from_window(0.0, 1.0, 128)
+        ens = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13, threads=4)
+        lags = [2**j for j in range(6)]
+        rms = [np.sqrt(np.mean((ens.paths[:, lag:] - ens.paths[:, :-lag]) ** 2)) for lag in lags]
+        slope = np.polyfit(np.log(np.array(lags) * grid.dt), np.log(rms), 1)[0]
+        assert slope == pytest.approx(h, abs=0.03)
+
+    def test_jitter_flag(self):
+        # the case the deleted jitter flag was for: H = 0.9 on a coarse
+        # grid factors without any diagonal shift
+        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        a = simulate_fbm(FracParams.fbm(0.9), grid, 20_000, seed=2, threads=4)
+        v = np.var(a.paths[:, -1], ddof=1)
+        assert v == pytest.approx(1.0, rel=0.05)
+
     def test_marginal_normality(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
         ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41, threads=4)

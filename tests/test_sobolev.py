@@ -517,6 +517,16 @@ class TestMeshAveraging:
         ]
         assert vals[-1] < 0.7 * vals[0]
 
+    def test_grid_route_matches_step_route_when_aligned(self):
+        # mesh edges on grid nodes: each mesh interval is 8 whole cells,
+        # so the interval means are plain block means of the cell samples
+        grid = TimeGrid(0.0, 1.0 / 32, 64)
+        rng = np.random.default_rng(30)
+        f = _aligned_step(rng, grid)
+        blocks = f.to_grid(grid).samples.reshape(-1, 8).mean(axis=1)
+        ref = sb.mesh_average_step(f, 0.0, 0.25)
+        assert np.allclose(np.repeat(blocks, 8), ref(grid.cell_midpoints), rtol=1e-12, atol=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sb.mesh_average_step(StepFunction.indicator(0.0, 1.0), 0.0, 0.0)

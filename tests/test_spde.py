@@ -1,4 +1,5 @@
 """Tests for the spectral SPDE solver and the boundary-noise machinery."""
+import json
 import math
 
 import numpy as np
@@ -326,6 +327,27 @@ class TestSolveMild:
         assert abs(np.corrcoef(c.T)[0, 1]) < 4.0 / math.sqrt(400)
 
 
+class TestEnsembleAccessors:
+    def test_field_matches_parseval(self, laplace8):
+        # the field sum_k c_k phi_k, built from coeffs as the spatial fits do
+        ens = solve_mild(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.05, 20), 16, seed=5)
+        xs, ws = laplace8.spatial_quadrature(256)
+        c = ens.coeffs[:, :, -1]
+        field = c @ laplace8.eigenfunctions(xs).T
+        quad = (field**2) @ ws
+        assert np.allclose(quad, np.sum(c**2, axis=1), rtol=1e-6)
+
+    def test_mode_index_bounds(self, laplace8):
+        # mode k sits at coeffs[:, k - 1, :] whatever the truncation, and
+        # the time axis holds every node from the zero initial condition on
+        grid = TimeGrid(0.0, 0.25, 4)
+        ens = solve_mild(laplace8, FracParams.fbm(0.5), grid, 4, seed=5)
+        assert ens.coeffs.shape == (4, 8, 5)
+        assert not ens.coeffs[:, :, 0].any()
+        low = solve_mild(laplace8.truncated(3), FracParams.fbm(0.5), grid, 4, seed=5)
+        assert np.array_equal(ens.coeffs[:, :3, :], low.coeffs)
+
+
 class TestHolderEstimate:
     def test_second_order_slope_above_floor(self):
         mod = build_spectral_model(L_PI, 1, 64)
@@ -475,6 +497,17 @@ class TestNeumannBoundaryIntegral:
             neumann_boundary_integral(
                 NeumannKernelConfig(1.0, 1.0, 0.9, 2.0), surrogate_d=0
             )
+
+    def test_record_roundtrip(self):
+        # the three fields the spde-boundary summary writes survive JSON
+        # exactly; the value is the last partial sum plus a positive tail
+        rec = neumann_boundary_integral(NeumannKernelConfig(1.0, 0.5, 0.8, 2.0))
+        d = {"value": rec.value, "diverged": rec.diverged, "refinement_trace": list(rec.refinement_trace)}
+        assert json.loads(json.dumps(d)) == d
+        assert d["diverged"] is False
+        trace = d["refinement_trace"]
+        assert all(b > a for a, b in zip(trace, trace[1:]))
+        assert trace[-1] <= rec.value == pytest.approx(trace[-1], rel=1e-6)
 
 
 CFG75 = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.75, p=2.0)
