@@ -69,11 +69,14 @@ class ElementaryIntegralResult:
 
     @property
     def se_variance(self) -> float:
-        # asymptotic SE of the sample variance, no normality assumed
+        # asymptotic SE of the sample variance, no normality assumed; moments at
+        # an exact power-of-two scale, so that c**4 cannot overflow
         c = self.samples - np.mean(self.samples)
+        e = math.frexp(float(np.max(np.abs(c))))[1]
+        c = np.ldexp(c, -e)
         m2 = np.mean(c**2)
         m4 = np.mean(c**4)
-        return float(np.sqrt(max(m4 - m2**2, 0.0) / self.n_paths))
+        return math.ldexp(float(np.sqrt(max(m4 - m2**2, 0.0) / self.n_paths)), 2 * e)
 
 
 @dataclass(frozen=True)

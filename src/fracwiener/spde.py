@@ -22,14 +22,7 @@ import numpy as np
 
 from .grids import StepFunction, TimeGrid
 from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, gamma_norm_lp
-from .processes import (
-    Family,
-    FracParams,
-    default_isonormal,
-    simulate_cylindrical,
-    simulate_fbm,
-    simulate_hermite_k2,
-)
+from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .sobolev import dh_norm_exponential, integrand_norm
 
 __all__ = [
@@ -377,19 +370,12 @@ def solve_mild(
     weights = model.fractional_weights(alpha)
     n_nodes = grid.n_steps + 1
     coeffs = np.zeros((n_paths, model.truncation, n_nodes), dtype=dtype)
-    # one driver at a time keeps peak memory at a single component; the
-    # substream layout matches simulate_cylindrical mode for mode
+    # one driver at a time keeps peak memory at a single component; mode k
+    # is component k of simulate_cylindrical
     for k in range(model.truncation):
         if decay[k] == 0.0:
             continue
-        if params.family is Family.FBM:
-            drv = simulate_fbm(
-                params, grid, n_paths, seed, stream=k, threads=threads,
-                method="circulant",
-            )
-        else:
-            iso = default_isonormal(grid.t_end, seed, n_noise_cells, stream=k)
-            drv = simulate_hermite_k2(params, grid, iso, n_paths, threads)
+        drv = simulate_driver(params, grid, n_paths, seed, k, threads, n_noise_cells)
         fade = math.exp(-lams[k] * grid.dt)
         # exact one-step form of the left-point convolution, time-major
         y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
@@ -406,7 +392,8 @@ def holder_exponent_estimate(ens: MildSolutionEnsemble, p: float | None = None) 
     The lags are 1, 2, .., 32 steps, up to a quarter of the grid.
     Increment statistics are averaged over the start points in the second
     half of the window, where the solution has forgotten its zero start;
-    for p != 2 the spatial norm uses a 64-cell midpoint rule.
+    for p != 2 the spatial norm uses a midpoint rule of max(64, 4 K) cells
+    for K modes, on which the sine modes stay orthonormal.
     """
     if ens.n_paths == 0 or ens.coeffs.size == 0:
         raise ValueError("ensemble is empty")
@@ -419,7 +406,7 @@ def holder_exponent_estimate(ens: MildSolutionEnsemble, p: float | None = None) 
     c = ens.coeffs
     means = []
     if p != 2.0:
-        xq, wq = ens.model.spatial_quadrature(64)
+        xq, wq = ens.model.spatial_quadrature(max(64, 4 * ens.n_modes))
         ef = ens.model.eigenfunctions(xq)
     for lag in lags:
         # increments over the starts i0..n-lag, as basic slices (no copies)

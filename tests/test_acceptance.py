@@ -105,7 +105,7 @@ def test_c03_isometry_across_drivers():
     fbm_grid = TimeGrid(0.0, 1.0 / 256, 256)
     for i, h in enumerate(HURSTS):
         ens = simulate_fbm(FracParams.fbm(h), fbm_grid, n_paths, ACC_SEED, stream=i,
-                           threads=THREADS, method="circulant")
+                           threads=THREADS)
         for _ in range(8):
             zs.append(isometry_report(_aligned_step(rng, fbm_grid, 5), ens).z_score)
         del ens

@@ -84,6 +84,23 @@ alpha = 0.0
 check_modes = 2
 """
 
+# 64 steps bias the upper modes: modes 3 and 4 fail their z-test at sigma = 1
+COARSE_SPDE_CFG = """\
+config_version = 1
+kind = spde-distributed
+seed = 3
+family = fbm
+hurst = 0.5
+m = 1
+length = 3.141592653589793
+truncation = 8
+grid_steps = 64
+t_end = 1.0
+n_paths = 2000
+alpha = 0.0
+check_modes = 4
+"""
+
 BOUNDARY_CFG = """\
 config_version = 1
 kind = spde-boundary
@@ -347,7 +364,7 @@ class TestInvalidConfigExit2:
             NORM_CFG.replace("config_version = 1", "config_version = 99"),
             NORM_CFG + "seed = 1\n",  # duplicate key
             BOUNDARY_CFG + "n_x = 4\n",  # conflicts with x_nodes
-            ISO_CFG.replace("grid_steps = 128", "grid_steps = 4096\nmethod = cholesky"),
+            ROS_CFG.replace("hurst = 0.75", "hurst = 0.4"),
             NORM_CFG + "t_end = inf\n",
             # non-finite numbers, in a grid and as single values
             SWEEP_CFG.replace("alpha = 0.0, 0.1, 0.2, 0.3", "alpha = 0.1, nan"),
@@ -364,6 +381,12 @@ class TestInvalidConfigExit2:
         code, _ = _run(tmp_path, text)
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+
+    def test_sampler_is_not_a_key(self, tmp_path, capsys):
+        # the grid size picks the fBm sampler
+        code, _ = _run(tmp_path, ISO_CFG + "method = circulant\n")
+        assert code == 2
+        assert "unknown key 'method'" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["run", "no-such-file.cfg"]) == 2
@@ -412,6 +435,24 @@ class TestKinds:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["z_scores"]) == 6
         assert summary["fraction_within"] == 1.0
+
+    def test_isometry_fbm_long_grid(self, tmp_path):
+        code, out = _run(tmp_path, ISO_CFG.replace("grid_steps = 128", "grid_steps = 4096"))
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["n_cases"] == 6
+
+    @pytest.mark.parametrize("text", [ISO_CFG, COARSE_SPDE_CFG], ids=["isometry", "spde"])
+    def test_z_is_scale_free(self, tmp_path, text):
+        # z is invariant under sigma; its fourth moments must not overflow
+        zs, passes = [], []
+        for sigma in ("1", "1e100"):
+            (tmp_path / sigma).mkdir()
+            _, out = _run(tmp_path / sigma, text + f"sigma = {sigma}\n")
+            header, rows = _read_csv(out / "results.csv")
+            zs.append([float(r[header.index("z")]) for r in rows])
+            passes.append([r[header.index("pass")] for r in rows])
+        assert passes[0] == passes[1]
+        assert zs[1] == pytest.approx(zs[0], abs=1e-9)
 
     def test_isometry_rosenblatt(self, tmp_path):
         code, out = _run(tmp_path, ROS_CFG)

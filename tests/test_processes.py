@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracwiener import processes
+from fracwiener import processes, rng
 from fracwiener.grids import TimeGrid
 from fracwiener.processes import (
     CylindricalEnsemble,
@@ -22,8 +22,18 @@ from fracwiener.processes import (
     simulate_fbm,
     simulate_hermite_k2,
 )
+from fracwiener.rng import block_generator, map_path_blocks
 
 NINE_POINT = [0.25, 0.5, 1.0]
+
+
+def _drawer_paths(drawer, params, grid, n_paths, seed, stream=0, threads=1):
+    # one fBm drawer on simulate_fbm's block keys, whatever the grid size
+    draw = drawer(params, grid)
+    return map_path_blocks(
+        lambda blk, sl: draw(block_generator(seed, stream, blk), sl.stop - sl.start),
+        n_paths, threads,
+    )
 
 
 class TestCovarianceRh:
@@ -96,16 +106,19 @@ class TestSimulateFbm:
         with pytest.raises(ValueError):
             simulate_fbm(FracParams.rosenblatt(0.7), grid, 10, seed=1)
 
-    def test_deterministic_and_thread_invariant(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+    @pytest.mark.parametrize(
+        "n_steps, drawer", [(1024, "_fbm_cholesky_drawer"), (1025, "_fbm_circulant_drawer")]
+    )
+    def test_grid_size_picks_the_drawer(self, monkeypatch, n_steps, drawer):
+        # 7-path blocks keep the 1024-step factor cheap; 15 paths make three
+        # blocks, the last with an odd count
+        monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
+        grid = TimeGrid.from_window(0.0, 1.0, n_steps)
         p = FracParams.fbm(0.6)
-        # 9001 circulant paths: three blocks, the last with an odd count
-        for method, n_paths, threads in (("cholesky", 9000, 6), ("circulant", 9001, 4)):
-            a = simulate_fbm(p, grid, n_paths, seed=5, threads=1, method=method).paths
-            b = simulate_fbm(p, grid, n_paths, seed=5, threads=threads, method=method).paths
-            assert np.array_equal(a, b)
-            c = simulate_fbm(p, grid, n_paths, seed=5, stream=3, method=method).paths
-            assert not np.array_equal(a, c)
+        a = simulate_fbm(p, grid, 15, seed=5, stream=2).paths
+        assert np.array_equal(a, _drawer_paths(getattr(processes, drawer), p, grid, 15, 5, 2))
+        assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2, threads=4).paths)
+        assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).paths)
 
     def test_sigma_scales_paths_exactly(self):
         grid = TimeGrid.from_window(0.0, 1.0, 16)
@@ -177,21 +190,21 @@ class TestSimulateFbm:
         grid = TimeGrid.from_window(0.0, 1.0, 64)
         p = FracParams.fbm(0.75)
         chol = simulate_fbm(p, grid, 50_000, seed=1, threads=4)
-        circ = simulate_fbm(p, grid, 50_000, seed=2, method="circulant", threads=4)
+        circ = _drawer_paths(processes._fbm_circulant_drawer, p, grid, 50_000, 2, threads=4)
         t = grid.nodes[1:]
-        emp = np.var(circ.paths[:, 1:], axis=0, ddof=1)
+        emp = np.var(circ[:, 1:], axis=0, ddof=1)
         rel = emp / t**1.5
-        band = 4 * np.sqrt(2.0 / (circ.n_paths - 1))
+        band = 4 * np.sqrt(2.0 / (circ.shape[0] - 1))
         assert np.all(np.abs(rel - 1.0) < band)
-        assert stats.ks_2samp(chol.paths[:, -1], circ.paths[:, -1]).pvalue > 0.01
+        assert stats.ks_2samp(chol.paths[:, -1], circ[:, -1]).pvalue > 0.01
 
     def test_circulant_pair_uncorrelated(self):
         # one block of 4000 paths: path i is the real part of transform i,
         # path i + 2000 its imaginary part
         grid = TimeGrid.from_window(0.0, 1.0, 32)
-        ens = simulate_fbm(FracParams.fbm(0.3), grid, 4000, seed=6, method="circulant")
-        h = ens.n_paths // 2
-        re, im = ens.paths[:h, 1:], ens.paths[h:, 1:]
+        paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(0.3), grid, 4000, 6)
+        h = paths.shape[0] // 2
+        re, im = paths[:h, 1:], paths[h:, 1:]
         corr = np.mean(re * im, axis=0) / np.sqrt(np.mean(re**2, axis=0) * np.mean(im**2, axis=0))
         assert np.all(np.abs(corr) < 4.0 / np.sqrt(h))
 
@@ -199,24 +212,15 @@ class TestSimulateFbm:
         # the fGn Toeplitz matrix as the mixed second difference of R_H
         grid = TimeGrid.from_window(0.0, 1.0, 16)
         h = 0.3
-        ens = simulate_fbm(FracParams.fbm(h), grid, 20_001, seed=12, method="circulant")
+        paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(h), grid, 20_001, 12)
         t = grid.nodes
         r = covariance_rh(t[:, None], t[None, :], h)
         target = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
-        inc = np.diff(ens.paths, axis=1)
+        inc = np.diff(paths, axis=1)
         prod = inc[:, :, None] * inc[:, None, :]
-        se = np.std(prod, axis=0, ddof=1) / np.sqrt(ens.n_paths)
+        se = np.std(prod, axis=0, ddof=1) / np.sqrt(paths.shape[0])
         z = (np.mean(prod, axis=0) - target) / se
         assert np.abs(z).max() < 4.5
-
-    def test_method_validation_and_limits(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
-        p = FracParams.fbm(0.6)
-        with pytest.raises(ValueError):
-            simulate_fbm(p, grid, 10, seed=1, method="spectral")
-        big = TimeGrid.from_window(0.0, 1.0, 4096)
-        with pytest.raises(ValueError, match="circulant"):
-            simulate_fbm(p, big, 10, seed=1)
 
 
 def _nine_point_z(ens, h, sigma=1.0):

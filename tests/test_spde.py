@@ -7,7 +7,7 @@ import pytest
 
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
-from fracwiener.processes import FracParams, simulate_fbm
+from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
 from fracwiener.sobolev import integrand_norm
 from fracwiener.spde import (
     MildSolutionEnsemble,
@@ -291,15 +291,16 @@ class TestSolveMild:
 
     def test_semigroup_decomposition_pathwise(self):
         # restart identity: y(t_{i+j}) = e^{-lam j dt} y(t_i) + fresh convolution,
-        # with increments recovered from the identically seeded driver
+        # with increments recovered from the identically seeded driver, which
+        # is component k of the cylindrical driver
         mod = build_spectral_model(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         ens = solve_mild(mod, FracParams.fbm(0.7), grid, 20, seed=6)
+        cyl = simulate_cylindrical(FracParams.fbm(0.7), grid, 3, 20, seed=6)
         for k in (1, 3):
             lam = mod.eigenvalues[k - 1]
-            drv = simulate_fbm(
-                FracParams.fbm(0.7), grid, 20, 6, stream=k - 1, method="circulant"
-            )
+            drv = simulate_fbm(FracParams.fbm(0.7), grid, 20, 6, stream=k - 1)
+            assert np.array_equal(drv.paths, cyl.components[k - 1].paths)
             dz = np.diff(drv.paths, axis=1)
             fade = math.exp(-lam * grid.dt)
             y = ens.coeffs[:, k - 1, :]
@@ -366,6 +367,16 @@ class TestHolderEstimate:
         slope = holder_exponent_estimate(ens, 2.0)
         assert slope > 0.45 - 0.125 - 0.05
         assert slope < 0.5
+
+    @pytest.mark.parametrize("k", [63, 64, 128])
+    def test_lp_route_resolves_every_mode(self, k):
+        # p = 2 sums the modes by Parseval; p just above 2 integrates the field
+        # on the midpoint rule, which must keep all K sine modes orthonormal
+        mod = build_spectral_model(L_PI, 1, k)
+        grid = TimeGrid(0.0, 1.0 / 4096, 64)
+        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 200, seed=1)
+        slope = holder_exponent_estimate(ens, 2.0)
+        assert holder_exponent_estimate(ens, 2.0 + 1e-9) == pytest.approx(slope, abs=1e-8)
 
     @pytest.mark.parametrize(
         "dtype,p,rtol",
