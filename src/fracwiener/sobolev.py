@@ -10,8 +10,9 @@ homogeneous Sobolev norm of order 1/2 - H, and this module carries
 several independent routes to these quantities:
 
 * ``integrand_norm`` with ``method="transform"``: L2 norm of the tail
-  transform, its edge sum in plain float arithmetic integrated piece by
-  piece with adaptive quadrature,
+  transform, its edge sum regrouped about the next edge in plain float
+  arithmetic and integrated piece by piece, in the distance to that
+  edge, with adaptive quadrature,
 * ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
   the process increment covariance (no quadrature at all); the spde mode
   norms use it, cached per H, with alpha and noise coefficients applied after,
@@ -25,8 +26,9 @@ Cross-agreement of these routes is what the test suite leans on.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -145,7 +147,7 @@ def norm_equivalence_constant(hurst: float, sigma: float = 1.0) -> float:
 
 
 def _transform_sq(f: StepFunction, hurst: float):
-    """The squared weighted tail transform of ``f``, as a scalar function of r.
+    """The squared weighted tail transform of ``f``, anchored at its edges.
 
     The transform of a step function collapses to a single sum over edges,
 
@@ -158,42 +160,62 @@ def _transform_sq(f: StepFunction, hurst: float):
     when H < 1/2); the prefactor is fixed so that the transform of an
     indicator is exactly the moving-average kernel of the matching
     fractional Brownian motion, which is what makes the L2 norm of the
-    transform reproduce the driver covariance.  For H < 1/2 the value
-    blows up like an integrable power on the left of each edge, and
-    evaluation exactly at an edge returns the finite part with the
-    exploding term dropped.
+    transform reproduce the driver covariance.
 
-    The sum runs in plain float arithmetic: ``quad`` evaluates it one
-    point at a time, where numpy overhead on a few-element array would
-    dominate.
+    Returns ``(taus, sq_at)``: the edges, and ``sq_at(k, u)``, the square
+    at ``r = tau_k - u`` for ``0 <= u <= tau_k - tau_{k-1}`` (any ``u`` for
+    k = 0).  The sum is regrouped about its first edge: with ``f_k`` the
+    value of f left of ``tau_k`` and ``g = H - 1/2``,
+
+        sum_{i>=k} d_i (tau_i - r)^g
+            = u^g (f_k + sum_{i>k} d_i expm1(g log1p((tau_i - tau_k) / u))),
+
+    which keeps its digits in the left tail, where ``f_0 = 0`` and the
+    plain sum cancels (the drops sum to zero), and which puts the
+    blow-up of the H < 1/2 value on the left of each edge at ``u = 0``,
+    where floats are dense.  At ``u = 0`` the edge's own term is dropped:
+    the value is the finite part ``sum_{i>k} d_i (tau_i - tau_k)^g``,
+    which is the limit for H >= 1/2.  The sum runs in plain float
+    arithmetic: ``quad`` evaluates it one point at a time, where numpy
+    overhead on a few-element array would dominate.
     """
     edges, rise = f.jumps()
     g = hurst - 0.5
     kappa = 1.0 / transform_constant(hurst)
-    pairs = [(float(e), -float(d)) for e, d in zip(edges, rise)]
+    taus = [float(e) for e in edges]
+    lefts = [0.0, *(float(v) for v in f.values)]
+    # for anchor k: the offsets and drops of the edges right of tau_k
+    tails = [
+        [(taus[i] - taus[k], -float(rise[i])) for i in range(k + 1, len(taus))]
+        for k in range(len(taus))
+    ]
 
-    def sq(r):
-        acc = 0.0
-        for e, d in pairs:
-            if e > r:
-                acc += d * (e - r) ** g
-        return (kappa * acc) ** 2
+    def sq_at(k, u):
+        if u == 0.0:
+            return (kappa * sum(d * delta**g for delta, d in tails[k])) ** 2
+        acc = lefts[k]
+        for delta, d in tails[k]:
+            acc += d * math.expm1(g * math.log1p(delta / u))
+        return (kappa * u**g * acc) ** 2
 
-    return sq
+    return taus, sq_at
 
 
 def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
-    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature."""
+    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature.
+
+    Each piece is integrated in the distance ``u`` to its right edge, so an
+    H < 1/2 blow-up there is an integrable power at ``u = 0``.
+    """
     if f.n_pieces == 0:
         return 0.0
-    edges = f.breakpoints
-    sq = _transform_sq(f, hurst)
-    total = 0.0
-    # left tail; the transform decays algebraically there
-    total += _quad(sq, -np.inf, edges[0])
-    for a, b in zip(edges[:-1], edges[1:]):
-        # for H < 1/2 the integrand has an integrable power blow-up at b
-        total += _quad(sq, a, b)
+    taus, sq_at = _transform_sq(f, hurst)
+    # left tail, split at the support length: the blow-up at u = 0 stays
+    # off the mapped infinite interval, and the far part decays algebraically
+    span = taus[-1] - taus[0]
+    total = _quad(partial(sq_at, 0), 0.0, span) + _quad(partial(sq_at, 0), span, np.inf)
+    for k in range(1, len(taus)):
+        total += _quad(partial(sq_at, k), 0.0, taus[k] - taus[k - 1])
     return total
 
 

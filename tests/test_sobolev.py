@@ -5,6 +5,8 @@ Numeric oracles in this file were computed independently with mpmath at
 (singularity-adapted tanh-sinh and a gamma-function closed form) agreed
 below 1e-25 before the value was frozen.
 """
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from fracwiener import GridFunction, StepFunction, TimeGrid
 from fracwiener import sobolev as sb
+from fracwiener import experiments as ex
 
 HURSTS = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
 
@@ -63,6 +66,17 @@ def random_step(rng, n_max=8, span=4.0):
     bp = np.sort(rng.uniform(-span / 2, span / 2, size=n + 1))
     bp = bp + np.arange(n + 1) * 1e-3  # separation keeps conditioning sane
     return StepFunction(bp, rng.normal(size=n))
+
+
+def transform_sq(f, h):
+    """The squared tail transform as a function of r, anchored at the first edge right of r."""
+    taus, sq_at = sb._transform_sq(f, h)
+
+    def sq(r):
+        k = bisect_right(taus, r)
+        return 0.0 if k == len(taus) else sq_at(k, taus[k] - r)
+
+    return sq
 
 
 @st.composite
@@ -149,7 +163,7 @@ class TestFractionalTransform:
 
     def test_identity_at_half(self):
         f = StepFunction(np.array([0.0, 1.0, 2.0]), np.array([1.5, -0.5]))
-        sq = sb._transform_sq(f, 0.5)
+        sq = transform_sq(f, 0.5)
         for r in (-1.0, 0.5, 1.5, 2.5):
             assert sq(r) == pytest.approx(float(f(r)) ** 2, rel=1e-15, abs=0.0)
 
@@ -157,33 +171,45 @@ class TestFractionalTransform:
     def test_indicator_point_value(self, h):
         # transform of 1_[0,1.5) strictly inside the support
         f = StepFunction.indicator(0.0, 1.5)
-        assert sb._transform_sq(f, h)(0.6) == pytest.approx(TRANSFORM_AT[h] ** 2, rel=1e-12)
+        assert transform_sq(f, h)(0.6) == pytest.approx(TRANSFORM_AT[h] ** 2, rel=1e-12)
 
     def test_support_structure(self):
-        sq = sb._transform_sq(StepFunction.indicator(0.0, 1.0), 0.75)
+        sq = transform_sq(StepFunction.indicator(0.0, 1.0), 0.75)
         assert sq(1.1) == 0.0  # nothing to the right of the last edge
         assert sq(-0.5) > 0.0  # long left tail for H > 1/2
 
     def test_blowup_side_for_rough_regime(self):
-        sq = sb._transform_sq(StepFunction.indicator(0.0, 1.0), 0.25)
+        sq = transform_sq(StepFunction.indicator(0.0, 1.0), 0.25)
         # (1 - r)^(H - 1/2) explodes as r -> 1 from the left
         assert sq(1.0 - 1e-8) > 1e2
         assert sq(1.1) == 0.0
+
+    @pytest.mark.parametrize("h", [0.25, 0.75])
+    def test_edge_value_is_finite_part(self, h):
+        # at u = 0 the edge's own term is dropped: on the left edge of
+        # 1_[0,1) the transform is d_1 (1 - 0)^(H-1/2) / c_H = 1 / c_H, the
+        # one-sided limit for H > 1/2, and the same anchored at either edge
+        taus, sq_at = sb._transform_sq(StepFunction.indicator(0.0, 1.0), h)
+        want = sb.transform_constant(h) ** -2
+        assert sq_at(0, 0.0) == pytest.approx(want, rel=1e-15)
+        assert sq_at(1, 1.0) == pytest.approx(want, rel=1e-15)
+        if h > 0.5:
+            assert sq_at(0, 1e-40) == pytest.approx(want, rel=1e-9)
 
     def test_linearity(self):
         # pointwise parallelogram law: K(f+g)^2 + K(f-g)^2 = 2 (Kf)^2 + 2 (Kg)^2
         rng = np.random.default_rng(3)
         f, g = random_step(rng), random_step(rng)
         h = 0.3
-        sq_f, sq_g = sb._transform_sq(f, h), sb._transform_sq(g, h)
-        sq_sum, sq_diff = sb._transform_sq(f + g, h), sb._transform_sq(f - g, h)
+        sq_f, sq_g = transform_sq(f, h), transform_sq(g, h)
+        sq_sum, sq_diff = transform_sq(f + g, h), transform_sq(f - g, h)
         for r in np.linspace(-2.5, 2.5, 41):
             lhs = sq_sum(r) + sq_diff(r)
             rhs = 2.0 * sq_f(r) + 2.0 * sq_g(r)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_empty(self):
-        sq = sb._transform_sq(StepFunction.empty(), 0.3)
+        sq = transform_sq(StepFunction.empty(), 0.3)
         assert all(sq(r) == 0.0 for r in (-1.0, 0.0, 1.0))
 
 
@@ -218,6 +244,19 @@ class TestIntegrandNorm:
             a = sb.integrand_norm(f, h, method="transform")
             b = sb.integrand_norm(f, h, method="covariance")
             assert a == pytest.approx(b, rel=1e-6)
+
+    def test_routes_agree_to_1e10_on_norm_identity_draws(self):
+        # the 36 step functions of a norm-identity run at seed 3 (six per H,
+        # in run order); the transform route keeps its digits in the left
+        # tail and at the edge blow-ups
+        grid = TimeGrid(0.0, 1.0 / 256, 256)
+        rng = ex._aux_rng(3, 0)
+        for h in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
+            for _ in range(6):
+                f = ex._aligned_step(rng, grid, 6)
+                a = sb.integrand_norm(f, h, method="transform")
+                b = sb.integrand_norm(f, h, method="covariance")
+                assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
     def test_sigma_scaling_and_zero(self):
         f = StepFunction.indicator(0.0, 1.0)

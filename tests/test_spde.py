@@ -188,6 +188,65 @@ class TestExistenceReport:
             existence_report(mod, 0.4, 0.0, 0.0)
 
 
+def _dense_existence(mod, hurst, alpha, t0, sigma, decay, doublings, n_x):
+    """Block masses and verdict of existence_report from a dense sine matrix.
+
+    The reference sum: ``sum_k a_k phi_k(x_i)^2`` with the sine modes
+    evaluated at every node, the route the cosine transform replaced.
+    """
+    k_max = mod.truncation * 2**doublings
+    decay = np.concatenate((decay, np.full(k_max - decay.size, decay[-1])))
+    big = mod.truncated(k_max)
+    base = _mode_step_norms(mod.length, mod.order, hurst, t0, sigma, k_max)
+    norms = np.abs(decay) * big.fractional_weights(alpha) * base
+    xs, ws = mod.spatial_quadrature(max(n_x, 4 * k_max))
+    modes = big.eigenfunctions(xs)
+    mass = []
+    for j in range(doublings + 1):
+        k_j = mod.truncation * 2**j
+        node_sq = (modes[:, :k_j] ** 2) @ (norms[:k_j] ** 2)
+        mass.append(float(np.sum(ws * node_sq ** (mod.p / 2.0))))
+    incs = np.diff(mass)
+    ratios = [incs[i] / incs[i - 1] for i in range(1, len(incs)) if incs[i - 1] > 0]
+    if len(ratios) >= 2:
+        diverged = 2.0 * ratios[-1] - ratios[-2] >= 0.96
+    else:
+        diverged = bool(ratios) and ratios[-1] >= 0.96
+    return mass, incs, not diverged
+
+
+class TestExistenceReportDenseOracle:
+    """The cosine-transform sums of existence_report against the sine-matrix sums."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("truncation", [8, 64])
+    @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_matches_sine_matrix(self, p, truncation, doublings, above):
+        mod = build_spectral_model(L_PI, 1, truncation, p=p)
+        k_max = truncation * 2**doublings
+        # 64 cells sit below 4 k_max here; the other n_x is above it and no
+        # power of two
+        n_x = 4 * k_max + 6 if above else 64
+        decay = 1.0 / np.arange(1, truncation + 1) ** 0.7
+        rep = existence_report(
+            mod, 0.4, 0.1, 1.0, sigma=1.3, noise_decay=decay, doublings=doublings, n_x=n_x
+        )
+        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, decay, doublings, n_x)
+        assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
+        assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
+        assert rep.finite == finite
+
+    @pytest.mark.parametrize("m,p", [(1, 1.5), (1, 2.0), (2, 1.5), (2, 2.0)])
+    def test_same_verdicts_over_grid(self, m, p):
+        mod = build_spectral_model(L_PI, m, 16, p=p)
+        ones = np.ones(16)
+        for h in (0.3, 0.35, 0.4, 0.45):
+            for a in np.linspace(0.0, 0.3, 13):
+                rep = existence_report(mod, h, a, 1.0)
+                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, ones, 3, 64)[2]
+
+
 class TestSmoothingExponent:
     @pytest.mark.parametrize(
         "m,alpha,want",
@@ -200,6 +259,22 @@ class TestSmoothingExponent:
     def test_negative_alpha_rejected(self, laplace8):
         with pytest.raises(ValueError, match="nonnegative"):
             semigroup_smoothing_exponent(laplace8, -0.1)
+
+    @pytest.mark.parametrize("m,p,alpha", [(1, 1.5, 0.0), (1, 3.0, 0.5), (2, 1.0, 0.2)])
+    def test_cosine_sums_match_sine_matrix(self, m, p, alpha):
+        # p != 2: the spatial L^p norms against sums over a dense sine matrix
+        mod = build_spectral_model(L_PI, m, 64, p=p)
+        lams, weights = mod.eigenvalues, mod.fractional_weights(alpha)
+        us = np.geomspace(2.0 / lams[-1], 200.0 / lams[-1], 17)
+        xs, ws = mod.spatial_quadrature(256)
+        modes_sq = mod.eigenfunctions(xs) ** 2
+        vals = [
+            float(np.sum(ws * (modes_sq @ (weights * np.exp(-lams * u)) ** 2) ** (p / 2.0)))
+            ** (1.0 / p)
+            for u in us
+        ]
+        want = np.polyfit(np.log(us), np.log(vals), 1)[0]
+        assert semigroup_smoothing_exponent(mod, alpha) == pytest.approx(want, rel=1e-12)
 
 
 GRID512 = TimeGrid(0.0, 1.0 / 512, 512)
