@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracwiener import GridFunction, StepFunction, TimeGrid
-from fracwiener import sobolev as sb
 from fracwiener import experiments as ex
+from fracwiener import sobolev as sb
 
 HURSTS = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
 

@@ -12,6 +12,7 @@ from fracwiener.sobolev import integrand_norm
 from fracwiener.spde import (
     MildSolutionEnsemble,
     NeumannKernelConfig,
+    SpectralModel,
     assemble_kernel_field,
     boundary_solution_check,
     build_spectral_model,
@@ -236,6 +237,15 @@ class TestExistenceReportDenseOracle:
         assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
         assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
         assert rep.finite == finite
+
+    def test_builds_no_sine_matrix(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("dense sine matrix built")
+
+        mod = build_spectral_model(L_PI, 1, 8, p=1.5)
+        monkeypatch.setattr(SpectralModel, "eigenfunctions", refuse)
+        existence_report(mod, 0.4, 0.1, 1.0)
+        semigroup_smoothing_exponent(mod, 0.1)
 
     @pytest.mark.parametrize("m,p", [(1, 1.5), (1, 2.0), (2, 1.5), (2, 2.0)])
     def test_same_verdicts_over_grid(self, m, p):
