@@ -15,6 +15,7 @@ import numpy as np
 
 from fracwiener.grids import TimeGrid
 from fracwiener.processes import FracParams, covariance_rh, default_isonormal, simulate_hermite_k2
+from fracwiener.rng import worker_threads
 
 
 def main() -> int:
@@ -30,7 +31,8 @@ def main() -> int:
     params = FracParams.rosenblatt(args.hurst)
     grid = TimeGrid(0.0, 0.25, 4)
     iso = default_isonormal(1.0, args.seed, args.noise_cells)
-    ens = simulate_hermite_k2(params, grid, iso, args.paths, args.threads)
+    with worker_threads(args.threads):
+        ens = simulate_hermite_k2(params, grid, iso, args.paths)
 
     times = [0.25, 0.5, 1.0]
     idx = [1, 2, 4]

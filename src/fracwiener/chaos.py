@@ -30,7 +30,8 @@ class DiscreteIsonormal:
     Increments are i.i.d. centered Gaussians with variance dt per cell, so
     sums against cell samples approximate L^2 inner products.  Draws come
     from counter-based substreams keyed by (seed, stream, block of paths),
-    which makes every path's numbers independent of threading.
+    which makes every path's numbers independent of threading; the blocks
+    run on the pool of ``rng.worker_threads`` when one is in effect.
     """
 
     grid: TimeGrid
@@ -60,13 +61,11 @@ class DiscreteIsonormal:
         gen = block_generator(self.seed, self.stream, block)
         return gen.standard_normal((n, self.n_cells)) * np.sqrt(self.grid.dt)
 
-    def increments(self, n_paths: int, threads: int = 1) -> np.ndarray:
+    def increments(self, n_paths: int) -> np.ndarray:
         """(n_paths, n_cells) array of scaled noise increments."""
-        return map_path_blocks(
-            lambda b, sl: self.increment_block(b, sl.stop - sl.start), n_paths, threads
-        )
+        return map_path_blocks(lambda b, sl: self.increment_block(b, sl.stop - sl.start), n_paths)
 
-    def first_order(self, v, n_paths: int, threads: int = 1) -> np.ndarray:
+    def first_order(self, v, n_paths: int) -> np.ndarray:
         """Single Wiener integral of cell samples ``v``, shape ``(n_paths,)``."""
         w = np.asarray(v, dtype=float)
         if w.shape != (self.n_cells,):
@@ -75,12 +74,10 @@ class DiscreteIsonormal:
         def run(block: int, sl: slice) -> np.ndarray:
             return self.increment_block(block, sl.stop - sl.start) @ w
 
-        return map_path_blocks(run, n_paths, threads)
+        return map_path_blocks(run, n_paths)
 
 
-def double_wiener_integral(
-    kernel: np.ndarray, iso: DiscreteIsonormal, n_paths: int, threads: int = 1
-) -> np.ndarray:
+def double_wiener_integral(kernel: np.ndarray, iso: DiscreteIsonormal, n_paths: int) -> np.ndarray:
     """Off-diagonal double Wiener integral of a symmetric grid kernel.
 
     ``kernel`` is the (n_cells, n_cells) symmetric matrix of kernel values
@@ -101,7 +98,7 @@ def double_wiener_integral(
         te = e @ mat  # quadratic form via one GEMM, then a row dot
         return np.einsum("bi,bi->b", te, e) - (e * e) @ diag
 
-    return map_path_blocks(run, n_paths, threads)
+    return map_path_blocks(run, n_paths)
 
 
 def moment_ratio(values, q: float, p: float) -> float:

@@ -27,14 +27,15 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
-    ExperimentResult,
     SUMMARY_VERSION,
     column_docs_text,
     list_experiments_text,
     load_config,
     run_experiment,
 )
+from .rng import worker_threads
 
 __all__ = ["build_parser", "main"]
 
@@ -90,11 +91,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(path: Path, result: ExperimentResult):
+def write_results_csv(path: Path, columns, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(result.columns)
-        for row in result.rows:
+        writer.writerow(columns)
+        for row in rows:
             writer.writerow([_cell(v) for v in row])
 
 
@@ -135,9 +136,11 @@ def _cmd_run(args) -> int:
         _config_diagnostics(exc)
         return 2
 
+    threads = max(1, args.threads)
     started = time.time()
     try:
-        result = run_experiment(cfg, threads=max(1, args.threads))
+        with worker_threads(threads):
+            result = run_experiment(cfg)
     except ConfigError as exc:
         _config_diagnostics(exc)
         return 2
@@ -151,7 +154,8 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(args.out or cfg.out_dir or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(out_dir / "results.csv", result)
+    columns = [name for name, _ in EXPERIMENTS[cfg.kind].columns]
+    write_results_csv(out_dir / "results.csv", columns, result.rows)
     _dump_json(out_dir / "summary.json", result.summary)
     _dump_json(
         out_dir / "manifest.json",
@@ -164,7 +168,7 @@ def _cmd_run(args) -> int:
             "started": _utc(started),
             "finished": _utc(finished),
             "duration_s": finished - started,
-            "threads": max(1, args.threads),
+            "threads": threads,
             "strict": bool(args.strict),
             "warnings": list(result.warnings),
             "verdicts": [v.to_record() for v in result.verdicts],

@@ -102,7 +102,6 @@ class ExperimentResult:
     summary: dict
     verdicts: list
     warnings: list = field(default_factory=list)
-    columns: tuple = ()  # set by run_experiment from the kind's registry entry
 
     @property
     def passed(self) -> bool:
@@ -302,22 +301,22 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(raw, text_hash=hashlib.sha256(data).hexdigest())
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run a validated config; a parameter the model rejects is a ConfigError.
 
     So is a parameter that overflows the floating-point range on its way
-    through the model.  The result takes its columns from the kind's
-    registry entry, and the runner's summary is stamped with the summary
-    version, kind and seed.
+    through the model.  The runner's summary is stamped with the summary
+    version, kind and seed.  Path blocks run on the ``rng.worker_threads``
+    pool of the caller.
     """
     try:
-        res = EXPERIMENTS[cfg.kind].runner(cfg, threads)
+        res = EXPERIMENTS[cfg.kind].runner(cfg)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     except OverflowError as exc:
         raise ConfigError([f"a parameter overflowed the floating-point range: {exc}"]) from None
     header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
-    return replace(res, columns=EXPERIMENTS[cfg.kind].columns, summary={**header, **res.summary})
+    return replace(res, summary={**header, **res.summary})
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,7 @@ def _frac_params(family: str, h: float, sigma: float, p: Mapping) -> FracParams:
 # norm-identity
 
 
-def _run_norm_identity(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_norm_identity(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     if p["pieces"] >= p["grid_steps"]:
         raise ConfigError(["pieces must be smaller than grid_steps"])
@@ -398,7 +397,7 @@ def _run_norm_identity(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 # isometry
 
 
-def _run_isometry(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     if p["pieces"] >= p["grid_steps"]:
         raise ConfigError(["pieces must be smaller than grid_steps"])
@@ -411,7 +410,7 @@ def _run_isometry(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     zs = []
     for i, h in enumerate(p["hurst"]):
         params = _frac_params(p["family"], h, p["sigma"], p)
-        ens = simulate_driver(params, grid, p["n_paths"], cfg.seed, i, threads, p["n_noise_cells"])
+        ens = simulate_driver(params, grid, p["n_paths"], cfg.seed, i, p["n_noise_cells"])
         for fid in range(p["n_functions"]):
             f = _aligned_step(rng, grid, p["pieces"])
             rep = isometry_report(f, ens)
@@ -444,7 +443,7 @@ def _run_isometry(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 # moments
 
 
-def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     warnings = []
     if p["n_paths"] < 1000:
@@ -452,8 +451,8 @@ def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     n_cells = p["n_cells"]
     iso = DiscreteIsonormal(TimeGrid(0.0, p["t_end"] / n_cells, n_cells), seed=cfg.seed)
     e = np.ones(n_cells) / math.sqrt(p["t_end"])  # unit L2 weight on the window
-    first = iso.first_order(e, p["n_paths"], threads)
-    second = double_wiener_integral(np.outer(e, e), iso, p["n_paths"], threads)
+    first = iso.first_order(e, p["n_paths"])
+    second = double_wiener_integral(np.outer(e, e), iso, p["n_paths"])
 
     g_ratio = moment_ratio(first, 4, 2)
     c_ratio = moment_ratio(second, 4, 2)
@@ -499,7 +498,7 @@ def _run_moments(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 # spde-distributed
 
 
-def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     warnings = []
     if p["n_paths"] < 1000:
@@ -515,7 +514,7 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
     params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
     ens = solve_mild(
-        model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed, threads=threads,
+        model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed,
         n_noise_cells=p["n_noise_cells"],
     )
 
@@ -538,8 +537,7 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
 
     fitted = {}
     if p["fit_holder"]:
-        lp = None if p["p"] == 2.0 else p["p"]
-        slope = holder_exponent_estimate(ens, lp)
+        slope = holder_exponent_estimate(ens)
         fitted["holder"] = slope
         if p["holder_floor"] is not None:
             ok = slope > p["holder_floor"]
@@ -579,7 +577,7 @@ def _run_spde_distributed(cfg: ExperimentConfig, threads: int) -> ExperimentResu
 # spde-boundary
 
 
-def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     warnings = []
     if p["n_paths"] < 1000:
@@ -613,7 +611,7 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         kwargs["n_x"] = p["n_x"]
     check = boundary_solution_check(
         kcfg, params, p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
-        threads=threads, kernel_pieces=p["kernel_pieces"], **kwargs,
+        kernel_pieces=p["kernel_pieces"], **kwargs,
     )
 
     rows = []
@@ -639,7 +637,7 @@ def _run_spde_boundary(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 # threshold-sweep
 
 
-def _run_threshold_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     model = build_spectral_model(p["length"], p["m"], p["truncation"], p=p["p"])
     rows, verdicts = [], []
@@ -689,9 +687,9 @@ class Experiment:
     blurb: str
     required: tuple
     optional: tuple
-    columns: tuple
-    column_doc: str
+    columns: tuple  # one (name, doc) pair per results.csv column, in order
     runner: Callable
+    doc_width: int = 14  # least width of the name column in column_docs_text
 
 
 EXPERIMENTS: dict = {}
@@ -716,14 +714,13 @@ _register(
             _Key("grid_steps", _int, _ge(8), 256),
             _Key("t_end", _float, _positive, 1.0),
         ),
-        columns=("H", "f-id", "dh_norm", "fourier_norm", "ratio", "pass"),
-        column_doc=(
-            "H             Hurst parameter of the row\n"
-            "f-id          index of the random step integrand in the draw sequence\n"
-            "dh_norm       integrand norm of the draw (tail-transform route)\n"
-            "fourier_norm  homogeneous Sobolev norm of order 1/2 - H (FFT route)\n"
-            "ratio         dh_norm / fourier_norm\n"
-            "pass          true when the ratio is within ratio_rtol of the constant"
+        columns=(
+            ("H", "Hurst parameter of the row"),
+            ("f-id", "index of the random step integrand in the draw sequence"),
+            ("dh_norm", "integrand norm of the draw (tail-transform route)"),
+            ("fourier_norm", "homogeneous Sobolev norm of order 1/2 - H (FFT route)"),
+            ("ratio", "dh_norm / fourier_norm"),
+            ("pass", "true when the ratio is within ratio_rtol of the constant"),
         ),
         runner=_run_norm_identity,
     )
@@ -751,15 +748,14 @@ _register(
             _Key("pass_fraction", _float, _fraction, 0.95),
             _Key("n_noise_cells", _int, _ge(16), 1024),
         ),
-        columns=("family", "H", "f-id", "dh_norm_sq", "mc_var", "z", "pass"),
-        column_doc=(
-            "family        driver family of the row (fbm, rosenblatt, generalized)\n"
-            "H             Hurst parameter of the driver\n"
-            "f-id          index of the random step integrand\n"
-            "dh_norm_sq    exact squared integrand norm (the isometry target)\n"
-            "mc_var        Monte Carlo variance of the integral\n"
-            "z             (mc_var - dh_norm_sq) / SE\n"
-            "pass          true when |z| <= z_max"
+        columns=(
+            ("family", "driver family of the row (fbm, rosenblatt, generalized)"),
+            ("H", "Hurst parameter of the driver"),
+            ("f-id", "index of the random step integrand"),
+            ("dh_norm_sq", "exact squared integrand norm (the isometry target)"),
+            ("mc_var", "Monte Carlo variance of the integral"),
+            ("z", "(mc_var - dh_norm_sq) / SE"),
+            ("pass", "true when |z| <= z_max"),
         ),
         runner=_run_isometry,
     )
@@ -778,13 +774,12 @@ _register(
             _Key("chaos2_rtol", _float, _positive, 0.02),
             _Key("combo_bound", _float, _positive, 3.0),
         ),
-        columns=("check", "draw", "ratio", "reference", "pass"),
-        column_doc=(
-            "check         gaussian | chaos2 | combo\n"
-            "draw          coefficient-draw index (0 for the two fixed checks)\n"
-            "ratio         empirical L4/L2 moment ratio\n"
-            "reference     exact target (gaussian, chaos2) or the order-2 bound (combo)\n"
-            "pass          true when the ratio matches (fixed checks) or stays bounded"
+        columns=(
+            ("check", "gaussian | chaos2 | combo"),
+            ("draw", "coefficient-draw index (0 for the two fixed checks)"),
+            ("ratio", "empirical L4/L2 moment ratio"),
+            ("reference", "exact target (gaussian, chaos2) or the order-2 bound (combo)"),
+            ("pass", "true when the ratio matches (fixed checks) or stays bounded"),
         ),
         runner=_run_moments,
     )
@@ -817,14 +812,13 @@ _register(
             _Key("smoothing_tol", _float, _positive, 0.05),
             _Key("n_noise_cells", _int, _ge(16), 512),
         ),
-        columns=("mode", "eigenvalue", "mc_second_moment", "expected_second_moment", "z", "pass"),
-        column_doc=(
-            "mode                    eigenmode index (1-based)\n"
-            "eigenvalue              spectral eigenvalue of the mode\n"
-            "mc_second_moment        Monte Carlo E y_k(t_end)^2\n"
-            "expected_second_moment  exact mode norm squared\n"
-            "z                       (mc - expected) / SE\n"
-            "pass                    true when |z| <= z_max"
+        columns=(
+            ("mode", "eigenmode index (1-based)"),
+            ("eigenvalue", "spectral eigenvalue of the mode"),
+            ("mc_second_moment", "Monte Carlo E y_k(t_end)^2"),
+            ("expected_second_moment", "exact mode norm squared"),
+            ("z", "(mc - expected) / SE"),
+            ("pass", "true when |z| <= z_max"),
         ),
         runner=_run_spde_distributed,
     )
@@ -852,13 +846,12 @@ _register(
             _Key("expect", _choice("finite", "diverged"), None, "finite"),
             _Key("stability_rtol", _float, _positive, 0.01),
         ),
-        columns=("x", "mc_variance", "expected_variance", "z", "pass"),
-        column_doc=(
-            "x                  spatial node of the wall-variance check\n"
-            "mc_variance        Monte Carlo variance of the boundary-driven solution\n"
-            "expected_variance  exact variance via the integrand norm of the kernel\n"
-            "z                  (mc - expected) / (expected * sqrt(2/n_paths))\n"
-            "pass               true when |z| <= z_max"
+        columns=(
+            ("x", "spatial node of the wall-variance check"),
+            ("mc_variance", "Monte Carlo variance of the boundary-driven solution"),
+            ("expected_variance", "exact variance via the integrand norm of the kernel"),
+            ("z", "(mc - expected) / (expected * sqrt(2/n_paths))"),
+            ("pass", "true when |z| <= z_max"),
         ),
         runner=_run_spde_boundary,
     )
@@ -883,16 +876,16 @@ _register(
             _Key("margin", _float, _ge(0.0), 0.005),
             _Key("n_x", _int, _ge(4), 64),
         ),
-        columns=("H", "alpha", "threshold", "gamma_norm", "diverged", "pass"),
-        column_doc=(
-            "H           Hurst parameter of the driving noise\n"
-            "alpha       fractional power applied to the operator weights\n"
-            "threshold   H - 1/(4m), where the mode series stops converging\n"
-            "gamma_norm  truncated value of the solution-norm series\n"
-            "diverged    detector verdict for the series\n"
-            "pass        true when the verdict matches the side of the threshold\n"
-            "            (rows within margin of the threshold pass unconditionally)"
+        columns=(
+            ("H", "Hurst parameter of the driving noise"),
+            ("alpha", "fractional power applied to the operator weights"),
+            ("threshold", "H - 1/(4m), where the mode series stops converging"),
+            ("gamma_norm", "truncated value of the solution-norm series"),
+            ("diverged", "detector verdict for the series"),
+            ("pass", "true when the verdict matches the side of the threshold\n"
+                     "(rows within margin of the threshold pass unconditionally)"),
         ),
+        doc_width=12,
         runner=_run_threshold_sweep,
     )
 )
@@ -915,9 +908,15 @@ def list_experiments_text() -> str:
 
 
 def column_docs_text() -> str:
-    """Per-kind documentation of every results.csv column."""
+    """Per-kind documentation of every results.csv column, names padded to
+    max(doc_width, longest name + 2) and further doc lines aligned under the first."""
     blocks = []
     for exp in EXPERIMENTS.values():
-        body = "\n".join("  " + line for line in exp.column_doc.splitlines())
-        blocks.append(f"{exp.name} results.csv:\n{body}")
+        width = max(exp.doc_width, 2 + max(len(name) for name, _ in exp.columns))
+        lines = [f"{exp.name} results.csv:"]
+        for name, doc in exp.columns:
+            first, *more = doc.splitlines()
+            lines.append(f"  {name:<{width}}{first}")
+            lines += [f"  {'':<{width}}{line}" for line in more]
+        blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

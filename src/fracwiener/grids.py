@@ -226,18 +226,15 @@ class GridFunction:
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
+        if np.iscomplexobj(arr):
+            raise ValueError("samples must be real")
         if arr.ndim != 1:
             raise ValueError("samples must be one dimensional")
         if arr.size != self.grid.n_steps:
             raise ValueError("need one sample per grid cell")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", arr.astype(complex if np.iscomplexobj(arr) else float))
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return GridFunction(self.grid, self.samples - other.samples)
+        object.__setattr__(self, "samples", arr.astype(float))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.samples) ** 2)))
+        return float(np.sqrt(self.grid.dt * np.sum(self.samples**2)))

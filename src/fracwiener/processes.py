@@ -35,6 +35,10 @@ checks at Monte Carlo precision:
 Its covariance 2 C^2 tr(Q_s Q_t) is available in closed form
 (hermite_covariance), which is also how the calibration constant C is
 fixed; no pilot Monte Carlo run is involved.
+
+Both simulators draw their paths block by block through
+``rng.map_path_blocks``, so they run on the pool of ``rng.worker_threads``
+when one is in effect and give the same paths at any worker count.
 """
 from __future__ import annotations
 
@@ -187,7 +191,7 @@ def _require_zero_start(grid: TimeGrid):
 
 # Cholesky draws n normals per path, circulant 2n, but its O(n^2) product per
 # path catches up with the O(n log n) transform near here (2 cores, BLAS on 1
-# thread, threads=2: 1.6x faster at 256 steps, 1.1-1.3x slower at 1024, 1.75x at 2048)
+# thread, 2 workers: 1.6x faster at 256 steps, 1.1-1.3x slower at 1024, 1.75x at 2048)
 _CHOLESKY_MAX_STEPS = 1024
 
 
@@ -197,7 +201,6 @@ def simulate_fbm(
     n_paths: int,
     seed: int,
     stream: int = 0,
-    threads: int = 1,
 ) -> PathEnsemble:
     """Exact Gaussian sampling of fBm at the grid nodes; the grid size picks
     Cholesky (up to _CHOLESKY_MAX_STEPS steps) or circulant embedding."""
@@ -211,7 +214,7 @@ def simulate_fbm(
         gen = block_generator(seed, stream, block)
         return draw(gen, sl.stop - sl.start)
 
-    paths = map_path_blocks(run, n_paths, threads)
+    paths = map_path_blocks(run, n_paths)
     return PathEnsemble(grid, paths, params, seed)
 
 
@@ -437,14 +440,12 @@ def simulate_hermite_k2(
     grid: TimeGrid,
     iso: DiscreteIsonormal,
     n_paths: int,
-    threads: int = 1,
     scheme: HermiteScheme = HermiteScheme(),
 ) -> PathEnsemble:
     """Second-chaos simulation at the grid nodes, calibrated to sigma^2 t^2H."""
     _require_zero_start(grid)
     op = _HermiteOperator(params, grid.nodes, iso, scheme)
-    paths = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start),
-                            n_paths, threads)
+    paths = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start), n_paths)
     paths[:, 0] = 0.0  # omega vanishes at t = 0; pin the exact zero
     return PathEnsemble(grid, paths, params, iso.seed)
 
@@ -468,13 +469,13 @@ def hermite_covariance(
 
 
 def simulate_driver(params: FracParams, grid: TimeGrid, n_paths: int, seed: int, stream: int,
-                    threads: int, n_noise_cells: int) -> PathEnsemble:
+                    n_noise_cells: int) -> PathEnsemble:
     """Driver paths on noise stream ``stream``: fBm, or second chaos on the
     stream's noise window ending at ``grid.t_end``."""
     if params.family is Family.FBM:
-        return simulate_fbm(params, grid, n_paths, seed, stream, threads)
+        return simulate_fbm(params, grid, n_paths, seed, stream)
     iso = default_isonormal(grid.t_end, seed, n_noise_cells, stream=stream)
-    return simulate_hermite_k2(params, grid, iso, n_paths, threads)
+    return simulate_hermite_k2(params, grid, iso, n_paths)
 
 
 def simulate_cylindrical(
@@ -483,11 +484,10 @@ def simulate_cylindrical(
     dim_u: int,
     n_paths: int,
     seed: int,
-    threads: int = 1,
     n_noise_cells: int = 512,
 ) -> CylindricalEnsemble:
     """dim_u independent scalar copies; component j uses noise stream j."""
     if dim_u < 1:
         raise ValueError("dim_u must be at least 1")
-    return CylindricalEnsemble(tuple(simulate_driver(params, grid, n_paths, seed, j, threads,
-                                                     n_noise_cells) for j in range(dim_u)))
+    return CylindricalEnsemble(tuple(simulate_driver(params, grid, n_paths, seed, j, n_noise_cells)
+                                     for j in range(dim_u)))

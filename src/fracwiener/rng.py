@@ -5,17 +5,36 @@ owns a counter-based Philox generator keyed by ``(seed, stream, block)``,
 so the sampled numbers depend only on those integers and never on how the
 blocks are scheduled across worker threads.  Results are therefore
 bit-identical for any parallelism degree.
+
+The worker count is a run-level setting, not a parameter of the numerical
+functions: ``with worker_threads(n):`` runs every ``map_path_blocks`` call
+inside the block on a pool of ``n`` threads; outside any such block, or
+for ``n <= 1``, blocks run serially on the calling thread.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_PATHS", "block_generator", "path_blocks", "map_path_blocks"]
+__all__ = ["BLOCK_PATHS", "block_generator", "path_blocks", "map_path_blocks", "worker_threads"]
 
 BLOCK_PATHS = 4096
+
+_WORKERS: ContextVar[int] = ContextVar("worker_threads", default=1)
+
+
+@contextmanager
+def worker_threads(n: int):
+    """Run path blocks on ``n`` worker threads until the ``with`` block exits."""
+    token = _WORKERS.set(int(n))
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
 
 
 def block_generator(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -32,18 +51,16 @@ def path_blocks(n_paths: int) -> Iterator[tuple[int, slice]]:
         yield b, slice(start, min(start + BLOCK_PATHS, n_paths))
 
 
-def map_path_blocks(
-    fn: Callable[[int, slice], np.ndarray],
-    n_paths: int,
-    threads: int = 1,
-) -> np.ndarray:
+def map_path_blocks(fn: Callable[[int, slice], np.ndarray], n_paths: int) -> np.ndarray:
     """Run ``fn`` over all path blocks and concatenate results in block order.
 
     ``fn`` gets ``(block_index, path_slice)`` and must return an array whose
-    leading dimension equals the slice length.  Assembly order is fixed by
-    the block index, so thread count does not affect the output.
+    leading dimension equals the slice length.  The blocks run on the
+    ``worker_threads`` pool in effect; assembly order is fixed by the block
+    index, so the thread count does not affect the output.
     """
     blocks: Sequence[tuple[int, slice]] = list(path_blocks(n_paths))
+    threads = _WORKERS.get()
     if threads <= 1 or len(blocks) == 1:
         parts = [fn(b, sl) for b, sl in blocks]
     else:

@@ -351,9 +351,6 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
     spec = np.fft.fft(v, n_pad)
     half = n_pad // 2
     p_plus = np.abs(spec[: half + 1]) ** 2
-    p_minus = np.empty_like(p_plus)
-    p_minus[0] = p_plus[0]
-    p_minus[1:] = np.abs(spec[-1 : -half - 1 : -1]) ** 2
 
     dx = 2.0 * np.pi / (n_pad * h)
     lam = np.pi / h
@@ -389,19 +386,16 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
                     total += _simpson(g, dx)
         return total / (2.0 * np.pi)
 
-    total = band_integral(p_plus)
-    if np.isrealobj(v):
-        total *= 2.0
-    else:
-        total += band_integral(p_minus)
+    # real data: the negative frequencies mirror the positive ones
+    total = 2.0 * band_integral(p_plus)
 
     # analytic tail beyond the last band; self term plus first-order
     # oscillatory correction from the jump pairs
     x_max = 2.0 * _FOURIER_BANDS * lam
-    sum_sq = float(np.sum(np.abs(jumps) ** 2))
+    sum_sq = float(np.sum(jumps**2))
     tail = sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
-    nz = np.flatnonzero(np.abs(jumps) > 0)
-    if np.isrealobj(v) and 0 < nz.size <= 512:
+    nz = np.flatnonzero(jumps)
+    if 0 < nz.size <= 512:
         tau = f.grid.nodes[nz]
         d = jumps[nz]
         delta = tau[:, None] - tau[None, :]
@@ -462,11 +456,11 @@ def sobolev_norm_gagliardo(f: GridFunction, s, domain: str = "window") -> float:
     if lags.size:
         g = lags * h
         w_lag = (2.0 * phi(g) - phi(g - h) - phi(g + h)) / denom
-        diff_sq = np.array([np.sum(np.abs(v[:-k] - v[k:]) ** 2) for k in lags])
+        diff_sq = np.array([np.sum((v[:-k] - v[k:]) ** 2) for k in lags])
         total += 2.0 * float(w_lag @ diff_sq)
 
     if domain == "window":
-        total += h * float(np.sum(np.abs(v) ** 2))
+        total += h * float(np.sum(v**2))
     elif domain == "line":
         cells_a = f.grid.nodes[:-1]
         cells_b = f.grid.nodes[1:]
@@ -474,7 +468,7 @@ def sobolev_norm_gagliardo(f: GridFunction, s, domain: str = "window") -> float:
         left_edge = f.grid.t0
         e_right = (phi(right_edge - cells_a) - phi(right_edge - cells_b)) / denom
         e_left = (phi(cells_b - left_edge) - phi(cells_a - left_edge)) / denom
-        total += 2.0 * float(np.sum(np.abs(v) ** 2 * (e_right + e_left)))
+        total += 2.0 * float(np.sum(v**2 * (e_right + e_left)))
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return float(np.sqrt(total))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .grids import StepFunction, TimeGrid
-from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, gamma_norm_lp
+from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum
 from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .sobolev import dh_norm_exponential, integrand_norm
 
@@ -315,7 +315,9 @@ def semigroup_smoothing_exponent(model: SpectralModel, alpha: float) -> float:
     Log-log regression over two decades of ``u`` (17 points), anchored at
     ``2 / lam_K``, just above the truncation floor, so the spectral sum
     still behaves like its integral limit; the expected slope is
-    ``-d/4m - alpha`` in this 1-D setup.
+    ``-d/4m - alpha`` in this 1-D setup.  The spatial L^p norm takes the
+    squared node values from the cosine sums of ``_midpoint_sq_sums`` on
+    ``max(256, 4 K)`` cells, for every p.
     """
     if alpha < 0:
         raise ValueError("fractional order alpha must be nonnegative")
@@ -323,19 +325,11 @@ def semigroup_smoothing_exponent(model: SpectralModel, alpha: float) -> float:
     weights = model.fractional_weights(alpha)
     u0 = 2.0 / lams[-1]
     us = np.geomspace(u0, 100.0 * u0, 17)
-    vals = np.empty(us.size)
-    if model.p == 2.0:
-        # Parseval collapses the spatial integral
-        for i, u in enumerate(us):
-            g = weights * np.exp(-lams * u)
-            vals[i] = math.sqrt(float(np.sum(g**2)))
-    else:
-        n_cells = max(256, 4 * model.truncation)
-        _, ws = model.spatial_quadrature(n_cells)
-        g_sq = (weights * np.exp(-np.outer(us, lams))) ** 2
-        node_sq = _midpoint_sq_sums(g_sq, model.length, n_cells)
-        for i, row in enumerate(node_sq):
-            vals[i] = float(np.sum(ws * row ** (model.p / 2.0))) ** (1.0 / model.p)
+    n_cells = max(256, 4 * model.truncation)
+    _, ws = model.spatial_quadrature(n_cells)
+    g_sq = (weights * np.exp(-np.outer(us, lams))) ** 2
+    node_sq = _midpoint_sq_sums(g_sq, model.length, n_cells)
+    vals = [float(np.sum(ws * row ** (model.p / 2.0))) ** (1.0 / model.p) for row in node_sq]
     slope = np.polyfit(np.log(us), np.log(vals), 1)[0]
     return float(slope)
 
@@ -371,7 +365,6 @@ def solve_mild(
     alpha: float = 0.0,
     *,
     seed: int = 0,
-    threads: int = 1,
     noise_decay=None,
     dtype=np.float64,
     n_noise_cells: int = 512,
@@ -403,7 +396,7 @@ def solve_mild(
     for k in range(model.truncation):
         if decay[k] == 0.0:
             continue
-        drv = simulate_driver(params, grid, n_paths, seed, k, threads, n_noise_cells)
+        drv = simulate_driver(params, grid, n_paths, seed, k, n_noise_cells)
         fade = math.exp(-lams[k] * grid.dt)
         # exact one-step form of the left-point convolution, time-major
         y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
@@ -414,10 +407,11 @@ def solve_mild(
     return MildSolutionEnsemble(model, grid, coeffs, alpha, params)
 
 
-def holder_exponent_estimate(ens: MildSolutionEnsemble, p: float | None = None) -> float:
+def holder_exponent_estimate(ens: MildSolutionEnsemble) -> float:
     """Slope of log E||Y_{t+h} - Y_t||_{L^p} against log h over dyadic lags.
 
-    The lags are 1, 2, .., 32 steps, up to a quarter of the grid.
+    ``p`` is the ensemble model's.  The lags are 1, 2, .., 32 steps, up to
+    a quarter of the grid.
     Increment statistics are averaged over the start points in the second
     half of the window, where the solution has forgotten its zero start;
     for p != 2 the spatial norm uses a midpoint rule of max(64, 4 K) cells
@@ -425,7 +419,7 @@ def holder_exponent_estimate(ens: MildSolutionEnsemble, p: float | None = None) 
     """
     if ens.n_paths == 0 or ens.coeffs.size == 0:
         raise ValueError("ensemble is empty")
-    p = ens.model.p if p is None else p
+    p = ens.model.p
     n = ens.grid.n_steps
     lags = [2**j for j in range(6) if 2**j <= n // 4]
     if len(lags) < 2:
@@ -602,16 +596,16 @@ def boundary_solution_check(
     n_x: int = 15,
     x_nodes=None,
     seed: int = 0,
-    threads: int = 1,
     kernel_pieces: int = 96,
 ) -> BoundaryCheckRecord:
     """Simulate the boundary-driven solution and report its second moments.
 
     One independent fractional component per boundary atom; the expected
     profile is the per-point isometry target (sum over atoms of squared
-    kernel norms), and the gamma norm is evaluated through the composed
-    kernel field.  ``x_nodes`` overrides the default uniform interior
-    nodes, e.g. to cluster points toward a boundary.
+    kernel norms), and the gamma norm is the spatial L^p norm of its square
+    root: ``gamma_norm_lp`` of the two atoms' kernel field, without
+    computing the kernel norms again.  ``x_nodes`` overrides the default
+    uniform interior nodes, e.g. to cluster points toward a boundary.
     """
     if abs(params.h - cfg.hurst) > 1e-12:
         raise ValueError("driver roughness must match the kernel configuration")
@@ -627,7 +621,7 @@ def boundary_solution_check(
             or np.any(np.diff(xs) <= 0)
         ):
             raise ValueError("x_nodes must increase strictly inside the domain")
-    cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed, threads=threads)
+    cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed)
     lags = (grid.n_steps - np.arange(grid.n_steps)) * grid.dt
     total = np.zeros((n_paths, xs.size))
     for atom, comp in zip((0.0, cfg.length), cyl.components):
@@ -650,18 +644,11 @@ def boundary_solution_check(
         ]
     )
     # cell weights from the midpoints between nodes, extended to the walls
-    edges = np.concatenate(([0.0], 0.5 * (xs[1:] + xs[:-1]), [cfg.length]))
-    field = LpKernelField(
-        nodes=xs,
-        weights=np.diff(edges),
-        kernels=tuple(steps),
-        p=cfg.p,
-        params=params,
-    )
+    w = np.diff(np.concatenate(([0.0], 0.5 * (xs[1:] + xs[:-1]), [cfg.length])))
     return BoundaryCheckRecord(
         x_nodes=xs,
         variance_profile=variance,
         expected_profile=expected,
-        gamma_norm=gamma_norm_lp(field),
+        gamma_norm=float(np.sum(w * np.sqrt(expected) ** cfg.p) ** (1.0 / cfg.p)),
         n_paths=n_paths,
     )

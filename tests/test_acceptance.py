@@ -27,6 +27,7 @@ from fracwiener.processes import (
     simulate_fbm,
     simulate_hermite_k2,
 )
+from fracwiener.rng import worker_threads
 from fracwiener.sobolev import (
     affine_norm_pair,
     integrand_norm,
@@ -104,8 +105,8 @@ def test_c03_isometry_across_drivers():
     zs = []
     fbm_grid = TimeGrid(0.0, 1.0 / 256, 256)
     for i, h in enumerate(HURSTS):
-        ens = simulate_fbm(FracParams.fbm(h), fbm_grid, n_paths, ACC_SEED, stream=i,
-                           threads=THREADS)
+        with worker_threads(THREADS):
+            ens = simulate_fbm(FracParams.fbm(h), fbm_grid, n_paths, ACC_SEED, stream=i)
         for _ in range(8):
             zs.append(isometry_report(_aligned_step(rng, fbm_grid, 5), ens).z_score)
         del ens
@@ -118,8 +119,9 @@ def test_c03_isometry_across_drivers():
     ]
     for j, (h, n_cells, lead, scheme) in enumerate(ros_setups):
         iso = default_isonormal(1.0, ACC_SEED, n_cells, lead_factor=lead, stream=10 + j)
-        ens = simulate_hermite_k2(FracParams.rosenblatt(h), ros_grid, iso, n_paths,
-                                  THREADS, scheme=scheme)
+        with worker_threads(THREADS):
+            ens = simulate_hermite_k2(FracParams.rosenblatt(h), ros_grid, iso, n_paths,
+                                      scheme=scheme)
         for _ in range(6):
             zs.append(isometry_report(_aligned_step(rng, ros_grid, 3), ens).z_score)
         del ens
@@ -143,7 +145,8 @@ def test_c04_moment_ratios():
         "n_cells = 256\n"
         "n_draws = 100\n"
     ))
-    res = run_experiment(cfg, THREADS)
+    with worker_threads(THREADS):
+        res = run_experiment(cfg)
     g_rel = abs(res.summary["gaussian_ratio"] - 3**0.25) / 3**0.25
     c_ref = 60**0.25 / 2**0.5
     c_rel = abs(res.summary["chaos2_ratio"] - c_ref) / c_ref
@@ -163,7 +166,8 @@ def test_c05_second_chaos_covariance():
     n_paths = 100_000
     grid = TimeGrid(0.0, 0.25, 4)
     iso = default_isonormal(1.0, ACC_SEED, 1024, stream=20)
-    ens = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma), grid, iso, n_paths, THREADS)
+    with worker_threads(THREADS):
+        ens = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma), grid, iso, n_paths)
     worst = 0.0
     for i, s in zip([1, 2, 4], [0.25, 0.5, 1.0]):
         for j, t in zip([1, 2, 4], [0.25, 0.5, 1.0]):
@@ -212,9 +216,10 @@ def test_c08_holder_exponent_floors():
     for m, h, floor in ((1, 0.4, 0.10), (2, 0.45, 0.275)):
         model = build_spectral_model(math.pi, m, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
-        ens = solve_mild(model, FracParams.fbm(h), grid, 10_000, seed=ACC_SEED,
-                         threads=THREADS, dtype=np.float32)
-        slope = holder_exponent_estimate(ens, 2.0)
+        with worker_threads(THREADS):
+            ens = solve_mild(model, FracParams.fbm(h), grid, 10_000, seed=ACC_SEED,
+                             dtype=np.float32)
+        slope = holder_exponent_estimate(ens)
         results.append((m, h, floor, slope))
     elapsed = time.perf_counter() - t0
     ok = all(slope > floor for _, _, floor, slope in results) and elapsed < 900.0
@@ -229,7 +234,8 @@ def test_c08_holder_exponent_floors():
 def test_c09_mild_mode_variance_brownian_case():
     model = build_spectral_model(math.pi, 1, 1)
     grid = TimeGrid(0.0, 1.0 / 512, 512)
-    ens = solve_mild(model, FracParams.fbm(0.5), grid, 20_000, seed=ACC_SEED, threads=THREADS)
+    with worker_threads(THREADS):
+        ens = solve_mild(model, FracParams.fbm(0.5), grid, 20_000, seed=ACC_SEED)
     lam = model.eigenvalues[0]
     worst = 0.0
     for t in (0.25, 0.5, 0.75, 1.0):

@@ -27,6 +27,10 @@ KEPT = {
     "condition_regular": "finiteness condition of the domain, smooth drivers (test_integrals)",
     "HSOperator": "Hilbert-Schmidt integrand of the cylindrical integral (test_integrals)",
     "cylindrical_integral": "cylindrical Wiener integral (test_integrals)",
+    "LpKernelField": "the paper's pointwise-kernel gamma-norm, and the composed oracle of "
+                     "existence_report through assemble_kernel_field",
+    "gamma_norm_lp": "the paper's pointwise-kernel gamma-norm, and the composed oracle of "
+                     "existence_report through assemble_kernel_field",
 }
 
 
@@ -87,3 +91,15 @@ def test_public_names_are_reached_or_kept():
     assert unreached == [], "public but reached only by tests: delete, or add to KEPT with a reason"
     stale = sorted(name for name in KEPT if name in reached or name not in public)
     assert stale == [], "KEPT entries that the CLI reaches or that are not public"
+
+
+def test_no_function_takes_a_thread_count():
+    # the worker count is the run-level rng.worker_threads setting, never an argument
+    found = sorted(
+        f"{mod}.{getattr(node, 'name', '<lambda>')}"
+        for mod, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "threads" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    )
+    assert found == []

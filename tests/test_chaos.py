@@ -7,6 +7,7 @@ import pytest
 
 from fracwiener import TimeGrid
 from fracwiener.chaos import DiscreteIsonormal, double_wiener_integral, moment_ratio
+from fracwiener.rng import worker_threads
 
 CHAOS2_RATIO = 60.0**0.25 / 2.0**0.5  # (E(xi^2-1)^4)^(1/4) / (E(xi^2-1)^2)^(1/2)
 GAUSS_RATIO = 3.0**0.25
@@ -30,8 +31,9 @@ class TestDiscreteIsonormal:
 
     def test_thread_count_does_not_change_draws(self):
         iso = DiscreteIsonormal.for_window(1.0, 16, seed=2)
-        a = iso.increments(10_000, threads=1)
-        b = iso.increments(10_000, threads=7)
+        a = iso.increments(10_000)
+        with worker_threads(7):
+            b = iso.increments(10_000)
         assert np.array_equal(a, b)
 
     def test_inner_product_covariance(self):
@@ -41,7 +43,8 @@ class TestDiscreteIsonormal:
         v2 = np.exp(-np.abs(y))
         n = 150_000
         s1 = iso.first_order(v1, n)
-        s2 = iso.first_order(v2, n, threads=4)
+        with worker_threads(4):
+            s2 = iso.first_order(v2, n)
         target = float(v1 @ v2) * iso.grid.dt
         prod = s1 * s2
         se = np.std(prod, ddof=1) / np.sqrt(n)
@@ -80,7 +83,8 @@ class TestDoubleWienerIntegral:
 
     def test_rank_one_variance(self):
         iso, e = _unit_indicator_iso()
-        sample = double_wiener_integral(np.outer(e, e), iso, 120_000, threads=4)
+        with worker_threads(4):
+            sample = double_wiener_integral(np.outer(e, e), iso, 120_000)
         var = np.var(sample, ddof=1)
         se = np.sqrt(np.var(sample**2, ddof=1) / sample.size)
         assert abs(var - 2.0) < 3 * se + 2.0 / iso.n_cells
@@ -88,7 +92,8 @@ class TestDoubleWienerIntegral:
 
     def test_rank_one_distribution_ratio(self):
         iso, e = _unit_indicator_iso(seed=101)
-        sample = double_wiener_integral(np.outer(e, e), iso, 120_000, threads=4)
+        with worker_threads(4):
+            sample = double_wiener_integral(np.outer(e, e), iso, 120_000)
         assert moment_ratio(sample, 4, 2) == pytest.approx(CHAOS2_RATIO, rel=0.02)
 
     def test_brute_force_variance_oracle(self):
@@ -100,15 +105,17 @@ class TestDoubleWienerIntegral:
         brute = 2.0 * sum(
             mat[i, j] ** 2 * dy * dy for i in range(16) for j in range(16) if i != j
         )
-        sample = double_wiener_integral(mat, iso, 400_000, threads=4)
+        with worker_threads(4):
+            sample = double_wiener_integral(mat, iso, 400_000)
         se = np.sqrt(np.var(sample**2, ddof=1) / sample.size)
         assert abs(np.var(sample, ddof=1) - brute) < 3 * se
 
     def test_uncorrelated_with_first_order(self):
         iso, e = _unit_indicator_iso(seed=7)
         n = 100_000
-        second = double_wiener_integral(np.outer(e, e), iso, n, threads=4)
-        first = iso.first_order(np.cos(iso.sample_points), n, threads=4)
+        with worker_threads(4):
+            second = double_wiener_integral(np.outer(e, e), iso, n)
+            first = iso.first_order(np.cos(iso.sample_points), n)
         corr = np.corrcoef(first, second)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
 
@@ -135,8 +142,9 @@ class TestDoubleWienerIntegral:
 
     def test_thread_invariance(self):
         iso, e = _unit_indicator_iso(n_cells=64, seed=8)
-        a = double_wiener_integral(np.outer(e, e), iso, 9000, threads=1)
-        b = double_wiener_integral(np.outer(e, e), iso, 9000, threads=8)
+        a = double_wiener_integral(np.outer(e, e), iso, 9000)
+        with worker_threads(8):
+            b = double_wiener_integral(np.outer(e, e), iso, 9000)
         assert np.array_equal(a, b)
 
 
@@ -176,8 +184,9 @@ class TestMomentRatio:
         # mixed chaos <= 2 combinations stay below the order-2 constant 3
         iso, e = _unit_indicator_iso(n_cells=128, seed=22)
         n = 100_000
-        first = iso.first_order(e, n, threads=4)
-        second = double_wiener_integral(np.outer(e, e), iso, n, threads=4)
+        with worker_threads(4):
+            first = iso.first_order(e, n)
+            second = double_wiener_integral(np.outer(e, e), iso, n)
         rng = np.random.default_rng(3)
         for _ in range(100):
             a = rng.normal(size=3)

@@ -293,8 +293,9 @@ class TestListExperiments:
         assert docs in build_parser().format_help()
         assert docs in README.read_text(encoding="utf-8")
         for exp in EXPERIMENTS.values():
-            for col in exp.columns:
-                assert col in exp.column_doc
+            names = [name for name, _ in exp.columns]
+            assert len(set(names)) == len(names)
+            assert all(doc for _, doc in exp.columns)
 
 
 def test_import_skips_scipy_signal():
@@ -399,7 +400,7 @@ class TestInvalidConfigExit2:
     def test_zero_division_stays_loud(self, monkeypatch):
         # only ValueError and OverflowError are config faults; any other
         # arithmetic error is a bug and must raise
-        def boom(cfg, threads):
+        def boom(cfg):
             raise ZeroDivisionError("division by zero")
 
         exp = EXPERIMENTS["norm-identity"]

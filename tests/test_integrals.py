@@ -35,6 +35,7 @@ from fracwiener.processes import (
     simulate_fbm,
     simulate_hermite_k2,
 )
+from fracwiener.rng import worker_threads
 from fracwiener.sobolev import integrand_norm
 
 GRID_F = TimeGrid.from_window(0.0, 1.0, 64)
@@ -64,10 +65,11 @@ def random_grid_step(rng, grid, n_max=5):
 
 @pytest.fixture(scope="module")
 def fbm_ensembles():
-    return {
-        h: simulate_fbm(FracParams.fbm(h), GRID_F, 30_000, seed=seed, threads=4)
-        for h, seed in [(0.3, 201), (0.5, 202), (0.7, 203)]
-    }
+    with worker_threads(4):
+        return {
+            h: simulate_fbm(FracParams.fbm(h), GRID_F, 30_000, seed=seed)
+            for h, seed in [(0.3, 201), (0.5, 202), (0.7, 203)]
+        }
 
 
 ROSENBLATT_ISO = default_isonormal(1.0, seed=204, n_cells=1024)
@@ -75,9 +77,8 @@ ROSENBLATT_ISO = default_isonormal(1.0, seed=204, n_cells=1024)
 
 @pytest.fixture(scope="module")
 def rosenblatt_ensemble():
-    return simulate_hermite_k2(
-        FracParams.rosenblatt(0.7), GRID_R, ROSENBLATT_ISO, 12_000, threads=4
-    )
+    with worker_threads(4):
+        return simulate_hermite_k2(FracParams.rosenblatt(0.7), GRID_R, ROSENBLATT_ISO, 12_000)
 
 
 class TestElementaryIntegral:
@@ -124,7 +125,8 @@ class TestElementaryIntegral:
 
     def test_rough_driver_variance_matches_norm(self):
         # 1e5 paths; both mean and variance land inside their bands
-        ens = simulate_fbm(FracParams.fbm(0.3), GRID_F, 100_000, seed=207, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.3), GRID_F, 100_000, seed=207)
         f = random_grid_step(np.random.default_rng(88), GRID_F)
         res = elementary_integral(f, ens)
         dh_sq = integrand_norm(res.f, 0.3) ** 2
@@ -144,7 +146,8 @@ class TestElementaryIntegral:
 
 class TestIsometryReport:
     def test_unit_indicator_anchor_gaussian(self):
-        ens = simulate_fbm(FracParams.fbm(0.75), GRID_F, 30_000, seed=205, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.75), GRID_F, 30_000, seed=205)
         rep = isometry_report(StepFunction.indicator(0.0, 1.0), ens)
         assert rep.dh_norm_sq == pytest.approx(1.0, rel=1e-6)
         assert abs(rep.z_score) <= 3.0
@@ -208,7 +211,8 @@ class TestCylindricalIntegral:
         assert np.array_equal(res.samples, direct.samples)
 
     def test_orthogonal_unit_columns_add_variances(self):
-        cyl = simulate_cylindrical(FracParams.fbm(0.6), GRID_F, 3, 20_000, seed=206, threads=4)
+        with worker_threads(4):
+            cyl = simulate_cylindrical(FracParams.fbm(0.6), GRID_F, 3, 20_000, seed=206)
         op = HSOperator(tuple(StepFunction.indicator(0.0, 1.0) for _ in range(3)))
         res = cylindrical_integral(op, cyl)
         assert op.hs_norm_sq(cyl.components[0].params) == pytest.approx(3.0, rel=1e-6)

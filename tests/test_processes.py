@@ -4,6 +4,8 @@ Monte Carlo assertions use standard-error bands computed from the sample
 itself; deterministic kernel-discretization error is tested separately
 against frozen thresholds measured at the pinned resolutions.
 """
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,18 +24,41 @@ from fracwiener.processes import (
     simulate_fbm,
     simulate_hermite_k2,
 )
-from fracwiener.rng import block_generator, map_path_blocks
+from fracwiener.rng import block_generator, map_path_blocks, worker_threads
 
 NINE_POINT = [0.25, 0.5, 1.0]
 
 
-def _drawer_paths(drawer, params, grid, n_paths, seed, stream=0, threads=1):
+def _drawer_paths(drawer, params, grid, n_paths, seed, stream=0):
     # one fBm drawer on simulate_fbm's block keys, whatever the grid size
     draw = drawer(params, grid)
     return map_path_blocks(
         lambda blk, sl: draw(block_generator(seed, stream, blk), sl.stop - sl.start),
-        n_paths, threads,
+        n_paths,
     )
+
+
+class TestWorkerThreads:
+    def test_blocks_leave_the_main_thread_only_inside_the_setting(self, monkeypatch):
+        # 7-path blocks: 20 paths make three blocks
+        monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
+
+        def threads_used() -> set:
+            seen = []
+            map_path_blocks(lambda b, sl: seen.append(threading.get_ident()) or np.zeros(1), 20)
+            return set(seen)
+
+        main = {threading.get_ident()}
+        assert threads_used() == main
+        with worker_threads(2):
+            assert main.isdisjoint(threads_used())
+            with worker_threads(1):
+                assert threads_used() == main
+            assert main.isdisjoint(threads_used())
+        assert threads_used() == main
+        with pytest.raises(RuntimeError), worker_threads(2):
+            raise RuntimeError
+        assert threads_used() == main
 
 
 class TestCovarianceRh:
@@ -117,7 +142,8 @@ class TestSimulateFbm:
         p = FracParams.fbm(0.6)
         a = simulate_fbm(p, grid, 15, seed=5, stream=2).paths
         assert np.array_equal(a, _drawer_paths(getattr(processes, drawer), p, grid, 15, 5, 2))
-        assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2, threads=4).paths)
+        with worker_threads(4):
+            assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2).paths)
         assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).paths)
 
     def test_sigma_scales_paths_exactly(self):
@@ -128,7 +154,8 @@ class TestSimulateFbm:
 
     def test_wiener_increment_variance(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
-        ens = simulate_fbm(FracParams.fbm(0.5), grid, 30_000, seed=3, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.5), grid, 30_000, seed=3)
         inc = np.diff(ens.paths, axis=1)
         v = np.var(inc, ddof=1)
         se = v * np.sqrt(2.0 / inc.size)
@@ -136,7 +163,8 @@ class TestSimulateFbm:
 
     def test_terminal_variance(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
-        ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=1, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=1)
         v = np.var(ens.paths[:, -1], ddof=1)
         se = v * np.sqrt(2.0 / (ens.n_paths - 1))
         assert abs(v - 1.0) < 3 * se
@@ -144,7 +172,8 @@ class TestSimulateFbm:
     def test_increment_second_moment(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
         h = 0.3
-        ens = simulate_fbm(FracParams.fbm(h), grid, 40_000, seed=9, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(h), grid, 40_000, seed=9)
         for i, j in [(8, 24), (16, 64), (0, 40)]:
             d = ens.paths[:, j] - ens.paths[:, i]
             m = np.mean(d * d)
@@ -154,7 +183,8 @@ class TestSimulateFbm:
 
     def test_stationary_increments(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
-        ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41)
         lag = 8
         target = (lag * grid.dt) ** 1.5
         for start in (0, 8, 20, 32, 48):
@@ -167,7 +197,8 @@ class TestSimulateFbm:
     def test_holder_regression_recovers_h(self, h):
         # log-log slope of RMS increments against dyadic lags up to n/4
         grid = TimeGrid.from_window(0.0, 1.0, 128)
-        ens = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13)
         lags = [2**j for j in range(6)]
         rms = [np.sqrt(np.mean((ens.paths[:, lag:] - ens.paths[:, :-lag]) ** 2)) for lag in lags]
         slope = np.polyfit(np.log(np.array(lags) * grid.dt), np.log(rms), 1)[0]
@@ -177,20 +208,23 @@ class TestSimulateFbm:
         # the case the deleted jitter flag was for: H = 0.9 on a coarse
         # grid factors without any diagonal shift
         grid = TimeGrid.from_window(0.0, 1.0, 32)
-        a = simulate_fbm(FracParams.fbm(0.9), grid, 20_000, seed=2, threads=4)
+        with worker_threads(4):
+            a = simulate_fbm(FracParams.fbm(0.9), grid, 20_000, seed=2)
         v = np.var(a.paths[:, -1], ddof=1)
         assert v == pytest.approx(1.0, rel=0.05)
 
     def test_marginal_normality(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
-        ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41, threads=4)
+        with worker_threads(4):
+            ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41)
         assert stats.normaltest(ens.paths[:, -1]).pvalue > 0.01
 
     def test_circulant_agrees_in_law(self):
         grid = TimeGrid.from_window(0.0, 1.0, 64)
         p = FracParams.fbm(0.75)
-        chol = simulate_fbm(p, grid, 50_000, seed=1, threads=4)
-        circ = _drawer_paths(processes._fbm_circulant_drawer, p, grid, 50_000, 2, threads=4)
+        with worker_threads(4):
+            chol = simulate_fbm(p, grid, 50_000, seed=1)
+            circ = _drawer_paths(processes._fbm_circulant_drawer, p, grid, 50_000, 2)
         t = grid.nodes[1:]
         emp = np.var(circ[:, 1:], axis=0, ddof=1)
         rel = emp / t**1.5
@@ -250,15 +284,17 @@ class TestSimulateHermite:
         par = FracParams.rosenblatt(0.75)
         iso = default_isonormal(1.0, seed=4, n_cells=128)
         grid = TimeGrid(0.0, 0.25, 4)
-        a = simulate_hermite_k2(par, grid, iso, 6000, threads=1).paths
-        b = simulate_hermite_k2(par, grid, iso, 6000, threads=6).paths
+        a = simulate_hermite_k2(par, grid, iso, 6000).paths
+        with worker_threads(6):
+            b = simulate_hermite_k2(par, grid, iso, 6000).paths
         assert np.array_equal(a, b)
 
     def test_centred(self):
         # the subtracted trace is that of the truncated forms, so E z_t = 0
         par = FracParams.rosenblatt(0.75)
         iso = default_isonormal(1.0, seed=33, n_cells=256)
-        ens = simulate_hermite_k2(par, TimeGrid(0.0, 0.25, 4), iso, 30_000, threads=4)
+        with worker_threads(4):
+            ens = simulate_hermite_k2(par, TimeGrid(0.0, 0.25, 4), iso, 30_000)
         x = ens.paths[:, 1:]
         z = x.mean(axis=0) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
         assert np.abs(z).max() < 4.0
@@ -288,21 +324,24 @@ class TestSimulateHermite:
         par = FracParams.rosenblatt(0.75)
         iso = default_isonormal(1.0, seed=31, n_cells=256)
         grid = TimeGrid(0.0, 0.25, 4)
-        ens = simulate_hermite_k2(par, grid, iso, 30_000, threads=4)
+        with worker_threads(4):
+            ens = simulate_hermite_k2(par, grid, iso, 30_000)
         assert _nine_point_z(ens, 0.75) < 4.0
 
     def test_generalized_covariance_nine_point(self):
         par = FracParams.generalized(-1.1, -0.15, 2)
         iso = default_isonormal(1.0, seed=32, n_cells=256)
         grid = TimeGrid(0.0, 0.25, 4)
-        ens = simulate_hermite_k2(par, grid, iso, 20_000, threads=4)
+        with worker_threads(4):
+            ens = simulate_hermite_k2(par, grid, iso, 20_000)
         assert _nine_point_z(ens, par.h) < 4.0
 
     def test_self_similarity_ratio(self):
         par = FracParams.rosenblatt(0.75)
         iso = default_isonormal(1.0, seed=31, n_cells=256)
         grid = TimeGrid(0.0, 0.25, 4)
-        ens = simulate_hermite_k2(par, grid, iso, 30_000, threads=4)
+        with worker_threads(4):
+            ens = simulate_hermite_k2(par, grid, iso, 30_000)
         v_half = ens.paths[:, 2] ** 2
         v_one = ens.paths[:, 4] ** 2
         r = np.mean(v_one) / np.mean(v_half)
@@ -322,7 +361,8 @@ class TestSimulateHermite:
         par = FracParams.rosenblatt(0.75)
         iso = default_isonormal(1.0, seed=31, n_cells=256)
         grid = TimeGrid(0.0, 0.25, 4)
-        ens = simulate_hermite_k2(par, grid, iso, 30_000, threads=4)
+        with worker_threads(4):
+            ens = simulate_hermite_k2(par, grid, iso, 30_000)
         assert stats.skew(ens.paths[:, -1]) > 0.5
 
     def test_sigma_scaling(self):
@@ -433,7 +473,8 @@ class TestCylindrical:
 
     def test_cross_component_independence(self):
         grid = TimeGrid.from_window(0.0, 1.0, 16)
-        cyl = simulate_cylindrical(FracParams.fbm(0.6), grid, 3, 20_000, seed=8, threads=4)
+        with worker_threads(4):
+            cyl = simulate_cylindrical(FracParams.fbm(0.6), grid, 3, 20_000, seed=8)
         n = 20_000
         for a in range(3):
             for b in range(a + 1, 3):
@@ -445,7 +486,8 @@ class TestCylindrical:
 
     def test_wiener_components(self):
         grid = TimeGrid.from_window(0.0, 1.0, 32)
-        cyl = simulate_cylindrical(FracParams.fbm(0.5), grid, 2, 20_000, seed=9, threads=4)
+        with worker_threads(4):
+            cyl = simulate_cylindrical(FracParams.fbm(0.5), grid, 2, 20_000, seed=9)
         for comp in cyl.components:
             inc = np.diff(comp.paths, axis=1)
             v = np.var(inc, ddof=1)

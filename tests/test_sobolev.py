@@ -393,15 +393,13 @@ class TestFourierNorm:
             pred = np.sqrt(2.0 / np.pi * sb.cosine_tail_constant(1.0 - 2.0 * sv))
             assert sb.sobolev_norm_fourier(f, sv) == pytest.approx(pred, rel=1e-4)
 
-    def test_complex_scaling(self):
-        rng = np.random.default_rng(4)
-        grid = TimeGrid(0.0, 1.0 / 64, 64)
-        f = _aligned_step(rng, grid).to_grid(grid)
-        z = 1.0 + 2.0j
-        scaled = GridFunction(grid, z * f.samples)
-        assert sb.sobolev_norm_fourier(scaled, 0.25) == pytest.approx(
-            abs(z) * sb.sobolev_norm_fourier(f, 0.25), rel=1e-9
-        )
+    def test_complex_samples_rejected(self):
+        # grid data is real; a cast would silently drop the imaginary part
+        grid = TimeGrid(0.0, 0.25, 4)
+        with pytest.raises(ValueError, match="real"):
+            GridFunction(grid, np.ones(4) * (1.0 + 2.0j))
+        with pytest.raises(ValueError, match="real"):
+            GridFunction(grid, np.ones(4, dtype=complex))
 
     def test_order_domain(self):
         grid = TimeGrid(0.0, 0.25, 4)

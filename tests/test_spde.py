@@ -1,4 +1,5 @@
 """Tests for the spectral SPDE solver and the boundary-noise machinery."""
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
+from fracwiener.rng import worker_threads
 from fracwiener.sobolev import integrand_norm
 from fracwiener.spde import (
     MildSolutionEnsemble,
@@ -360,9 +362,10 @@ class TestSolveMild:
     def test_thread_invariance_and_determinism(self):
         mod = build_spectral_model(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        a = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3, threads=1)
-        b = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3, threads=4)
-        c = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=4, threads=1)
+        a = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3)
+        with worker_threads(4):
+            b = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3)
+        c = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=4)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
@@ -404,10 +407,10 @@ class TestSolveMild:
         assert ens.coeffs.shape == (400, 2, 5)
         assert not ens.coeffs[:, :, 0].any()
         assert np.isfinite(ens.coeffs).all()
-        again = solve_mild(
-            mod, FracParams.rosenblatt(0.7), grid, 400, seed=7, n_noise_cells=128,
-            threads=4,
-        )
+        with worker_threads(4):
+            again = solve_mild(
+                mod, FracParams.rosenblatt(0.7), grid, 400, seed=7, n_noise_cells=128
+            )
         assert np.array_equal(ens.coeffs, again.coeffs)
         c = ens.coeffs[:, :, -1]
         assert abs(np.corrcoef(c.T)[0, 1]) < 4.0 / math.sqrt(400)
@@ -439,7 +442,7 @@ class TestHolderEstimate:
         mod = build_spectral_model(L_PI, 1, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ens = solve_mild(mod, FracParams.fbm(0.4), grid, 2000, seed=21, dtype=np.float32)
-        slope = holder_exponent_estimate(ens, 2.0)
+        slope = holder_exponent_estimate(ens)
         # truncation can only steepen the small-lag decay, so the continuum
         # exponent H - 1/(4m) acts as a floor
         assert slope > 0.15 - 0.05
@@ -449,7 +452,7 @@ class TestHolderEstimate:
         mod = build_spectral_model(L_PI, 2, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ens = solve_mild(mod, FracParams.fbm(0.45), grid, 2000, seed=22, dtype=np.float32)
-        slope = holder_exponent_estimate(ens, 2.0)
+        slope = holder_exponent_estimate(ens)
         assert slope > 0.45 - 0.125 - 0.05
         assert slope < 0.5
 
@@ -460,8 +463,9 @@ class TestHolderEstimate:
         mod = build_spectral_model(L_PI, 1, k)
         grid = TimeGrid(0.0, 1.0 / 4096, 64)
         ens = solve_mild(mod, FracParams.fbm(0.4), grid, 200, seed=1)
-        slope = holder_exponent_estimate(ens, 2.0)
-        assert holder_exponent_estimate(ens, 2.0 + 1e-9) == pytest.approx(slope, abs=1e-8)
+        slope = holder_exponent_estimate(ens)
+        lp = dataclasses.replace(ens, model=dataclasses.replace(mod, p=2.0 + 1e-9))
+        assert holder_exponent_estimate(lp) == pytest.approx(slope, abs=1e-8)
 
     @pytest.mark.parametrize(
         "dtype,p,rtol",
@@ -475,7 +479,7 @@ class TestHolderEstimate:
         fits = []
         polyfit = np.polyfit
         monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append(y) or polyfit(x, y, deg))
-        slope = holder_exponent_estimate(ens, p)
+        slope = holder_exponent_estimate(dataclasses.replace(ens, model=dataclasses.replace(mod, p=p)))
         # the fit's definition with explicitly indexed increment copies
         n, i0 = grid.n_steps, grid.n_steps // 2
         xs, wq = mod.spatial_quadrature(64)
@@ -501,12 +505,12 @@ class TestHolderEstimate:
         ks = np.arange(1, 9)
         coeffs = np.exp(-ks[None, :, None]) * np.sin(grid.nodes[None, None, :] + ks[None, :, None])
         ens = MildSolutionEnsemble(build_spectral_model(L_PI, 1, 8), grid, coeffs, 0.0)
-        assert holder_exponent_estimate(ens, 2.0) == pytest.approx(1.0, abs=0.05)
+        assert holder_exponent_estimate(ens) == pytest.approx(1.0, abs=0.05)
 
     def test_short_grid_rejected(self, laplace8):
         ens = solve_mild(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.25, 4), 4, seed=5)
         with pytest.raises(ValueError, match="lag"):
-            holder_exponent_estimate(ens, 2.0)
+            holder_exponent_estimate(ens)
 
     def test_empty_rejected(self, laplace8):
         grid = TimeGrid(0.0, 1.0 / 64, 64)
