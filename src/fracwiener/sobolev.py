@@ -339,7 +339,9 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
     with an exact power-weighted rule, and the remaining high-frequency
     tail is added analytically from the jump content of the data.  For
     grid-aligned step data the only error left is the frequency-rule
-    resolution, controlled by ``_FOURIER_PAD``.
+    resolution, controlled by ``_FOURIER_PAD``.  A sum that is not finite,
+    as when a huge grid step overflows the frequency powers, raises a
+    ``ValueError`` that names the grid step.
     """
     sv = _order(s)
     h = f.grid.dt
@@ -372,8 +374,7 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
                     xs = 2.0 * (m + 1) * lam - x[::-1]
                     ps = p_arr[::-1]
                     os_ = osc[::-1]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    g = np.where(xs > 0, np.abs(xs) ** (2.0 * sv - 2.0), 0.0) * os_ * ps
+                g = np.where(xs > 0, np.abs(xs) ** (2.0 * sv - 2.0), 0.0) * os_ * ps
                 if m == 0 and forward:
                     # exact power-weighted rule on [0, 2 dx] with a quadratic
                     # interpolant of the smooth factor phi = osc * p / x^2 -> h^2 p
@@ -386,24 +387,35 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
                     total += _simpson(g, dx)
         return total / (2.0 * np.pi)
 
-    # real data: the negative frequencies mirror the positive ones
-    total = 2.0 * band_integral(p_plus)
+    # x^{2s-2} is infinite at x = 0 (masked out) and overflows for a huge
+    # grid step; the sum is checked once below instead of warning per step,
+    # and x_max is a numpy float so that its powers cannot raise OverflowError
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # real data: the negative frequencies mirror the positive ones
+        total = 2.0 * band_integral(p_plus)
 
-    # analytic tail beyond the last band; self term plus first-order
-    # oscillatory correction from the jump pairs
-    x_max = 2.0 * _FOURIER_BANDS * lam
-    sum_sq = float(np.sum(jumps**2))
-    tail = sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
-    nz = np.flatnonzero(jumps)
-    if 0 < nz.size <= 512:
-        tau = f.grid.nodes[nz]
-        d = jumps[nz]
-        delta = tau[:, None] - tau[None, :]
-        iu = np.triu_indices(nz.size, k=1)
-        dd = (d[:, None] * d[None, :])[iu]
-        dl = np.abs(delta[iu])
-        tail += (2.0 / np.pi) * np.sum(dd * (-(x_max ** (2.0 * sv - 2.0)) * np.sin(x_max * dl) / dl))
-    return float(np.sqrt(max(total + tail, 0.0)))
+        # analytic tail beyond the last band; self term plus first-order
+        # oscillatory correction from the jump pairs
+        x_max = np.float64(2.0 * _FOURIER_BANDS * lam)
+        sum_sq = float(np.sum(jumps**2))
+        tail = sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
+        nz = np.flatnonzero(jumps)
+        if 0 < nz.size <= 512:
+            tau = f.grid.nodes[nz]
+            d = jumps[nz]
+            delta = tau[:, None] - tau[None, :]
+            iu = np.triu_indices(nz.size, k=1)
+            dd = (d[:, None] * d[None, :])[iu]
+            dl = np.abs(delta[iu])
+            tail += (2.0 / np.pi) * np.sum(dd * (-(x_max ** (2.0 * sv - 2.0)) * np.sin(x_max * dl) / dl))
+        value = total + tail
+    if not np.isfinite(value):
+        raise ValueError(
+            f"the Fourier Sobolev norm is not finite at grid step {h:g}: its "
+            "frequency integral overflows the floating-point range; use a "
+            "time window of moderate length"
+        )
+    return float(np.sqrt(max(value, 0.0)))
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:

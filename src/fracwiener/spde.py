@@ -39,6 +39,7 @@ __all__ = [
     "assemble_kernel_field",
     "semigroup_smoothing_exponent",
     "solve_mild",
+    "mild_summary",
     "holder_exponent_estimate",
     "neumann_heat_kernel",
     "neumann_boundary_integral",
@@ -357,24 +358,15 @@ class MildSolutionEnsemble:
         return self.coeffs.shape[1]
 
 
-def solve_mild(
-    model: SpectralModel,
-    params: FracParams,
-    grid: TimeGrid,
-    n_paths: int,
-    alpha: float = 0.0,
-    *,
-    seed: int = 0,
-    noise_decay=None,
-    dtype=np.float64,
-    n_noise_cells: int = 512,
-) -> MildSolutionEnsemble:
-    """Left-point mild-solution recursion, one independent driver per mode.
+def _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells):
+    """Check existence once, then yield ``(k, steps)`` for each mode with noise.
 
-    The discrete convolution satisfies the exact per-step recursion
-    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
-    semigroup decomposition property tested against it.  A configuration
-    whose mode series diverges (``existence_report``) is refused.
+    ``steps[i - 1]`` holds the weighted coefficients of mode k at node i
+    >= 1 on all paths, shape ``(n_steps, n_paths)``: time-major, as the
+    recursion runs (node 0 is the zero start).  Modes come in ascending
+    order and those whose noise coefficient is 0 are skipped (their
+    coefficients are 0).  The check runs when this is called, the draws as
+    the modes are consumed.
     """
     decay = _noise_coefficients(model, noise_decay)
     rep = existence_report(
@@ -389,69 +381,165 @@ def solve_mild(
         )
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    n_nodes = grid.n_steps + 1
-    coeffs = np.zeros((n_paths, model.truncation, n_nodes), dtype=dtype)
-    # one driver at a time keeps peak memory at a single component; mode k
-    # is component k of simulate_cylindrical
-    for k in range(model.truncation):
-        if decay[k] == 0.0:
-            continue
-        drv = simulate_driver(params, grid, n_paths, seed, k, n_noise_cells)
-        fade = math.exp(-lams[k] * grid.dt)
-        # exact one-step form of the left-point convolution, time-major
-        y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
-        y *= fade
-        for i in range(1, y.shape[0]):
-            y[i] += fade * y[i - 1]
-        coeffs[:, k, 1:] = (weights[k] * decay[k]) * y.T
+
+    def draw():
+        # one driver at a time keeps peak memory at a single component, and each
+        # array is dropped once used; mode k is component k of simulate_cylindrical
+        for k in range(model.truncation):
+            if decay[k] == 0.0:
+                continue
+            drv = simulate_driver(params, grid, n_paths, seed, k, n_noise_cells)
+            fade = math.exp(-lams[k] * grid.dt)
+            # exact one-step form of the left-point convolution, time-major
+            y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
+            del drv
+            y *= fade
+            for i in range(1, y.shape[0]):
+                y[i] += fade * y[i - 1]
+            y *= weights[k] * decay[k]
+            yield k, y
+            del y
+
+    return draw()
+
+
+def solve_mild(
+    model: SpectralModel,
+    params: FracParams,
+    grid: TimeGrid,
+    n_paths: int,
+    alpha: float = 0.0,
+    *,
+    seed: int = 0,
+    noise_decay=None,
+    n_noise_cells: int = 512,
+) -> MildSolutionEnsemble:
+    """Left-point mild-solution recursion, one independent driver per mode.
+
+    The discrete convolution satisfies the exact per-step recursion
+    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
+    semigroup decomposition property tested against it.  A configuration
+    whose mode series diverges (``existence_report``) is refused.
+
+    This stores every path, ``n_paths * K * (n_steps + 1)`` floats, for
+    callers that need them; ``mild_summary`` gives the terminal values and
+    the Hölder slope of the same draws in memory that does not grow with K.
+    """
+    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells)
+    coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
+    for k, steps in modes:
+        coeffs[:, k, 1:] = steps.T
     return MildSolutionEnsemble(model, grid, coeffs, alpha, params)
+
+
+def mild_summary(
+    model: SpectralModel,
+    params: FracParams,
+    grid: TimeGrid,
+    n_paths: int,
+    alpha: float,
+    *,
+    seed: int,
+    noise_decay,
+    n_noise_cells: int,
+    fit_holder: bool,
+) -> tuple[np.ndarray, float | None]:
+    """Terminal mode values and Hölder slope of ``solve_mild``'s draws, mode by mode.
+
+    Returns ``(terminal, slope)``: ``terminal[path, mode]`` equals
+    ``solve_mild(...).coeffs[:, :, -1]`` and, when ``fit_holder``, ``slope``
+    equals ``holder_exponent_estimate`` of that ensemble (else it is None);
+    both are bit-identical to that route for the same arguments.  Each
+    mode's path is folded into the fit as it is drawn, so no
+    ``(n_paths, K, n_nodes)`` array is built: for p = 2 the fit keeps one
+    ``(n_starts, n_paths)`` sum per lag, for p != 2 the second half of
+    each mode's path.  Every argument is required.
+    """
+    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells)
+    fold = _LagFold(model, grid, n_paths) if fit_holder else None
+    terminal = np.zeros((n_paths, model.truncation))
+    for k, steps in modes:
+        terminal[:, k] = steps[-1]
+        if fold is not None:
+            fold.add(k, steps)
+    return terminal, None if fold is None else fold.slope()
+
+
+class _LagFold:
+    """Lag statistics of the Hölder fit, fed one mode path at a time.
+
+    The lags are 1, 2, .., 32 steps, up to a quarter of the grid, and the
+    starts are the nodes of the second half of the window, where the
+    solution has forgotten its zero start.  For p = 2 each lag keeps the
+    sum over modes of squared increments, added in ascending mode order;
+    for p != 2 the window of every mode is kept and the spatial norm uses
+    a midpoint rule of max(64, 4 K) cells for K modes, on which the sine
+    modes stay orthonormal.
+    """
+
+    def __init__(self, model: SpectralModel, grid: TimeGrid, n_paths: int):
+        n = grid.n_steps
+        self.lags = [2**j for j in range(6) if 2**j <= n // 4]
+        if len(self.lags) < 2:
+            raise ValueError("grid too short for a lag regression")
+        self.model, self.dt, self.i0 = model, grid.dt, n // 2
+        width = n + 1 - self.i0
+        if model.p == 2.0:
+            self.sq = [np.zeros((width - lag, n_paths)) for lag in self.lags]
+        else:
+            self.window = np.zeros((n_paths, model.truncation, width))
+
+    def add(self, k: int, steps: np.ndarray) -> None:
+        """Fold in mode ``k``, nodes 1..n as ``(n_steps, n_paths)`` rows; modes ascend."""
+        w = steps[self.i0 - 1:]
+        if self.model.p != 2.0:
+            self.window[:, k] = w.T
+            return
+        for lag, sq in zip(self.lags, self.sq):
+            d = np.subtract(w[lag:], w[:w.shape[0] - lag])
+            sq += np.square(d, out=d)
+
+    def slope(self) -> float:
+        p = self.model.p
+        if p == 2.0:
+            # the mean sums row-major (path, start) arrays, so its order is
+            # fixed whatever the layout of the sums
+            means = [float(np.mean(np.sqrt(np.ascontiguousarray(sq.T)))) for sq in self.sq]
+        else:
+            means = []
+            c = self.window
+            xq, wq = self.model.spatial_quadrature(max(64, 4 * c.shape[1]))
+            ef = self.model.eigenfunctions(xq)
+            # one start column at a time, through reused (n_paths, K) and (n_paths, n_x) buffers
+            d = np.empty(c.shape[:2])
+            fields = np.empty((c.shape[0], wq.size))
+            for lag in self.lags:
+                later, earlier = c[..., lag:], c[..., :c.shape[-1] - lag]
+                norms = np.empty((c.shape[0], later.shape[-1]))
+                for s in range(later.shape[-1]):
+                    np.subtract(later[..., s], earlier[..., s], out=d)
+                    np.abs(np.matmul(d, ef.T, out=fields), out=fields)
+                    norms[:, s] = (np.power(fields, p, out=fields) @ wq) ** (1.0 / p)
+                means.append(float(np.mean(norms)))
+        slope = np.polyfit(np.log(np.array(self.lags) * self.dt), np.log(means), 1)[0]
+        return float(slope)
 
 
 def holder_exponent_estimate(ens: MildSolutionEnsemble) -> float:
     """Slope of log E||Y_{t+h} - Y_t||_{L^p} against log h over dyadic lags.
 
     ``p`` is the ensemble model's.  The lags are 1, 2, .., 32 steps, up to
-    a quarter of the grid.
-    Increment statistics are averaged over the start points in the second
-    half of the window, where the solution has forgotten its zero start;
-    for p != 2 the spatial norm uses a midpoint rule of max(64, 4 K) cells
-    for K modes, on which the sine modes stay orthonormal.
+    a quarter of the grid, with the increment statistics averaged over the
+    start points in the second half of the window.  The fit is the one
+    ``mild_summary`` folds mode by mode (``_LagFold``), fed here from the
+    stored ``ens.coeffs``.
     """
     if ens.n_paths == 0 or ens.coeffs.size == 0:
         raise ValueError("ensemble is empty")
-    p = ens.model.p
-    n = ens.grid.n_steps
-    lags = [2**j for j in range(6) if 2**j <= n // 4]
-    if len(lags) < 2:
-        raise ValueError("grid too short for a lag regression")
-    i0 = n // 2
-    c = ens.coeffs
-    means = []
-    if p != 2.0:
-        xq, wq = ens.model.spatial_quadrature(max(64, 4 * ens.n_modes))
-        ef = ens.model.eigenfunctions(xq)
-    for lag in lags:
-        # increments over the starts i0..n-lag, as basic slices (no copies)
-        later, earlier = c[..., i0 + lag:], c[..., i0:n + 1 - lag]
-        if p == 2.0:
-            # sum_k d_k^2 one mode at a time: one (n_paths, n_starts) temporary
-            sq = np.zeros((ens.n_paths, later.shape[-1]))
-            d = np.empty_like(sq, dtype=c.dtype)
-            for k in range(ens.n_modes):
-                sq += np.square(np.subtract(later[:, k], earlier[:, k], out=d), out=d)
-            norms = np.sqrt(sq)
-        else:
-            # one start column at a time, through reused (n_paths, K) and (n_paths, n_x) buffers
-            norms = np.empty((ens.n_paths, later.shape[-1]))
-            d = np.empty(later.shape[:2], dtype=c.dtype)
-            fields = np.empty((ens.n_paths, wq.size))
-            for s in range(later.shape[-1]):
-                np.subtract(later[..., s], earlier[..., s], out=d)
-                np.abs(np.matmul(d, ef.T, out=fields), out=fields)
-                norms[:, s] = (np.power(fields, p, out=fields) @ wq) ** (1.0 / p)
-        means.append(float(np.mean(norms)))
-    slope = np.polyfit(np.log(np.array(lags) * ens.grid.dt), np.log(means), 1)[0]
-    return float(slope)
+    fold = _LagFold(ens.model, ens.grid, ens.n_paths)
+    for k in range(ens.n_modes):
+        fold.add(k, ens.coeffs[:, k, 1:].T)
+    return fold.slope()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from fracwiener.spde import (
     NeumannKernelConfig,
     build_spectral_model,
     existence_report,
-    holder_exponent_estimate,
+    mild_summary,
     neumann_boundary_integral,
     semigroup_smoothing_exponent,
     solve_mild,
@@ -217,9 +217,8 @@ def test_c08_holder_exponent_floors():
         model = build_spectral_model(math.pi, m, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         with worker_threads(THREADS):
-            ens = solve_mild(model, FracParams.fbm(h), grid, 10_000, seed=ACC_SEED,
-                             dtype=np.float32)
-        slope = holder_exponent_estimate(ens)
+            _, slope = mild_summary(model, FracParams.fbm(h), grid, 10_000, 0.0, seed=ACC_SEED,
+                                    noise_decay=None, n_noise_cells=512, fit_holder=True)
         results.append((m, h, floor, slope))
     elapsed = time.perf_counter() - t0
     ok = all(slope > floor for _, _, floor, slope in results) and elapsed < 900.0

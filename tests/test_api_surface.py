@@ -19,6 +19,11 @@ KEPT = {
     "sobolev_norm_gagliardo": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
     "dh_norm_smooth": "oracle of dh_norm_exponential behind mode_norm for H > 1/2",
     "assemble_kernel_field": "oracle of existence_report (test_spde)",
+    "solve_mild": "mild-solution paths for callers that need them (c09), and the stored-ensemble "
+                  "oracle of mild_summary in spde-distributed (test_spde)",
+    "MildSolutionEnsemble": "the paths solve_mild returns",
+    "holder_exponent_estimate": "the Hoelder fit of a stored ensemble, through the fold of "
+                                "mild_summary; its oracle route (test_spde)",
     "hermite_covariance": "oracle of simulate_hermite_k2 in isometry (test_processes)",
     "affine_norm_pair": "paper object pinned by c11",
     "restricted_norm": "paper object pinned by c11",

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,17 @@ class TestInvalidConfigExit2:
         code, _ = _run(tmp_path, ISO_CFG + "sigma = 1e300\n")
         assert code == 2
         assert "overflowed the floating-point range" in capsys.readouterr().err
+
+    def test_fourier_norm_overflow_is_diagnosed(self, tmp_path, capsys):
+        # the norm is checked for finiteness itself: no RuntimeWarning on the
+        # way, and no OverflowError behind the exit code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = _run(tmp_path, NORM_CFG + "t_end = 1e300\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Fourier Sobolev norm is not finite at grid step 3.90625e+297" in err
+        assert "overflowed the floating-point range" not in err
 
     def test_zero_division_stays_loud(self, monkeypatch):
         # only ValueError and OverflowError are config faults; any other

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
-from fracwiener.rng import worker_threads
+from fracwiener.rng import BLOCK_PATHS, path_blocks, worker_threads
 from fracwiener.sobolev import integrand_norm
 from fracwiener.spde import (
     MildSolutionEnsemble,
@@ -20,6 +21,7 @@ from fracwiener.spde import (
     build_spectral_model,
     existence_report,
     holder_exponent_estimate,
+    mild_summary,
     mode_norm,
     neumann_boundary_integral,
     neumann_heat_kernel,
@@ -360,12 +362,15 @@ class TestSolveMild:
         assert np.abs(rho).max() < 4.0 / math.sqrt(c.shape[0])
 
     def test_thread_invariance_and_determinism(self):
+        # more than one path block, so the worker pool really runs
         mod = build_spectral_model(L_PI, 1, 3)
-        grid = TimeGrid(0.0, 1.0 / 64, 64)
-        a = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
+        n = BLOCK_PATHS + 1
+        assert len(list(path_blocks(n))) >= 2
+        a = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=3)
         with worker_threads(4):
-            b = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=3)
-        c = solve_mild(mod, FracParams.fbm(0.6), grid, 40, seed=4)
+            b = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=3)
+        c = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=4)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
@@ -401,19 +406,21 @@ class TestSolveMild:
     def test_rosenblatt_driver(self):
         mod = build_spectral_model(L_PI, 1, 2)
         grid = TimeGrid(0.0, 0.25, 4)
+        n = BLOCK_PATHS + 1
+        assert len(list(path_blocks(n))) >= 2
         ens = solve_mild(
-            mod, FracParams.rosenblatt(0.7), grid, 400, seed=7, n_noise_cells=128
+            mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128
         )
-        assert ens.coeffs.shape == (400, 2, 5)
+        assert ens.coeffs.shape == (n, 2, 5)
         assert not ens.coeffs[:, :, 0].any()
         assert np.isfinite(ens.coeffs).all()
         with worker_threads(4):
             again = solve_mild(
-                mod, FracParams.rosenblatt(0.7), grid, 400, seed=7, n_noise_cells=128
+                mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128
             )
         assert np.array_equal(ens.coeffs, again.coeffs)
         c = ens.coeffs[:, :, -1]
-        assert abs(np.corrcoef(c.T)[0, 1]) < 4.0 / math.sqrt(400)
+        assert abs(np.corrcoef(c.T)[0, 1]) < 4.0 / math.sqrt(n)
 
 
 class TestEnsembleAccessors:
@@ -437,12 +444,79 @@ class TestEnsembleAccessors:
         assert np.array_equal(ens.coeffs[:, :3, :], low.coeffs)
 
 
+def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, noise_decay=None,
+             n_noise_cells=512, fit_holder=True):
+    return mild_summary(model, params, grid, n_paths, alpha, seed=seed, noise_decay=noise_decay,
+                        n_noise_cells=n_noise_cells, fit_holder=fit_holder)
+
+
+class TestMildSummary:
+    """mild_summary folds the draws of solve_mild mode by mode; the stored route is its oracle."""
+
+    @pytest.mark.parametrize("family", ["fbm", "rosenblatt"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_matches_stored_ensemble(self, family, alpha, p):
+        mod = build_spectral_model(L_PI, 1, 6, p=p)
+        params = FracParams.fbm(0.75) if family == "fbm" else FracParams.rosenblatt(0.75)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
+        decay = np.array([1.0, 0.0, 0.5, 0.0, 2.0, 1.0])
+        ens = solve_mild(mod, params, grid, 60, alpha, seed=4, noise_decay=decay, n_noise_cells=64)
+        terminal, slope = _summary(mod, params, grid, 60, alpha, seed=4, noise_decay=decay,
+                                   n_noise_cells=64)
+        assert np.array_equal(terminal, ens.coeffs[:, :, -1])
+        assert not terminal[:, [1, 3]].any()
+        assert slope == holder_exponent_estimate(ens)
+
+    def test_no_fit_without_request(self):
+        # a grid too short for the fit is fine when no fit is asked for
+        grid = TimeGrid(0.0, 0.25, 4)
+        terminal, slope = _summary(build_spectral_model(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8,
+                                   seed=5, fit_holder=False)
+        assert slope is None
+        ens = solve_mild(build_spectral_model(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
+        assert np.array_equal(terminal, ens.coeffs[:, :, -1])
+
+    def test_short_grid_rejected(self, laplace8):
+        with pytest.raises(ValueError, match="lag"):
+            _summary(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.25, 4), 4, seed=5)
+
+    def test_refuses_supercritical_alpha(self):
+        mod = build_spectral_model(L_PI, 1, 16)
+        with pytest.raises(ValueError, match="existence threshold"):
+            _summary(mod, FracParams.fbm(0.4), TimeGrid(0.0, 1.0 / 64, 64), 10, alpha=0.2)
+
+    def test_thread_invariance(self):
+        mod = build_spectral_model(L_PI, 1, 3)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
+        n = BLOCK_PATHS + 1
+        assert len(list(path_blocks(n))) >= 2
+        a, slope_a = _summary(mod, FracParams.fbm(0.6), grid, n, seed=3)
+        with worker_threads(2):
+            b, slope_b = _summary(mod, FracParams.fbm(0.6), grid, n, seed=3)
+        assert np.array_equal(a, b)
+        assert slope_a == slope_b
+
+    def test_memory_below_half_the_coefficient_array(self):
+        # p = 2 keeps one sum per lag; p != 2 keeps half of every path by design
+        mod = build_spectral_model(L_PI, 1, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
+        n_paths = 500
+        full = n_paths * mod.truncation * (grid.n_steps + 1) * 8
+        tracemalloc.start()
+        try:
+            _summary(mod, FracParams.fbm(0.4), grid, n_paths, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 2
+
+
 class TestHolderEstimate:
     def test_second_order_slope_above_floor(self):
         mod = build_spectral_model(L_PI, 1, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
-        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 2000, seed=21, dtype=np.float32)
-        slope = holder_exponent_estimate(ens)
+        _, slope = _summary(mod, FracParams.fbm(0.4), grid, 2000, seed=21)
         # truncation can only steepen the small-lag decay, so the continuum
         # exponent H - 1/(4m) acts as a floor
         assert slope > 0.15 - 0.05
@@ -451,8 +525,7 @@ class TestHolderEstimate:
     def test_fourth_order_slope_above_floor(self):
         mod = build_spectral_model(L_PI, 2, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
-        ens = solve_mild(mod, FracParams.fbm(0.45), grid, 2000, seed=22, dtype=np.float32)
-        slope = holder_exponent_estimate(ens)
+        _, slope = _summary(mod, FracParams.fbm(0.45), grid, 2000, seed=22)
         assert slope > 0.45 - 0.125 - 0.05
         assert slope < 0.5
 
@@ -468,14 +541,14 @@ class TestHolderEstimate:
         assert holder_exponent_estimate(lp) == pytest.approx(slope, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "dtype,p,rtol",
-        [(np.float64, 2.0, 1e-12), (np.float64, 1.5, 1e-12),
-         (np.float32, 2.0, 1e-6), (np.float32, 1.5, 1e-6)],
+        "p,rtol",
+        [pytest.param(2.0, 1e-12, id="float64-2.0-1e-12"),
+         pytest.param(1.5, 1e-12, id="float64-1.5-1e-12")],
     )
-    def test_lag_means_match_indexed_oracle(self, monkeypatch, dtype, p, rtol):
+    def test_lag_means_match_indexed_oracle(self, monkeypatch, p, rtol):
         mod = build_spectral_model(L_PI, 1, 12)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 300, seed=8, dtype=dtype)
+        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 300, seed=8)
         fits = []
         polyfit = np.polyfit
         monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append(y) or polyfit(x, y, deg))
