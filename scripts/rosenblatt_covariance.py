@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from fracwiener.chaos import DiscreteIsonormal
 from fracwiener.grids import TimeGrid
-from fracwiener.processes import FracParams, covariance_rh, default_isonormal, simulate_hermite_k2
+from fracwiener.processes import FracParams, covariance_rh, simulate_hermite_k2
 from fracwiener.rng import worker_threads
 
 
@@ -30,7 +31,7 @@ def main() -> int:
 
     params = FracParams.rosenblatt(args.hurst)
     grid = TimeGrid(0.0, 0.25, 4)
-    iso = default_isonormal(1.0, args.seed, args.noise_cells)
+    iso = DiscreteIsonormal.for_window(1.0, args.noise_cells, args.seed)
     with worker_threads(args.threads):
         ens = simulate_hermite_k2(params, grid, iso, args.paths)
 

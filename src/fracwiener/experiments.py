@@ -305,8 +305,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     So is a parameter that overflows the floating-point range on its way
     through the model.  The runner's summary is stamped with the summary
-    version, kind and seed.  Path blocks run on the ``rng.worker_threads``
-    pool of the caller.
+    version, kind and seed, and a Monte Carlo kind run on fewer than 1000
+    paths gets a warning ahead of the runner's own.  Path blocks run on the
+    ``rng.worker_threads`` pool of the caller.
     """
     try:
         res = EXPERIMENTS[cfg.kind].runner(cfg)
@@ -315,7 +316,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     except OverflowError as exc:
         raise ConfigError([f"a parameter overflowed the floating-point range: {exc}"]) from None
     header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
-    return replace(res, summary={**header, **res.summary})
+    n_paths = cfg.params.get("n_paths")
+    few = [] if n_paths is None or n_paths >= 1000 else [
+        f"n_paths = {n_paths} is small for stable Monte Carlo statistics"
+    ]
+    return replace(res, summary={**header, **res.summary}, warnings=few + res.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +346,9 @@ def _frac_params(family: str, h: float, sigma: float, p: Mapping) -> FracParams:
         return FracParams.rosenblatt(h, sigma)
     if p.get("alpha") is None or p.get("beta") is None:
         raise ValueError("the generalized family needs keys alpha and beta")
-    pr = FracParams.generalized(p["alpha"], p["beta"], int(p.get("k") or 2), sigma)
+    pr = FracParams.generalized(p["alpha"], p["beta"], 2, sigma)
     if abs(pr.h - h) > 1e-12:
-        raise ValueError(
-            f"hurst {h:g} inconsistent with alpha + beta + k/2 + 1 = {pr.h:g}"
-        )
+        raise ValueError(f"hurst {h:g} inconsistent with alpha + beta + 2 = {pr.h:g}")
     return pr
 
 
@@ -402,9 +405,6 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(["pieces must be smaller than grid_steps"])
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
     rng = _aux_rng(cfg.seed, 1)
-    warnings = []
-    if p["n_paths"] < 1000:
-        warnings.append(f"n_paths = {p['n_paths']} is small for stable z-scores")
     rows = []
     zs = []
     for i, h in enumerate(p["hurst"]):
@@ -435,7 +435,7 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
         "n_cases": len(rows),
         "passed": passed,
     }
-    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +444,6 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    warnings = []
-    if p["n_paths"] < 1000:
-        warnings.append(f"n_paths = {p['n_paths']} is small for stable moment ratios")
     n_cells = p["n_cells"]
     iso = DiscreteIsonormal(TimeGrid(0.0, p["t_end"] / n_cells, n_cells), seed=cfg.seed)
     e = np.ones(n_cells) / math.sqrt(p["t_end"])  # unit L2 weight on the window
@@ -490,7 +487,7 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
         "n_draws": p["n_draws"],
         "n_paths": p["n_paths"],
     }
-    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +497,6 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     warnings = []
-    if p["n_paths"] < 1000:
-        warnings.append(f"n_paths = {p['n_paths']} is small for stable z-scores")
     if p["fit_smoothing"] and p["truncation"] < 128:
         warnings.append(
             f"truncation = {p['truncation']} is coarse for the smoothing-exponent fit; "
@@ -513,7 +508,7 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
     terminal, holder = mild_summary(
-        model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed, noise_decay=None,
+        model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed,
         n_noise_cells=p["n_noise_cells"], fit_holder=p["fit_holder"],
     )
 
@@ -577,13 +572,9 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    warnings = []
-    if p["n_paths"] < 1000:
-        warnings.append(f"n_paths = {p['n_paths']} is small for stable z-scores")
     if p["x_nodes"] is not None and p["n_x"] is not None:
         raise ConfigError(["give either x_nodes or n_x, not both"])
     kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"], p["image_terms"])
-    params = FracParams.fbm(p["hurst"], p["sigma"])
 
     rec = neumann_boundary_integral(kcfg)
     trace = [float(v) for v in rec.refinement_trace]
@@ -591,15 +582,11 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
         drift = abs(trace[-1] - trace[-2]) / abs(trace[-1])
     else:
         drift = math.inf
-    if p["expect"] == "finite":
-        int_ok = (not rec.diverged) and drift <= p["stability_rtol"]
-        detail = (
-            f"value {rec.value:.6g}, last refinement moved {drift:.2e} "
-            f"(allow {p['stability_rtol']:g})"
-        )
-    else:
-        int_ok = bool(rec.diverged)
-        detail = "flagged diverged" if rec.diverged else "expected divergence, got a stable value"
+    int_ok = (not rec.diverged) and drift <= p["stability_rtol"]
+    detail = (
+        f"value {rec.value:.6g}, last refinement moved {drift:.2e} "
+        f"(allow {p['stability_rtol']:g})"
+    )
     verdicts = [Verdict("boundary-noise integral", int_ok, detail)]
 
     kwargs = {}
@@ -608,7 +595,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     elif p["n_x"] is not None:
         kwargs["n_x"] = p["n_x"]
     check = boundary_solution_check(
-        kcfg, params, p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
+        kcfg, p["sigma"], p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
         kernel_pieces=p["kernel_pieces"], **kwargs,
     )
 
@@ -628,7 +615,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
         "n_paths": p["n_paths"],
         "n_failed": sum(not v.passed for v in verdicts),
     }
-    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
+    return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -690,203 +677,182 @@ class Experiment:
     doc_width: int = 14  # least width of the name column in column_docs_text
 
 
-EXPERIMENTS: dict = {}
-
-
-def _register(exp: Experiment):
-    EXPERIMENTS[exp.name] = exp
-
-
-_register(
-    Experiment(
-        name="norm-identity",
-        blurb="integrand norm over Sobolev norm against the closed-form constant",
-        required=(
-            _Key("hurst", _floats, _nonempty_unit_grid),
-            _Key("n_functions", _int, _ge(1)),
+EXPERIMENTS: dict = {
+    exp.name: exp
+    for exp in (
+        Experiment(
+            name="norm-identity",
+            blurb="integrand norm over Sobolev norm against the closed-form constant",
+            required=(
+                _Key("hurst", _floats, _nonempty_unit_grid),
+                _Key("n_functions", _int, _ge(1)),
+            ),
+            optional=(
+                _Key("sigma", _float, _positive, 1.0),
+                _Key("ratio_rtol", _float, _positive, 0.01),
+                _Key("pieces", _int, _ge(1), 6),
+                _Key("grid_steps", _int, _ge(8), 256),
+                _Key("t_end", _float, _positive, 1.0),
+            ),
+            columns=(
+                ("H", "Hurst parameter of the row"),
+                ("f-id", "index of the random step integrand in the draw sequence"),
+                ("dh_norm", "integrand norm of the draw (tail-transform route)"),
+                ("fourier_norm", "homogeneous Sobolev norm of order 1/2 - H (FFT route)"),
+                ("ratio", "dh_norm / fourier_norm"),
+                ("pass", "true when the ratio is within ratio_rtol of the constant"),
+            ),
+            runner=_run_norm_identity,
         ),
-        optional=(
-            _Key("sigma", _float, _positive, 1.0),
-            _Key("ratio_rtol", _float, _positive, 0.01),
-            _Key("pieces", _int, _ge(1), 6),
-            _Key("grid_steps", _int, _ge(8), 256),
-            _Key("t_end", _float, _positive, 1.0),
+        Experiment(
+            name="isometry",
+            blurb="Monte Carlo second moment of Wiener integrals against the integrand norm",
+            required=(
+                _Key("family", _choice("fbm", "rosenblatt", "generalized")),
+                _Key("hurst", _floats, _nonempty_unit_grid),
+                _Key("n_paths", _int, _ge(2)),
+                _Key("n_functions", _int, _ge(1)),
+            ),
+            optional=(
+                _Key("sigma", _float, _positive, 1.0),
+                _Key("alpha", _float),
+                _Key("beta", _float),
+                _Key("grid_steps", _int, _ge(8), 256),
+                _Key("t_end", _float, _positive, 1.0),
+                _Key("pieces", _int, _ge(1), 4),
+                _Key("z_max", _float, _positive, 3.0),
+                _Key("pass_fraction", _float, _fraction, 0.95),
+                _Key("n_noise_cells", _int, _ge(16), 1024),
+            ),
+            columns=(
+                ("family", "driver family of the row (fbm, rosenblatt, generalized)"),
+                ("H", "Hurst parameter of the driver"),
+                ("f-id", "index of the random step integrand"),
+                ("dh_norm_sq", "exact squared integrand norm (the isometry target)"),
+                ("mc_var", "Monte Carlo variance of the integral"),
+                ("z", "(mc_var - dh_norm_sq) / SE"),
+                ("pass", "true when |z| <= z_max"),
+            ),
+            runner=_run_isometry,
         ),
-        columns=(
-            ("H", "Hurst parameter of the row"),
-            ("f-id", "index of the random step integrand in the draw sequence"),
-            ("dh_norm", "integrand norm of the draw (tail-transform route)"),
-            ("fourier_norm", "homogeneous Sobolev norm of order 1/2 - H (FFT route)"),
-            ("ratio", "dh_norm / fourier_norm"),
-            ("pass", "true when the ratio is within ratio_rtol of the constant"),
+        Experiment(
+            name="moments",
+            blurb="hypercontractive moment ratios of first and second chaos samples",
+            required=(_Key("n_paths", _int, _ge(2)),),
+            optional=(
+                _Key("n_draws", _int, _ge(1), 100),
+                _Key("n_cells", _int, _ge(8), 128),
+                _Key("t_end", _float, _positive, 1.0),
+                _Key("gauss_rtol", _float, _positive, 0.01),
+                _Key("chaos2_rtol", _float, _positive, 0.02),
+                _Key("combo_bound", _float, _positive, 3.0),
+            ),
+            columns=(
+                ("check", "gaussian | chaos2 | combo"),
+                ("draw", "coefficient-draw index (0 for the two fixed checks)"),
+                ("ratio", "empirical L4/L2 moment ratio"),
+                ("reference", "exact target (gaussian, chaos2) or the order-2 bound (combo)"),
+                ("pass", "true when the ratio matches (fixed checks) or stays bounded"),
+            ),
+            runner=_run_moments,
         ),
-        runner=_run_norm_identity,
+        Experiment(
+            name="spde-distributed",
+            blurb="mild solution mode variances, optional regularity exponent fits",
+            required=(
+                _Key("family", _choice("fbm", "rosenblatt")),
+                _Key("hurst", _float, _open_unit),
+                _Key("m", _int, _ge(1)),
+                _Key("length", _float, _positive),
+                _Key("truncation", _int, _ge(1)),
+                _Key("grid_steps", _int, _ge(2)),
+                _Key("t_end", _float, _positive),
+                _Key("n_paths", _int, _ge(2)),
+                _Key("alpha", _float, _ge(0.0)),
+            ),
+            optional=(
+                _Key("sigma", _float, _positive, 1.0),
+                _Key("p", _float, _ge(1.0), 2.0),
+                _Key("lambda_shift", _float, _ge(0.0), 0.0),
+                _Key("check_modes", _int, _ge(1), 4),
+                _Key("z_max", _float, _positive, 3.0),
+                _Key("fit_holder", _bool, None, False),
+                _Key("holder_floor", _float),
+                _Key("fit_smoothing", _bool, None, False),
+                _Key("smoothing_tol", _float, _positive, 0.05),
+                _Key("n_noise_cells", _int, _ge(16), 512),
+            ),
+            columns=(
+                ("mode", "eigenmode index (1-based)"),
+                ("eigenvalue", "spectral eigenvalue of the mode"),
+                ("mc_second_moment", "Monte Carlo E y_k(t_end)^2"),
+                ("expected_second_moment", "exact mode norm squared"),
+                ("z", "(mc - expected) / SE"),
+                ("pass", "true when |z| <= z_max"),
+            ),
+            runner=_run_spde_distributed,
+        ),
+        Experiment(
+            name="spde-boundary",
+            blurb="Neumann boundary-noise integral and wall variance profile",
+            required=(
+                _Key("hurst", _float, lambda v: None if 0.5 <= v < 1.0 else "must lie in [1/2, 1)"),
+                _Key("p", _float, lambda v: None if 1.0 < v <= 2.0 else "must lie in (1, 2]"),
+                _Key("t0", _float, _positive),
+                _Key("length", _float, _positive),
+                _Key("n_paths", _int, _ge(2)),
+                _Key("grid_steps", _int, _ge(2)),
+            ),
+            optional=(
+                _Key("sigma", _float, _positive, 1.0),
+                _Key("image_terms", _int, _ge(1), 20),
+                _Key("n_x", _int, _ge(2)),
+                _Key("x_nodes", _floats, _nonempty_grid),
+                _Key("kernel_pieces", _int, _ge(8), 96),
+                _Key("z_max", _float, _positive, 3.0),
+                _Key("stability_rtol", _float, _positive, 0.01),
+            ),
+            columns=(
+                ("x", "spatial node of the wall-variance check"),
+                ("mc_variance", "Monte Carlo variance of the boundary-driven solution"),
+                ("expected_variance", "exact variance via the integrand norm of the kernel"),
+                ("z", "(mc - expected) / (expected * sqrt(2/n_paths))"),
+                ("pass", "true when |z| <= z_max"),
+            ),
+            runner=_run_spde_boundary,
+        ),
+        Experiment(
+            name="threshold-sweep",
+            blurb="existence verdicts across a fractional-power grid",
+            required=(
+                _Key("hurst", _floats, _nonempty_unit_grid),
+                _Key("alpha", _floats, _nonempty_grid),
+                _Key("m", _int, _ge(1)),
+            ),
+            optional=(
+                _Key("length", _float, _positive, 1.0),
+                _Key("truncation", _int, _ge(8), 64),
+                _Key("t0", _float, _positive, 1.0),
+                _Key("p", _float, _ge(1.0), 2.0),
+                _Key("sigma", _float, _positive, 1.0),
+                _Key("doublings", _int, _ge(1), 3),
+                _Key("margin", _float, _ge(0.0), 0.005),
+                _Key("n_x", _int, _ge(4), 64),
+            ),
+            columns=(
+                ("H", "Hurst parameter of the driving noise"),
+                ("alpha", "fractional power applied to the operator weights"),
+                ("threshold", "H - 1/(4m), where the mode series stops converging"),
+                ("gamma_norm", "truncated value of the solution-norm series"),
+                ("diverged", "detector verdict for the series"),
+                ("pass", "true when the verdict matches the side of the threshold\n"
+                         "(rows within margin of the threshold pass unconditionally)"),
+            ),
+            doc_width=12,
+            runner=_run_threshold_sweep,
+        ),
     )
-)
-
-_register(
-    Experiment(
-        name="isometry",
-        blurb="Monte Carlo second moment of Wiener integrals against the integrand norm",
-        required=(
-            _Key("family", _choice("fbm", "rosenblatt", "generalized")),
-            _Key("hurst", _floats, _nonempty_unit_grid),
-            _Key("n_paths", _int, _ge(2)),
-            _Key("n_functions", _int, _ge(1)),
-        ),
-        optional=(
-            _Key("sigma", _float, _positive, 1.0),
-            _Key("alpha", _float),
-            _Key("beta", _float),
-            _Key("k", _int, _ge(1)),
-            _Key("grid_steps", _int, _ge(8), 256),
-            _Key("t_end", _float, _positive, 1.0),
-            _Key("pieces", _int, _ge(1), 4),
-            _Key("z_max", _float, _positive, 3.0),
-            _Key("pass_fraction", _float, _fraction, 0.95),
-            _Key("n_noise_cells", _int, _ge(16), 1024),
-        ),
-        columns=(
-            ("family", "driver family of the row (fbm, rosenblatt, generalized)"),
-            ("H", "Hurst parameter of the driver"),
-            ("f-id", "index of the random step integrand"),
-            ("dh_norm_sq", "exact squared integrand norm (the isometry target)"),
-            ("mc_var", "Monte Carlo variance of the integral"),
-            ("z", "(mc_var - dh_norm_sq) / SE"),
-            ("pass", "true when |z| <= z_max"),
-        ),
-        runner=_run_isometry,
-    )
-)
-
-_register(
-    Experiment(
-        name="moments",
-        blurb="hypercontractive moment ratios of first and second chaos samples",
-        required=(_Key("n_paths", _int, _ge(2)),),
-        optional=(
-            _Key("n_draws", _int, _ge(1), 100),
-            _Key("n_cells", _int, _ge(8), 128),
-            _Key("t_end", _float, _positive, 1.0),
-            _Key("gauss_rtol", _float, _positive, 0.01),
-            _Key("chaos2_rtol", _float, _positive, 0.02),
-            _Key("combo_bound", _float, _positive, 3.0),
-        ),
-        columns=(
-            ("check", "gaussian | chaos2 | combo"),
-            ("draw", "coefficient-draw index (0 for the two fixed checks)"),
-            ("ratio", "empirical L4/L2 moment ratio"),
-            ("reference", "exact target (gaussian, chaos2) or the order-2 bound (combo)"),
-            ("pass", "true when the ratio matches (fixed checks) or stays bounded"),
-        ),
-        runner=_run_moments,
-    )
-)
-
-_register(
-    Experiment(
-        name="spde-distributed",
-        blurb="mild solution mode variances, optional regularity exponent fits",
-        required=(
-            _Key("family", _choice("fbm", "rosenblatt")),
-            _Key("hurst", _float, _open_unit),
-            _Key("m", _int, _ge(1)),
-            _Key("length", _float, _positive),
-            _Key("truncation", _int, _ge(1)),
-            _Key("grid_steps", _int, _ge(2)),
-            _Key("t_end", _float, _positive),
-            _Key("n_paths", _int, _ge(2)),
-            _Key("alpha", _float, _ge(0.0)),
-        ),
-        optional=(
-            _Key("sigma", _float, _positive, 1.0),
-            _Key("p", _float, _ge(1.0), 2.0),
-            _Key("lambda_shift", _float, _ge(0.0), 0.0),
-            _Key("check_modes", _int, _ge(1), 4),
-            _Key("z_max", _float, _positive, 3.0),
-            _Key("fit_holder", _bool, None, False),
-            _Key("holder_floor", _float),
-            _Key("fit_smoothing", _bool, None, False),
-            _Key("smoothing_tol", _float, _positive, 0.05),
-            _Key("n_noise_cells", _int, _ge(16), 512),
-        ),
-        columns=(
-            ("mode", "eigenmode index (1-based)"),
-            ("eigenvalue", "spectral eigenvalue of the mode"),
-            ("mc_second_moment", "Monte Carlo E y_k(t_end)^2"),
-            ("expected_second_moment", "exact mode norm squared"),
-            ("z", "(mc - expected) / SE"),
-            ("pass", "true when |z| <= z_max"),
-        ),
-        runner=_run_spde_distributed,
-    )
-)
-
-_register(
-    Experiment(
-        name="spde-boundary",
-        blurb="Neumann boundary-noise integral and wall variance profile",
-        required=(
-            _Key("hurst", _float, lambda v: None if 0.5 <= v < 1.0 else "must lie in [1/2, 1)"),
-            _Key("p", _float, lambda v: None if 1.0 < v <= 2.0 else "must lie in (1, 2]"),
-            _Key("t0", _float, _positive),
-            _Key("length", _float, _positive),
-            _Key("n_paths", _int, _ge(2)),
-            _Key("grid_steps", _int, _ge(2)),
-        ),
-        optional=(
-            _Key("sigma", _float, _positive, 1.0),
-            _Key("image_terms", _int, _ge(1), 20),
-            _Key("n_x", _int, _ge(2)),
-            _Key("x_nodes", _floats, _nonempty_grid),
-            _Key("kernel_pieces", _int, _ge(8), 96),
-            _Key("z_max", _float, _positive, 3.0),
-            _Key("expect", _choice("finite", "diverged"), None, "finite"),
-            _Key("stability_rtol", _float, _positive, 0.01),
-        ),
-        columns=(
-            ("x", "spatial node of the wall-variance check"),
-            ("mc_variance", "Monte Carlo variance of the boundary-driven solution"),
-            ("expected_variance", "exact variance via the integrand norm of the kernel"),
-            ("z", "(mc - expected) / (expected * sqrt(2/n_paths))"),
-            ("pass", "true when |z| <= z_max"),
-        ),
-        runner=_run_spde_boundary,
-    )
-)
-
-_register(
-    Experiment(
-        name="threshold-sweep",
-        blurb="existence verdicts across a fractional-power grid",
-        required=(
-            _Key("hurst", _floats, _nonempty_unit_grid),
-            _Key("alpha", _floats, _nonempty_grid),
-            _Key("m", _int, _ge(1)),
-        ),
-        optional=(
-            _Key("length", _float, _positive, 1.0),
-            _Key("truncation", _int, _ge(8), 64),
-            _Key("t0", _float, _positive, 1.0),
-            _Key("p", _float, _ge(1.0), 2.0),
-            _Key("sigma", _float, _positive, 1.0),
-            _Key("doublings", _int, _ge(1), 3),
-            _Key("margin", _float, _ge(0.0), 0.005),
-            _Key("n_x", _int, _ge(4), 64),
-        ),
-        columns=(
-            ("H", "Hurst parameter of the driving noise"),
-            ("alpha", "fractional power applied to the operator weights"),
-            ("threshold", "H - 1/(4m), where the mode series stops converging"),
-            ("gamma_norm", "truncated value of the solution-norm series"),
-            ("diverged", "detector verdict for the series"),
-            ("pass", "true when the verdict matches the side of the threshold\n"
-                     "(rows within margin of the threshold pass unconditionally)"),
-        ),
-        doc_width=12,
-        runner=_run_threshold_sweep,
-    )
-)
+}
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class ElementaryIntegralResult:
     params: FracParams
     snap_distance: float = 0.0
     series_tail: float = 0.0
-    component_variances: tuple = ()
 
     @property
     def n_paths(self) -> int:
@@ -225,7 +224,6 @@ def cylindrical_integral(a: HSOperator, ens: CylindricalEnsemble) -> ElementaryI
         params=ens.components[0].params,
         snap_distance=moved,
         series_tail=_series_tail(variances),
-        component_variances=tuple(variances),
     )
 
 

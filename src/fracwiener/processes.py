@@ -60,7 +60,6 @@ __all__ = [
     "HermiteScheme",
     "PathEnsemble",
     "covariance_rh",
-    "default_isonormal",
     "hermite_covariance",
     "simulate_cylindrical",
     "simulate_driver",
@@ -289,12 +288,6 @@ class HermiteScheme:
         return replace(self, gl_points=self.gl_points + 2, u_stride=max(1, self.u_stride // 2))
 
 
-def default_isonormal(t_end: float, seed: int, n_cells: int = 512, lead_factor: float = 10.0,
-                      stream: int = 0) -> DiscreteIsonormal:
-    """Noise window sized for the second-chaos simulator."""
-    return DiscreteIsonormal.for_window(t_end, n_cells, seed, lead_factor, stream)
-
-
 def _warp(x: np.ndarray, x_b: float, c: float):
     y = np.where(x >= x_b, x, x_b - c * np.expm1((x_b - x) / c))
     jac = np.where(x >= x_b, 1.0, np.exp((x_b - x) / c))
@@ -474,7 +467,7 @@ def simulate_driver(params: FracParams, grid: TimeGrid, n_paths: int, seed: int,
     stream's noise window ending at ``grid.t_end``."""
     if params.family is Family.FBM:
         return simulate_fbm(params, grid, n_paths, seed, stream)
-    iso = default_isonormal(grid.t_end, seed, n_noise_cells, stream=stream)
+    iso = DiscreteIsonormal.for_window(grid.t_end, n_noise_cells, seed, stream=stream)
     return simulate_hermite_k2(params, grid, iso, n_paths)
 
 

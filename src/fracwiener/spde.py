@@ -171,16 +171,6 @@ class ExistenceReport:
     hurst: float
 
 
-def _noise_coefficients(model: SpectralModel, noise_decay) -> np.ndarray:
-    """Per-mode noise coefficients: ones when absent, else one per mode."""
-    if noise_decay is None:
-        return np.ones(model.truncation)
-    decay = np.asarray(noise_decay, dtype=float)
-    if decay.shape != (model.truncation,):
-        raise ValueError("need one noise coefficient per mode")
-    return decay
-
-
 def _midpoint_sq_sums(coef: np.ndarray, length: float, n_cells: int) -> np.ndarray:
     """``sum_k coef_k (2/L) sin^2(k pi x_i / L)`` at the ``n_cells`` midpoint nodes.
 
@@ -209,8 +199,8 @@ def _mode_step_norms(
     """Covariance-route norms of the first ``n_modes`` mode kernels, unweighted.
 
     They depend only on the geometry, H, t0 and sigma, so they are cached
-    per H and shared by every alpha; the fractional weights and the noise
-    coefficients are applied by the caller.  The array is read-only.
+    per H and shared by every alpha; the caller applies the fractional
+    weights.  The array is read-only.
     """
     lams = SpectralModel(length, order, n_modes).eigenvalues
     kernels = (_exp_kernel_step(lam, t0) for lam in lams)
@@ -226,7 +216,6 @@ def existence_report(
     t0: float,
     *,
     sigma: float = 1.0,
-    noise_decay=None,
     doublings: int = 3,
     n_x: int = 64,
 ) -> ExistenceReport:
@@ -245,11 +234,8 @@ def existence_report(
     if not t0 > 0:
         raise ValueError("horizon must be positive")
     k_max = model.truncation * 2**doublings
-    decay = _noise_coefficients(model, noise_decay)
-    # the doubled truncations carry the last coefficient on to the new modes
-    decay = np.concatenate((decay, np.full(k_max - decay.size, decay[-1])))
     base = _mode_step_norms(model.length, model.order, hurst, t0, sigma, k_max)
-    norms = np.abs(decay) * model.truncated(k_max).fractional_weights(alpha) * base
+    norms = model.truncated(k_max).fractional_weights(alpha) * base
     n_cells = max(n_x, 4 * k_max)
     _, ws = model.spatial_quadrature(n_cells)
     # row j: the squared norms of the first K 2^j modes, one DCT per doubling
@@ -284,7 +270,6 @@ def assemble_kernel_field(
     t0: float,
     *,
     sigma: float = 1.0,
-    noise_decay=None,
     n_x: int = 64,
 ) -> LpKernelField:
     """The distributed-noise kernel as an explicit pointwise-kernel field.
@@ -295,13 +280,12 @@ def assemble_kernel_field(
     """
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    decay = _noise_coefficients(model, noise_decay)
     xs, ws = model.spatial_quadrature(n_x)
     modes = model.eigenfunctions(xs)
     base = [_exp_kernel_step(lam, t0) for lam in lams]
     kernels = tuple(
         tuple(
-            base[k].scaled(float(decay[k] * weights[k] * modes[i, k]))
+            base[k].scaled(float(weights[k] * modes[i, k]))
             for k in range(model.truncation)
         )
         for i in range(xs.size)
@@ -358,20 +342,16 @@ class MildSolutionEnsemble:
         return self.coeffs.shape[1]
 
 
-def _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells):
-    """Check existence once, then yield ``(k, steps)`` for each mode with noise.
+def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
+    """Check existence once, then yield ``(k, steps)`` for every mode.
 
     ``steps[i - 1]`` holds the weighted coefficients of mode k at node i
     >= 1 on all paths, shape ``(n_steps, n_paths)``: time-major, as the
     recursion runs (node 0 is the zero start).  Modes come in ascending
-    order and those whose noise coefficient is 0 are skipped (their
-    coefficients are 0).  The check runs when this is called, the draws as
-    the modes are consumed.
+    order.  The check runs when this is called, the draws as the modes are
+    consumed.
     """
-    decay = _noise_coefficients(model, noise_decay)
-    rep = existence_report(
-        model, params.h, alpha, grid.t_end, sigma=params.sigma, noise_decay=decay
-    )
+    rep = existence_report(model, params.h, alpha, grid.t_end, sigma=params.sigma)
     if not rep.finite:
         raise ValueError(
             f"fractional order alpha={alpha:g} lies above the existence "
@@ -386,8 +366,6 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_
         # one driver at a time keeps peak memory at a single component, and each
         # array is dropped once used; mode k is component k of simulate_cylindrical
         for k in range(model.truncation):
-            if decay[k] == 0.0:
-                continue
             drv = simulate_driver(params, grid, n_paths, seed, k, n_noise_cells)
             fade = math.exp(-lams[k] * grid.dt)
             # exact one-step form of the left-point convolution, time-major
@@ -396,7 +374,7 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_
             y *= fade
             for i in range(1, y.shape[0]):
                 y[i] += fade * y[i - 1]
-            y *= weights[k] * decay[k]
+            y *= weights[k]
             yield k, y
             del y
 
@@ -411,7 +389,6 @@ def solve_mild(
     alpha: float = 0.0,
     *,
     seed: int = 0,
-    noise_decay=None,
     n_noise_cells: int = 512,
 ) -> MildSolutionEnsemble:
     """Left-point mild-solution recursion, one independent driver per mode.
@@ -425,7 +402,7 @@ def solve_mild(
     callers that need them; ``mild_summary`` gives the terminal values and
     the Hölder slope of the same draws in memory that does not grow with K.
     """
-    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells)
+    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
     for k, steps in modes:
         coeffs[:, k, 1:] = steps.T
@@ -440,7 +417,6 @@ def mild_summary(
     alpha: float,
     *,
     seed: int,
-    noise_decay,
     n_noise_cells: int,
     fit_holder: bool,
 ) -> tuple[np.ndarray, float | None]:
@@ -455,7 +431,7 @@ def mild_summary(
     ``(n_starts, n_paths)`` sum per lag, for p != 2 the second half of
     each mode's path.  Every argument is required.
     """
-    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, noise_decay, n_noise_cells)
+    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     fold = _LagFold(model, grid, n_paths) if fit_holder else None
     terminal = np.zeros((n_paths, model.truncation))
     for k, steps in modes:
@@ -616,7 +592,10 @@ def neumann_boundary_integral(
     boundary (both endpoints at once, using the x <-> L-x symmetry of the
     two-atom integrand; 8-point rule, at most 34 shells, relative shell
     tolerance 1e-7); the trace of partial sums doubles as the divergence
-    detector.  ``surrogate_d`` switches the kernel to the
+    detector.  The shells start at ``min(L/2, 40 sqrt(t0))``: farther from
+    both walls the kernels carry a factor below ``e^{-400}``, and a short
+    horizon would otherwise spend the shell budget where the integrand
+    underflows.  ``surrogate_d`` switches the kernel to the
     Gaussian-bound power model with a formal dimension, which is the only
     way a 1-D setup can exhibit the supercritical regime.
     """
@@ -644,8 +623,10 @@ def neumann_boundary_integral(
 
         return _dyadic_sum(time_shell, 120, 1e-12)[0]
 
+    x_top = min(0.5 * cfg.length, 40.0 * math.sqrt(cfg.t0))
+
     def space_shell(j: int) -> float:
-        xn, xw = _dyadic_shell(0.5 * cfg.length, j, xg, wg)
+        xn, xw = _dyadic_shell(x_top, j, xg, wg)
         inner = np.array([time_integral(x) for x in xn])
         return 2.0 * float(xw @ inner**outer_pow)
 
@@ -677,7 +658,7 @@ def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float, n_pieces
 
 def boundary_solution_check(
     cfg: NeumannKernelConfig,
-    params: FracParams,
+    sigma: float,
     n_paths: int,
     *,
     grid_steps: int = 64,
@@ -688,15 +669,15 @@ def boundary_solution_check(
 ) -> BoundaryCheckRecord:
     """Simulate the boundary-driven solution and report its second moments.
 
-    One independent fractional component per boundary atom; the expected
-    profile is the per-point isometry target (sum over atoms of squared
-    kernel norms), and the gamma norm is the spatial L^p norm of its square
-    root: ``gamma_norm_lp`` of the two atoms' kernel field, without
-    computing the kernel norms again.  ``x_nodes`` overrides the default
-    uniform interior nodes, e.g. to cluster points toward a boundary.
+    One independent fBm component per boundary atom, with the Hurst index
+    ``cfg.hurst`` and the scale ``sigma``; the expected profile is the
+    per-point isometry target (sum over atoms of squared kernel norms), and
+    the gamma norm is the spatial L^p norm of its square root:
+    ``gamma_norm_lp`` of the two atoms' kernel field, without computing the
+    kernel norms again.  ``x_nodes`` overrides the default uniform interior
+    nodes, e.g. to cluster points toward a boundary.
     """
-    if abs(params.h - cfg.hurst) > 1e-12:
-        raise ValueError("driver roughness must match the kernel configuration")
+    params = FracParams.fbm(cfg.hurst, sigma)
     grid = TimeGrid(0.0, cfg.t0 / grid_steps, grid_steps)
     if x_nodes is None:
         xs = cfg.length * np.arange(1, n_x + 1) / (n_x + 1.0)
@@ -727,7 +708,7 @@ def boundary_solution_check(
     ]
     expected = np.array(
         [
-            sum(integrand_norm(s, cfg.hurst, params.sigma, method="covariance") ** 2 for s in pair)
+            sum(integrand_norm(s, cfg.hurst, sigma, method="covariance") ** 2 for s in pair)
             for pair in steps
         ]
     )

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from fracwiener.chaos import double_wiener_integral, moment_ratio
+from fracwiener.chaos import DiscreteIsonormal, double_wiener_integral, moment_ratio
 from fracwiener.cli import main as cli_main
 from fracwiener.experiments import parse_flat_config, run_experiment, validate_config
 from fracwiener.grids import StepFunction, TimeGrid
@@ -23,7 +23,6 @@ from fracwiener.processes import (
     FracParams,
     HermiteScheme,
     covariance_rh,
-    default_isonormal,
     simulate_fbm,
     simulate_hermite_k2,
 )
@@ -118,7 +117,7 @@ def test_c03_isometry_across_drivers():
         (0.9, 2048, 20.0, HermiteScheme(warp_scale=0.35)),
     ]
     for j, (h, n_cells, lead, scheme) in enumerate(ros_setups):
-        iso = default_isonormal(1.0, ACC_SEED, n_cells, lead_factor=lead, stream=10 + j)
+        iso = DiscreteIsonormal.for_window(1.0, n_cells, ACC_SEED, lead_factor=lead, stream=10 + j)
         with worker_threads(THREADS):
             ens = simulate_hermite_k2(FracParams.rosenblatt(h), ros_grid, iso, n_paths,
                                       scheme=scheme)
@@ -165,7 +164,7 @@ def test_c05_second_chaos_covariance():
     sigma = 1.2
     n_paths = 100_000
     grid = TimeGrid(0.0, 0.25, 4)
-    iso = default_isonormal(1.0, ACC_SEED, 1024, stream=20)
+    iso = DiscreteIsonormal.for_window(1.0, 1024, ACC_SEED, stream=20)
     with worker_threads(THREADS):
         ens = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma), grid, iso, n_paths)
     worst = 0.0
@@ -218,7 +217,7 @@ def test_c08_holder_exponent_floors():
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         with worker_threads(THREADS):
             _, slope = mild_summary(model, FracParams.fbm(h), grid, 10_000, 0.0, seed=ACC_SEED,
-                                    noise_decay=None, n_noise_cells=512, fit_holder=True)
+                                    n_noise_cells=512, fit_holder=True)
         results.append((m, h, floor, slope))
     elapsed = time.perf_counter() - t0
     ok = all(slope > floor for _, _, floor, slope in results) and elapsed < 900.0

@@ -108,3 +108,33 @@ def test_no_function_takes_a_thread_count():
         and "threads" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
     )
     assert found == []
+
+
+# public keyword options: the defaulted parameters of the __all__ functions and
+# of the public methods of __all__ classes; a new option has to raise this bound
+MAX_KEYWORD_OPTIONS = 37
+
+
+def _keyword_options(modules) -> dict:
+    public, out = _public(modules), {}
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if public.get(getattr(node, "name", None)) != mod:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                funcs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            else:
+                funcs = []
+            for name, f in funcs:
+                n = len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+                if n:
+                    out[f"{mod}.{name}"] = n
+    return out
+
+
+def test_keyword_options_stay_within_bound():
+    options = _keyword_options(_modules())
+    assert sum(options.values()) <= MAX_KEYWORD_OPTIONS, options

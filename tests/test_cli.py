@@ -390,6 +390,18 @@ class TestInvalidConfigExit2:
         assert code == 2
         assert "unknown key 'method'" in capsys.readouterr().err
 
+    def test_isometry_order_is_not_a_key(self, tmp_path, capsys):
+        # the generalized family is the k = 2 one
+        code, _ = _run(tmp_path, ISO_CFG + "k = 2\n")
+        assert code == 2
+        assert "unknown key 'k'" in capsys.readouterr().err
+
+    def test_boundary_expectation_is_not_a_key(self, tmp_path, capsys):
+        # the boundary-noise integral is finite for every admitted (H, p)
+        code, _ = _run(tmp_path, BOUNDARY_CFG + "expect = finite\n")
+        assert code == 2
+        assert "unknown key 'expect'" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["run", "no-such-file.cfg"]) == 2
 
@@ -525,6 +537,31 @@ class TestKinds:
         assert [r[4] for r in rows] == ["false", "false", "true", "true"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["first_diverged_alpha"]["0.4"] == 0.2
+
+
+class TestFewPathsWarning:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ISO_CFG.replace("n_paths = 3000", "n_paths = 500"),
+            MOMENTS_CFG.replace("n_paths = 20000", "n_paths = 500"),
+            SPDE_CFG.replace("n_paths = 1500", "n_paths = 500"),
+            BOUNDARY_CFG.replace("n_paths = 1000", "n_paths = 500"),
+        ],
+    )
+    def test_one_rule_for_every_monte_carlo_kind(self, text):
+        res = run_experiment(validate_config(parse_flat_config(text)))
+        assert res.warnings == ["n_paths = 500 is small for stable Monte Carlo statistics"]
+
+    def test_comes_before_the_runner_warnings(self):
+        text = SPDE_CFG.replace("n_paths = 1500", "n_paths = 500") + "fit_smoothing = true\n"
+        res = run_experiment(validate_config(parse_flat_config(text)))
+        assert len(res.warnings) == 2
+        assert res.warnings[0].startswith("n_paths = 500")
+        assert res.warnings[1].startswith("truncation = 4")
+
+    def test_silent_at_1000_paths(self):
+        assert run_experiment(validate_config(parse_flat_config(BOUNDARY_CFG))).warnings == []
 
 
 class TestStrictMode:

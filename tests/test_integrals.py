@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from fracwiener.chaos import moment_ratio
+from fracwiener.chaos import DiscreteIsonormal, moment_ratio
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import (
     HSOperator,
@@ -29,7 +29,6 @@ from fracwiener.integrals import (
 )
 from fracwiener.processes import (
     FracParams,
-    default_isonormal,
     hermite_covariance,
     simulate_cylindrical,
     simulate_fbm,
@@ -72,7 +71,7 @@ def fbm_ensembles():
         }
 
 
-ROSENBLATT_ISO = default_isonormal(1.0, seed=204, n_cells=1024)
+ROSENBLATT_ISO = DiscreteIsonormal.for_window(1.0, 1024, seed=204)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from fracwiener import processes, rng
+from fracwiener.chaos import DiscreteIsonormal
 from fracwiener.grids import TimeGrid
 from fracwiener.processes import (
     CylindricalEnsemble,
@@ -18,7 +19,6 @@ from fracwiener.processes import (
     FracParams,
     HermiteScheme,
     covariance_rh,
-    default_isonormal,
     hermite_covariance,
     simulate_cylindrical,
     simulate_fbm,
@@ -274,7 +274,7 @@ def _nine_point_z(ens, h, sigma=1.0):
 class TestSimulateHermite:
     def test_zero_time_and_start(self):
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=1, n_cells=128)
+        iso = DiscreteIsonormal.for_window(1.0, 128, seed=1)
         grid = TimeGrid(0.0, 0.5, 2)
         ens = simulate_hermite_k2(par, grid, iso, 200)
         assert np.all(ens.paths[:, 0] == 0.0)
@@ -282,7 +282,7 @@ class TestSimulateHermite:
 
     def test_deterministic_and_thread_invariant(self):
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=4, n_cells=128)
+        iso = DiscreteIsonormal.for_window(1.0, 128, seed=4)
         grid = TimeGrid(0.0, 0.25, 4)
         a = simulate_hermite_k2(par, grid, iso, 6000).paths
         with worker_threads(6):
@@ -292,7 +292,7 @@ class TestSimulateHermite:
     def test_centred(self):
         # the subtracted trace is that of the truncated forms, so E z_t = 0
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=33, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=33)
         with worker_threads(4):
             ens = simulate_hermite_k2(par, TimeGrid(0.0, 0.25, 4), iso, 30_000)
         x = ens.paths[:, 1:]
@@ -302,7 +302,7 @@ class TestSimulateHermite:
     def test_time_chunks_agree(self, monkeypatch):
         # one time node per chunk of the stacked forms, as on long grids
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=4, n_cells=128)
+        iso = DiscreteIsonormal.for_window(1.0, 128, seed=4)
         grid = TimeGrid(0.0, 0.125, 8)
         whole = simulate_hermite_k2(par, grid, iso, 500).paths
         monkeypatch.setattr(processes, "_CHUNK_ELEMENTS", 1)
@@ -310,19 +310,19 @@ class TestSimulateHermite:
         assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-14)
 
     def test_family_validation(self):
-        iso = default_isonormal(1.0, seed=1, n_cells=64)
+        iso = DiscreteIsonormal.for_window(1.0, 64, seed=1)
         grid = TimeGrid(0.0, 0.25, 4)
         with pytest.raises(ValueError):
             simulate_hermite_k2(FracParams.fbm(0.6), grid, iso, 10)
         with pytest.raises(ValueError):
             simulate_hermite_k2(FracParams.generalized(-2.2, -0.5, 4), grid, iso, 10)
-        short = default_isonormal(0.5, seed=1, n_cells=64)
+        short = DiscreteIsonormal.for_window(0.5, 64, seed=1)
         with pytest.raises(ValueError, match="window"):
             simulate_hermite_k2(FracParams.rosenblatt(0.75), grid, short, 10)
 
     def test_rosenblatt_covariance_nine_point(self):
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=31, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=31)
         grid = TimeGrid(0.0, 0.25, 4)
         with worker_threads(4):
             ens = simulate_hermite_k2(par, grid, iso, 30_000)
@@ -330,7 +330,7 @@ class TestSimulateHermite:
 
     def test_generalized_covariance_nine_point(self):
         par = FracParams.generalized(-1.1, -0.15, 2)
-        iso = default_isonormal(1.0, seed=32, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=32)
         grid = TimeGrid(0.0, 0.25, 4)
         with worker_threads(4):
             ens = simulate_hermite_k2(par, grid, iso, 20_000)
@@ -338,7 +338,7 @@ class TestSimulateHermite:
 
     def test_self_similarity_ratio(self):
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=31, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=31)
         grid = TimeGrid(0.0, 0.25, 4)
         with worker_threads(4):
             ens = simulate_hermite_k2(par, grid, iso, 30_000)
@@ -359,14 +359,14 @@ class TestSimulateHermite:
 
     def test_skewness_witnesses_non_gaussianity(self):
         par = FracParams.rosenblatt(0.75)
-        iso = default_isonormal(1.0, seed=31, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=31)
         grid = TimeGrid(0.0, 0.25, 4)
         with worker_threads(4):
             ens = simulate_hermite_k2(par, grid, iso, 30_000)
         assert stats.skew(ens.paths[:, -1]) > 0.5
 
     def test_sigma_scaling(self):
-        iso = default_isonormal(1.0, seed=2, n_cells=128)
+        iso = DiscreteIsonormal.for_window(1.0, 128, seed=2)
         grid = TimeGrid(0.0, 0.5, 2)
         a = simulate_hermite_k2(FracParams.rosenblatt(0.75), grid, iso, 300).paths
         b = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma=3.0), grid, iso, 300).paths
@@ -383,7 +383,7 @@ class TestSimulateHermite:
         near-diagonal residual decays like dx^{2H-1}.
         """
         par = FracParams.rosenblatt(h)
-        iso = default_isonormal(1.0, seed=1)
+        iso = DiscreteIsonormal.for_window(1.0, 512, seed=1)
         cov = hermite_covariance(par, NINE_POINT, iso, HermiteScheme(warp_scale=warp))
         tgt = np.array([[covariance_rh(s, t, h) for t in NINE_POINT] for s in NINE_POINT])
         assert np.abs(cov - tgt).max() < bound
@@ -391,7 +391,7 @@ class TestSimulateHermite:
     def test_deterministic_covariance_generalized(self):
         """hermite_covariance for the generalized family of the isometry kind, against R_H."""
         par = FracParams.generalized(-1.1, -0.15, 2)
-        iso = default_isonormal(1.0, seed=1, n_cells=256)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=1)
         cov = hermite_covariance(par, NINE_POINT, iso)
         tgt = np.array(
             [[covariance_rh(s, t, par.h) for t in NINE_POINT] for s in NINE_POINT]
@@ -406,15 +406,15 @@ class TestSimulateHermite:
         par = FracParams.rosenblatt(0.75)
         v = []
         for n_cells in (512, 1024):
-            iso = default_isonormal(1.0, seed=1, n_cells=n_cells)
+            iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=1)
             v.append(hermite_covariance(par, [1.0], iso)[0, 0])
         assert abs(v[1] - v[0]) / v[0] < 0.01
 
     def test_window_doubling(self):
         """Noise-window length of simulate_hermite_k2 (isometry), read through hermite_covariance."""
         par = FracParams.rosenblatt(0.75)
-        base = default_isonormal(1.0, seed=1, n_cells=1024, lead_factor=10.0)
-        wide = default_isonormal(1.0, seed=1, n_cells=1024, lead_factor=20.0)
+        base = DiscreteIsonormal.for_window(1.0, 1024, seed=1, lead_factor=10.0)
+        wide = DiscreteIsonormal.for_window(1.0, 1024, seed=1, lead_factor=20.0)
         a = hermite_covariance(par, [1.0], base)[0, 0]
         b = hermite_covariance(par, [1.0], wide)[0, 0]
         assert abs(a - b) / a < 0.03
@@ -432,7 +432,7 @@ class TestSimulateHermite:
         covariance is what hermite_covariance returns.
         """
         par = FracParams.rosenblatt(h, sigma)
-        iso = default_isonormal(1.0, seed=1, n_cells=n_cells, lead_factor=lead)
+        iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=1, lead_factor=lead)
         scheme = HermiteScheme(warp_scale=warp)
         times = TimeGrid(0.0, 0.25, 4).nodes
         op = processes._HermiteOperator(par, times, iso, scheme)

@@ -175,13 +175,10 @@ class TestExistenceReport:
         field = assemble_kernel_field(mod, 0.4, 0.0, 1.0, n_x=256)
         rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0, n_x=256)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
-        # weights and noise coefficients applied to norms cached at another alpha
-        decay = 1.0 / np.arange(1, 7) ** 0.7
+        # weights applied to norms cached at another alpha
         existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7, doublings=0)
-        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7, noise_decay=decay, n_x=256)
-        rep = existence_report(
-            mod, 0.35, 0.1, 1.0, sigma=1.7, noise_decay=decay, doublings=0, n_x=256
-        )
+        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7, n_x=256)
+        rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0, n_x=256)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
         cached = _mode_step_norms(mod.length, mod.order, 0.35, 1.0, 1.7, mod.truncation)
         with pytest.raises(ValueError):
@@ -193,17 +190,16 @@ class TestExistenceReport:
             existence_report(mod, 0.4, 0.0, 0.0)
 
 
-def _dense_existence(mod, hurst, alpha, t0, sigma, decay, doublings, n_x):
+def _dense_existence(mod, hurst, alpha, t0, sigma, doublings, n_x):
     """Block masses and verdict of existence_report from a dense sine matrix.
 
     The reference sum: ``sum_k a_k phi_k(x_i)^2`` with the sine modes
     evaluated at every node, the route the cosine transform replaced.
     """
     k_max = mod.truncation * 2**doublings
-    decay = np.concatenate((decay, np.full(k_max - decay.size, decay[-1])))
     big = mod.truncated(k_max)
     base = _mode_step_norms(mod.length, mod.order, hurst, t0, sigma, k_max)
-    norms = np.abs(decay) * big.fractional_weights(alpha) * base
+    norms = big.fractional_weights(alpha) * base
     xs, ws = mod.spatial_quadrature(max(n_x, 4 * k_max))
     modes = big.eigenfunctions(xs)
     mass = []
@@ -233,11 +229,8 @@ class TestExistenceReportDenseOracle:
         # 64 cells sit below 4 k_max here; the other n_x is above it and no
         # power of two
         n_x = 4 * k_max + 6 if above else 64
-        decay = 1.0 / np.arange(1, truncation + 1) ** 0.7
-        rep = existence_report(
-            mod, 0.4, 0.1, 1.0, sigma=1.3, noise_decay=decay, doublings=doublings, n_x=n_x
-        )
-        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, decay, doublings, n_x)
+        rep = existence_report(mod, 0.4, 0.1, 1.0, sigma=1.3, doublings=doublings, n_x=n_x)
+        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, doublings, n_x)
         assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
         assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
         assert rep.finite == finite
@@ -254,11 +247,10 @@ class TestExistenceReportDenseOracle:
     @pytest.mark.parametrize("m,p", [(1, 1.5), (1, 2.0), (2, 1.5), (2, 2.0)])
     def test_same_verdicts_over_grid(self, m, p):
         mod = build_spectral_model(L_PI, m, 16, p=p)
-        ones = np.ones(16)
         for h in (0.3, 0.35, 0.4, 0.45):
             for a in np.linspace(0.0, 0.3, 13):
                 rep = existence_report(mod, h, a, 1.0)
-                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, ones, 3, 64)[2]
+                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, 3, 64)[2]
 
 
 class TestSmoothingExponent:
@@ -300,25 +292,6 @@ class TestSolveMild:
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with pytest.raises(ValueError, match="existence threshold"):
             solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.2)
-
-    def test_zero_noise_coefficients(self):
-        mod = build_spectral_model(L_PI, 1, 4)
-        grid = TimeGrid(0.0, 1.0 / 32, 32)
-        ens = solve_mild(mod, FracParams.fbm(0.6), grid, 8, noise_decay=np.zeros(4))
-        assert not ens.coeffs.any()
-
-    def test_noise_decay_length_checked(self):
-        mod = build_spectral_model(L_PI, 1, 4)
-        grid = TimeGrid(0.0, 1.0 / 32, 32)
-        short = np.ones(3)
-        routes = (
-            lambda: solve_mild(mod, FracParams.fbm(0.6), grid, 8, noise_decay=short),
-            lambda: existence_report(mod, 0.6, 0.0, 1.0, noise_decay=short),
-            lambda: assemble_kernel_field(mod, 0.6, 0.0, 1.0, noise_decay=short),
-        )
-        for route in routes:
-            with pytest.raises(ValueError, match="per mode"):
-                route()
 
     def test_single_mode_variance_anchor(self):
         mod = build_spectral_model(L_PI, 1, 1)
@@ -444,9 +417,9 @@ class TestEnsembleAccessors:
         assert np.array_equal(ens.coeffs[:, :3, :], low.coeffs)
 
 
-def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, noise_decay=None,
-             n_noise_cells=512, fit_holder=True):
-    return mild_summary(model, params, grid, n_paths, alpha, seed=seed, noise_decay=noise_decay,
+def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512,
+             fit_holder=True):
+    return mild_summary(model, params, grid, n_paths, alpha, seed=seed,
                         n_noise_cells=n_noise_cells, fit_holder=fit_holder)
 
 
@@ -460,12 +433,9 @@ class TestMildSummary:
         mod = build_spectral_model(L_PI, 1, 6, p=p)
         params = FracParams.fbm(0.75) if family == "fbm" else FracParams.rosenblatt(0.75)
         grid = TimeGrid(0.0, 1.0 / 32, 32)
-        decay = np.array([1.0, 0.0, 0.5, 0.0, 2.0, 1.0])
-        ens = solve_mild(mod, params, grid, 60, alpha, seed=4, noise_decay=decay, n_noise_cells=64)
-        terminal, slope = _summary(mod, params, grid, 60, alpha, seed=4, noise_decay=decay,
-                                   n_noise_cells=64)
+        ens = solve_mild(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
+        terminal, slope = _summary(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
         assert np.array_equal(terminal, ens.coeffs[:, :, -1])
-        assert not terminal[:, [1, 3]].any()
         assert slope == holder_exponent_estimate(ens)
 
     def test_no_fit_without_request(self):
@@ -671,6 +641,18 @@ class TestNeumannBoundaryIntegral:
                 NeumannKernelConfig(1.0, 1.0, 0.9, 2.0), surrogate_d=0
             )
 
+    def test_short_horizon_matches_rescaled_domain(self):
+        # x -> x / sqrt(t0), s -> s / t0 maps (L, t0) onto (L / sqrt(t0), 1) and
+        # scales the integral by t0^(pH - p/2 + 1/2) = t0^0.875; the shells must
+        # start where the kernel lives, or a short horizon underflows to 0
+        short = neumann_boundary_integral(NeumannKernelConfig(1.0, 1e-8, 0.75, 1.5))
+        wide = neumann_boundary_integral(NeumannKernelConfig(1e4, 1.0, 0.75, 1.5))
+        assert short.value / 1e-8**0.875 == pytest.approx(wide.value, rel=1e-9)
+        shorter = neumann_boundary_integral(NeumannKernelConfig(1.0, 1e-9, 0.75, 1.5))
+        assert shorter.value > 0
+        for rec in (short, wide, shorter):
+            assert len(rec.refinement_trace) < 34
+
     def test_record_roundtrip(self):
         # the three fields the spde-boundary summary writes survive JSON
         # exactly; the value is the last partial sum plus a positive tail
@@ -687,29 +669,19 @@ CFG75 = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.75, p=2.0)
 
 
 class TestBoundarySolutionCheck:
-    def test_driver_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="match"):
-            boundary_solution_check(CFG75, FracParams.fbm(0.6), 8)
-
     def test_x_nodes_validated(self):
         with pytest.raises(ValueError, match="inside the domain"):
-            boundary_solution_check(
-                CFG75, FracParams.fbm(0.75), 8, x_nodes=[0.2, 0.1]
-            )
+            boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.2, 0.1])
 
     def test_pointwise_isometry_three_se(self):
         n_paths = 4000
-        rec = boundary_solution_check(
-            CFG75, FracParams.fbm(0.75), n_paths, grid_steps=128, seed=51
-        )
+        rec = boundary_solution_check(CFG75, 1.0, n_paths, grid_steps=128, seed=51)
         se = rec.expected_profile * math.sqrt(2.0 / n_paths)
         z = (rec.variance_profile - rec.expected_profile) / se
         assert np.abs(z).max() < 3.0
 
     def test_profile_rises_toward_both_walls(self):
-        rec = boundary_solution_check(
-            CFG75, FracParams.fbm(0.75), 2000, grid_steps=128, seed=52
-        )
+        rec = boundary_solution_check(CFG75, 1.0, 2000, grid_steps=128, seed=52)
         mid = rec.variance_profile.size // 2
         assert rec.variance_profile[0] > rec.variance_profile[mid]
         assert rec.variance_profile[-1] > rec.variance_profile[mid]
@@ -718,12 +690,8 @@ class TestBoundarySolutionCheck:
     def test_interior_stable_under_image_doubling(self):
         cfg40 = NeumannKernelConfig(1.0, 1.0, 0.75, 2.0, image_terms=40)
         xs = [0.25, 0.5, 0.75]
-        a = boundary_solution_check(
-            CFG75, FracParams.fbm(0.75), 4, grid_steps=8, x_nodes=xs
-        ).expected_profile
-        b = boundary_solution_check(
-            cfg40, FracParams.fbm(0.75), 4, grid_steps=8, x_nodes=xs
-        ).expected_profile
+        a = boundary_solution_check(CFG75, 1.0, 4, grid_steps=8, x_nodes=xs).expected_profile
+        b = boundary_solution_check(cfg40, 1.0, 4, grid_steps=8, x_nodes=xs).expected_profile
         assert np.abs(b / a - 1.0).max() < 1e-6
 
     def test_uncorrelated_boundary_case_log_law(self):
@@ -732,8 +700,7 @@ class TestBoundarySolutionCheck:
         cfg = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.5, p=2.0)
         xs = 2.0 ** -np.arange(3, 11)
         rec = boundary_solution_check(
-            cfg, FracParams.fbm(0.5), 4, grid_steps=8, x_nodes=xs[::-1],
-            kernel_pieces=192,
+            cfg, 1.0, 4, grid_steps=8, x_nodes=xs[::-1], kernel_pieces=192
         )
         prof = rec.expected_profile[::-1]
         slope = np.polyfit(np.log(1.0 / xs), prof, 1)[0]
@@ -742,9 +709,6 @@ class TestBoundarySolutionCheck:
 
     def test_smooth_case_profile_bounded_near_wall(self):
         xs = [2.0**-10, 2.0**-7, 2.0**-4]
-        rec = boundary_solution_check(
-            CFG75, FracParams.fbm(0.75), 4, grid_steps=8, x_nodes=xs,
-            kernel_pieces=192,
-        )
+        rec = boundary_solution_check(CFG75, 1.0, 4, grid_steps=8, x_nodes=xs, kernel_pieces=192)
         prof = rec.expected_profile
         assert prof[0] / prof[-1] < 1.15
