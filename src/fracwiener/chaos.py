@@ -52,11 +52,6 @@ class DiscreteIsonormal:
     def n_cells(self) -> int:
         return self.grid.n_steps
 
-    @property
-    def sample_points(self) -> np.ndarray:
-        """Cell midpoints; kernels are evaluated here."""
-        return self.grid.cell_midpoints
-
     def increment_block(self, block: int, n: int) -> np.ndarray:
         gen = block_generator(self.seed, self.stream, block)
         return gen.standard_normal((n, self.n_cells)) * np.sqrt(self.grid.dt)

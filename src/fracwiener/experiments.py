@@ -29,8 +29,8 @@ from .processes import Family, FracParams, simulate_driver
 from .sobolev import integrand_norm, norm_equivalence_constant, sobolev_norm_fourier
 from .spde import (
     NeumannKernelConfig,
+    SpectralModel,
     boundary_solution_check,
-    build_spectral_model,
     existence_report,
     mild_summary,
     mode_norm,
@@ -502,8 +502,8 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
             f"truncation = {p['truncation']} is coarse for the smoothing-exponent fit; "
             "128+ modes give a stable slope"
         )
-    model = build_spectral_model(
-        p["length"], p["m"], p["truncation"], lambda_shift=p["lambda_shift"], p=p["p"]
+    model = SpectralModel(
+        p["length"], p["m"], p["truncation"], shift=p["lambda_shift"], p=p["p"]
     )
     params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
@@ -624,7 +624,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    model = build_spectral_model(p["length"], p["m"], p["truncation"], p=p["p"])
+    model = SpectralModel(p["length"], p["m"], p["truncation"], p=p["p"])
     rows, verdicts = [], []
     flips = {}
     for h in p["hurst"]:

@@ -35,12 +35,6 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ValueError("grid needs at least one step")
 
-    @classmethod
-    def from_window(cls, a: float, b: float, n_steps: int) -> "TimeGrid":
-        if not b > a:
-            raise ValueError("window must have positive length")
-        return cls(t0=float(a), dt=(float(b) - float(a)) / n_steps, n_steps=n_steps)
-
     @property
     def t_end(self) -> float:
         return self.t0 + self.dt * self.n_steps
@@ -58,11 +52,6 @@ class TimeGrid:
         k = int(round((t - self.t0) / self.dt))
         k = min(max(k, 0), self.n_steps)
         return k, abs(self.t0 + k * self.dt - t)
-
-    def refined(self, factor: int) -> "TimeGrid":
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return TimeGrid(self.t0, self.dt / factor, self.n_steps * factor)
 
 
 def _as_1d(a, name: str) -> np.ndarray:
@@ -197,16 +186,6 @@ class StepFunction:
         if self.n_pieces == 0:
             return 0.0
         return float(np.sqrt(np.sum(self.values**2 * np.diff(self.breakpoints))))
-
-    def lp_norm(self, p: float) -> float:
-        if self.n_pieces == 0:
-            return 0.0
-        return float(np.sum(np.abs(self.values) ** p * np.diff(self.breakpoints)) ** (1.0 / p))
-
-    def integral(self) -> float:
-        if self.n_pieces == 0:
-            return 0.0
-        return float(np.sum(self.values * np.diff(self.breakpoints)))
 
     def to_grid(self, grid: TimeGrid) -> "GridFunction":
         """Cell-value sampling at cell midpoints.

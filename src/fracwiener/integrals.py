@@ -295,7 +295,21 @@ def gamma_norm_lp(field: LpKernelField) -> float:
 # ---------------------------------------------------------------------------
 # dyadic refinement toward a singular endpoint, and the finiteness conditions
 
-_FLAT_RATIO = 0.95  # shell contributions decaying slower than this look divergent
+_CRITICAL_RATIO = 0.96
+
+
+def _stops_decaying(terms: Sequence[float]) -> bool:
+    """Divergence rule of a refinement: its nonnegative terms stop decaying.
+
+    Ratios of consecutive terms (positive predecessors) carry an O(1/K) bias
+    that halves per level; the extrapolated ``2 r[-1] - r[-2]`` (or a single
+    ratio) at or above _CRITICAL_RATIO reads as divergence, which separates
+    slow geometric decay from power growth and the logarithmic critical case.
+    """
+    ratios = [terms[i] / terms[i - 1] for i in range(1, len(terms)) if terms[i - 1] > 0]
+    if len(ratios) >= 2:
+        return 2.0 * ratios[-1] - ratios[-2] >= _CRITICAL_RATIO
+    return bool(ratios) and ratios[-1] >= _CRITICAL_RATIO
 
 
 def _series_tail(terms: Sequence[float]) -> float:
@@ -332,11 +346,10 @@ def _dyadic_sum(shell: Callable, max_shells: int, rtol: float):
 
     Convergence is declared when a shell adds less than ``rtol`` of the
     running total; the remaining tail is extrapolated geometrically.
-    When the cap is reached, divergence is declared if the last
-    contributions stop decaying (ratio >= 0.95 twice in a row), which
-    catches both power growth and the constant-increment signature of a
-    logarithmic blowup.  Returns the value (``math.inf`` on divergence)
-    and the partial sums.
+    When the cap is reached, divergence is declared if the contributions
+    stop decaying by the shared rule ``_stops_decaying``, the one of
+    ``spde.existence_report``.  Returns the value (``math.inf`` on
+    divergence) and the partial sums.
     """
     total = 0.0
     terms, sums = [], []
@@ -351,8 +364,7 @@ def _dyadic_sum(shell: Callable, max_shells: int, rtol: float):
             continue
         if d <= rtol * total:
             return total + _series_tail(terms), sums
-    ratios = [terms[i] / terms[i - 1] for i in range(1, len(terms)) if terms[i - 1] > 0]
-    if len(ratios) >= 2 and min(ratios[-2:]) >= _FLAT_RATIO:
+    if _stops_decaying(terms):
         return math.inf, sums
     return total + _series_tail(terms), sums
 

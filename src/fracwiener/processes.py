@@ -21,7 +21,10 @@ checks at Monte Carlo precision:
   fraction of the kernel mass out of reach; the warp pushes the window
   edge to depth ~ c e^{A/c} at no extra cells.  Increments of Brownian
   motion under a time change y = phi(x) are sqrt(phi'(x)) times standard
-  increments, so the warped object has exactly the right law.
+  increments, so the warped object has exactly the right law.  The
+  e-folding length c is ``warp_scale`` (default 0.6) times the horizon,
+  the one resolution setting that callers pass; the filter-variable rule
+  is fixed by the module constants _GL_POINTS, _GRADE and _U_STRIDE.
 * Kernel columns are cell averages (exact antiderivative in the linear
   zone), making the discrete kernel the L2 projection of the true one.
 * The diagonal is renormalized rather than dropped, which would lose a
@@ -42,7 +45,7 @@ when one is in effect and give the same paths at any worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -57,7 +60,6 @@ __all__ = [
     "CylindricalEnsemble",
     "Family",
     "FracParams",
-    "HermiteScheme",
     "PathEnsemble",
     "covariance_rh",
     "hermite_covariance",
@@ -143,6 +145,16 @@ def covariance_rh(s, t, h: float):
     if not 0.0 < h < 1.0:
         raise ValueError("H must lie in (0, 1)")
     return 0.5 * (np.abs(s) ** (2 * h) + np.abs(t) ** (2 * h) - np.abs(t - s) ** (2 * h))
+
+
+def _increment_covariance(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Covariance of unit-scale fBm increments over the cells of edge arrays a and b.
+
+    Entry (i, j) is E[(B(a[i+1]) - B(a[i])) (B(b[j+1]) - B(b[j]))], the mixed
+    second difference of covariance_rh.
+    """
+    r = covariance_rh(a[:, None], b[None, :], h)
+    return r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,13 +246,11 @@ def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
 
 
 def _fbm_circulant_drawer(params: FracParams, grid: TimeGrid):
-    # circulant embedding of the increment autocovariance
+    # circulant embedding of the increment autocovariance: the first cell
+    # against the cells of lags 0 .. n
     n = grid.n_steps
-    h2 = 2 * params.h
-    kk = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * params.sigma**2 * grid.dt**h2 * (
-        np.abs(kk + 1) ** h2 + np.abs(kk - 1) ** h2 - 2 * kk**h2
-    )
+    lags = grid.dt * np.arange(n + 2)
+    gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
     circ = np.concatenate([gamma, gamma[-2:0:-1]])
     eig = np.fft.fft(circ).real
     if eig.min() < -1e-9 * eig.max():
@@ -268,24 +278,12 @@ def _fbm_circulant_drawer(params: FracParams, grid: TimeGrid):
 # second-chaos processes (k = 2)
 
 
-@dataclass(frozen=True)
-class HermiteScheme:
-    """Resolution knobs for the kernel discretization.
-
-    gl_points and grade control the composite Gauss rule in the filter
-    variable; u_stride thins the panel edges in the stretched zone;
-    warp_scale sets the e-folding length of the coordinate warp in units
-    of the horizon.  Halving refinement (gl_points, stride, cells) should
-    move E z(t_end)^2 by well under a percent; tests pin that down.
-    """
-
-    gl_points: int = 4
-    u_stride: int = 4
-    grade: tuple = (0.12, 0.45)
-    warp_scale: float = 0.6
-
-    def refined(self) -> "HermiteScheme":
-        return replace(self, gl_points=self.gl_points + 2, u_stride=max(1, self.u_stride // 2))
+# Filter-variable rule: _GL_POINTS Gauss nodes on each piece of every panel,
+# pieces cut at _GRADE and its mirror; panel edges at every _U_STRIDE-th cell
+# edge of the stretched zone
+_GL_POINTS = 4
+_GRADE = np.array([0.12, 0.45])
+_U_STRIDE = 4
 
 
 def _warp(x: np.ndarray, x_b: float, c: float):
@@ -327,9 +325,9 @@ def _cell_averages(u: np.ndarray, x_edges: np.ndarray, x_b: float, c: float,
     return out
 
 
-def _graded_gauss(edges: np.ndarray, gl_points: int, grade: tuple):
-    xg, wg = leggauss(gl_points)
-    cuts = np.concatenate([[0.0], np.asarray(grade), 1.0 - np.asarray(grade)[::-1], [1.0]])
+def _graded_gauss(edges: np.ndarray):
+    xg, wg = leggauss(_GL_POINTS)
+    cuts = np.concatenate([[0.0], _GRADE, 1.0 - _GRADE[::-1], [1.0]])
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         for lo_f, hi_f in zip(cuts[:-1], cuts[1:]):
@@ -340,7 +338,7 @@ def _graded_gauss(edges: np.ndarray, gl_points: int, grade: tuple):
 
 
 def _filter_nodes(times: np.ndarray, beta: float, y_edges: np.ndarray, x_edges: np.ndarray,
-                  x_b: float, c: float, scheme: HermiteScheme):
+                  x_b: float, c: float):
     """Quadrature nodes/weights covering the support of k_t^beta."""
     t_max = float(np.max(times))
     pos = y_edges[(y_edges > 0) & (y_edges < t_max)]
@@ -348,9 +346,9 @@ def _filter_nodes(times: np.ndarray, beta: float, y_edges: np.ndarray, x_edges: 
     if beta != 0.0:
         # filter support extends over the whole negative axis
         xe = x_edges[x_edges < 0.0]
-        neg = _warp(xe[:: scheme.u_stride], x_b, c)[0]
+        neg = _warp(xe[::_U_STRIDE], x_b, c)[0]
         base = np.unique(np.concatenate([neg, base]))
-    return _graded_gauss(base, scheme.gl_points, scheme.grade)
+    return _graded_gauss(base)
 
 
 # Relative energy the rank-r factor may drop (the covariance then matches the
@@ -389,7 +387,7 @@ class _HermiteOperator:
     """Rank-r quadratic forms Q_t = a^T diag(omega_t) a and their covariance."""
 
     def __init__(self, params: FracParams, times: np.ndarray, iso: DiscreteIsonormal,
-                 scheme: HermiteScheme):
+                 warp_scale: float):
         if params.family is Family.FBM or params.chaos_order != 2:
             raise ValueError("second-chaos simulator needs a k = 2 family")
         t_end = float(np.max(times))
@@ -397,9 +395,9 @@ class _HermiteOperator:
             raise ValueError("noise window ends before the requested horizon")
         x_edges = iso.grid.nodes
         x_b = -t_end
-        c = scheme.warp_scale * t_end
+        c = warp_scale * t_end
         y_edges, _ = _warp(x_edges, x_b, c)
-        u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c, scheme)
+        u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c)
         gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
         a, self.dropped = _low_rank_factor(gbar, iso.grid.dt)
         self.rank = a.shape[1]
@@ -433,11 +431,15 @@ def simulate_hermite_k2(
     grid: TimeGrid,
     iso: DiscreteIsonormal,
     n_paths: int,
-    scheme: HermiteScheme = HermiteScheme(),
+    warp_scale: float = 0.6,
 ) -> PathEnsemble:
-    """Second-chaos simulation at the grid nodes, calibrated to sigma^2 t^2H."""
+    """Second-chaos simulation at the grid nodes, calibrated to sigma^2 t^2H.
+
+    ``warp_scale`` is the e-folding length of the coordinate warp in units
+    of the horizon.
+    """
     _require_zero_start(grid)
-    op = _HermiteOperator(params, grid.nodes, iso, scheme)
+    op = _HermiteOperator(params, grid.nodes, iso, warp_scale)
     paths = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start), n_paths)
     paths[:, 0] = 0.0  # omega vanishes at t = 0; pin the exact zero
     return PathEnsemble(grid, paths, params, iso.seed)
@@ -447,14 +449,15 @@ def hermite_covariance(
     params: FracParams,
     times: Sequence[float],
     iso: DiscreteIsonormal,
-    scheme: HermiteScheme = HermiteScheme(),
+    warp_scale: float = 0.6,
 ) -> np.ndarray:
     """Exact covariance matrix of the discrete second-chaos object.
 
     This is what the simulated ensemble converges to in Monte Carlo; its
     distance to sigma^2 R_H measures the discretization quality alone.
+    ``warp_scale`` is the one of ``simulate_hermite_k2``.
     """
-    return _HermiteOperator(params, np.asarray(times, dtype=float), iso, scheme).covariance
+    return _HermiteOperator(params, np.asarray(times, dtype=float), iso, warp_scale).covariance
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma
 
 from .grids import GridFunction, StepFunction
-from .processes import covariance_rh
+from .processes import _increment_covariance
 
 __all__ = [
     "cosine_tail_constant",
@@ -251,9 +251,8 @@ def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float
     h = _check_hurst(hurst)
     if f.n_pieces == 0 or g.n_pieces == 0:
         return 0.0
-    # increment covariances of all piece pairs: mixed second differences of R_H
-    r = covariance_rh(f.breakpoints[:, None], g.breakpoints[None, :], h)
-    m = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+    # increment covariances of all piece pairs
+    m = _increment_covariance(f.breakpoints, g.breakpoints, h)
     return float(sigma**2 * f.values @ m @ g.values)
 
 

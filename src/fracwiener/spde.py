@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .grids import StepFunction, TimeGrid
-from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum
+from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _stops_decaying
 from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .sobolev import dh_norm_exponential, integrand_norm
 
@@ -33,7 +33,6 @@ __all__ = [
     "ExistenceReport",
     "NeumannIntegralRecord",
     "BoundaryCheckRecord",
-    "build_spectral_model",
     "mode_norm",
     "existence_report",
     "assemble_kernel_field",
@@ -46,16 +45,12 @@ __all__ = [
     "boundary_solution_check",
 ]
 
-# a bias-extrapolated doubling-block ratio at or above this reads as divergence
-_CRITICAL_RATIO = 0.96
-
-
 @dataclass(frozen=True)
 class SpectralModel:
     """Truncated spectral realization of an order-2m operator on (0, L)."""
 
     length: float
-    order: int
+    m: int
     truncation: int
     shift: float = 0.0
     p: float = 2.0
@@ -63,18 +58,25 @@ class SpectralModel:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError("domain length must be positive")
-        if self.order < 2 or self.order % 2:
-            raise ValueError("operator order must be an even integer >= 2")
+        if self.m < 1 or int(self.m) != self.m:
+            raise ValueError("operator half-order m must be an integer >= 1")
         if self.truncation < 1:
             raise ValueError("need at least one mode")
         if self.shift < 0:
             raise ValueError("spectral shift must be nonnegative")
         if self.p < 1:
             raise ValueError("integrability exponent p must be >= 1")
+        with np.errstate(over="ignore"):
+            top = np.float64(self.truncation * math.pi / self.length) ** self.order
+        if not np.isfinite(top):
+            raise ValueError(
+                f"the top eigenvalue (K pi / L)^(2m) overflows at length {self.length:g}, "
+                f"m = {self.m} and truncation {self.truncation}; use a longer domain"
+            )
 
     @property
-    def m(self) -> int:
-        return self.order // 2
+    def order(self) -> int:
+        return 2 * self.m
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -98,23 +100,7 @@ class SpectralModel:
         return (self.shift + self.eigenvalues) ** alpha
 
     def truncated(self, truncation: int) -> "SpectralModel":
-        return SpectralModel(self.length, self.order, truncation, self.shift, self.p)
-
-
-def build_spectral_model(
-    length: float,
-    m: int,
-    truncation: int,
-    lambda_shift: float = 0.0,
-    p: float = 2.0,
-) -> SpectralModel:
-    return SpectralModel(
-        length=float(length),
-        order=2 * int(m),
-        truncation=int(truncation),
-        shift=float(lambda_shift),
-        p=float(p),
-    )
+        return SpectralModel(self.length, self.m, truncation, self.shift, self.p)
 
 
 def mode_norm(
@@ -194,7 +180,7 @@ def _midpoint_sq_sums(coef: np.ndarray, length: float, n_cells: int) -> np.ndarr
 
 @lru_cache(maxsize=32)
 def _mode_step_norms(
-    length: float, order: int, hurst: float, t0: float, sigma: float, n_modes: int
+    length: float, m: int, hurst: float, t0: float, sigma: float, n_modes: int
 ) -> np.ndarray:
     """Covariance-route norms of the first ``n_modes`` mode kernels, unweighted.
 
@@ -202,7 +188,7 @@ def _mode_step_norms(
     per H and shared by every alpha; the caller applies the fractional
     weights.  The array is read-only.
     """
-    lams = SpectralModel(length, order, n_modes).eigenvalues
+    lams = SpectralModel(length, m, n_modes).eigenvalues
     kernels = (_exp_kernel_step(lam, t0) for lam in lams)
     out = np.array([integrand_norm(f, hurst, sigma, method="covariance") for f in kernels])
     out.setflags(write=False)
@@ -234,29 +220,28 @@ def existence_report(
     if not t0 > 0:
         raise ValueError("horizon must be positive")
     k_max = model.truncation * 2**doublings
-    base = _mode_step_norms(model.length, model.order, hurst, t0, sigma, k_max)
-    norms = model.truncated(k_max).fractional_weights(alpha) * base
+    base = _mode_step_norms(model.length, model.m, hurst, t0, sigma, k_max)
     n_cells = max(n_x, 4 * k_max)
     _, ws = model.spatial_quadrature(n_cells)
     # row j: the squared norms of the first K 2^j modes, one DCT per doubling
     sizes = model.truncation * 2 ** np.arange(doublings + 1)
-    coef = np.where(np.arange(k_max) < sizes[:, None], norms**2, 0.0)
-    node_sq = _midpoint_sq_sums(coef, model.length, n_cells)
-    mass = [float(np.sum(ws * row ** (model.p / 2.0))) for row in node_sq]
+    # a large alpha overflows the weights or their squares; the masses are
+    # checked once below instead of warning per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = model.truncated(k_max).fractional_weights(alpha) * base
+        coef = np.where(np.arange(k_max) < sizes[:, None], norms**2, 0.0)
+        node_sq = _midpoint_sq_sums(coef, model.length, n_cells)
+        mass = [float(np.sum(ws * row ** (model.p / 2.0))) for row in node_sq]
+    if not np.all(np.isfinite(mass)):
+        raise ValueError(
+            f"the mode series at alpha={alpha:g}, H={hurst:g} and truncation {model.truncation} "
+            f"x 2^{doublings} overflows: its block masses are not finite; lower alpha"
+        )
     incs = np.diff(mass)
-    ratios = [incs[i] / incs[i - 1] for i in range(1, len(incs)) if incs[i - 1] > 0]
-    # doubling-block ratios carry an O(1/K) bias that halves per level;
-    # extrapolating it away separates slow geometric decay from the
-    # critical case, whose extrapolated ratio sits at 1
-    if len(ratios) >= 2:
-        limit_ratio = 2.0 * ratios[-1] - ratios[-2]
-        diverged = limit_ratio >= _CRITICAL_RATIO
-    else:
-        diverged = bool(ratios) and ratios[-1] >= _CRITICAL_RATIO
     return ExistenceReport(
         gamma_norm_lp_value=mass[0] ** (1.0 / model.p),
         per_mode_tail=tuple(float(d) for d in incs),
-        finite=not diverged,
+        finite=not _stops_decaying(incs),
         threshold=hurst - 1.0 / (4.0 * model.m),
         alpha=alpha,
         hurst=hurst,

@@ -21,7 +21,6 @@ from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import isometry_report
 from fracwiener.processes import (
     FracParams,
-    HermiteScheme,
     covariance_rh,
     simulate_fbm,
     simulate_hermite_k2,
@@ -38,7 +37,7 @@ from fracwiener.sobolev import (
 )
 from fracwiener.spde import (
     NeumannKernelConfig,
-    build_spectral_model,
+    SpectralModel,
     existence_report,
     mild_summary,
     neumann_boundary_integral,
@@ -113,14 +112,14 @@ def test_c03_isometry_across_drivers():
     # H=0.75 wants near-diagonal resolution, H=0.9 wants a deep noise window
     ros_grid = TimeGrid(0.0, 0.25, 4)
     ros_setups = [
-        (0.75, 4096, 10.0, HermiteScheme()),
-        (0.9, 2048, 20.0, HermiteScheme(warp_scale=0.35)),
+        (0.75, 4096, 10.0, 0.6),
+        (0.9, 2048, 20.0, 0.35),
     ]
-    for j, (h, n_cells, lead, scheme) in enumerate(ros_setups):
+    for j, (h, n_cells, lead, warp) in enumerate(ros_setups):
         iso = DiscreteIsonormal.for_window(1.0, n_cells, ACC_SEED, lead_factor=lead, stream=10 + j)
         with worker_threads(THREADS):
             ens = simulate_hermite_k2(FracParams.rosenblatt(h), ros_grid, iso, n_paths,
-                                      scheme=scheme)
+                                      warp_scale=warp)
         for _ in range(6):
             zs.append(isometry_report(_aligned_step(rng, ros_grid, 3), ens).z_score)
         del ens
@@ -184,7 +183,7 @@ def test_c06_semigroup_smoothing_slopes():
     cases = ((1, 0.0, -0.25), (1, 0.5, -0.75), (2, 0.0, -0.125))
     devs = []
     for m, alpha, want in cases:
-        model = build_spectral_model(math.pi, m, 256)
+        model = SpectralModel(math.pi, m, 256)
         devs.append(abs(semigroup_smoothing_exponent(model, alpha) - want))
     worst = max(devs)
     ok = worst <= 0.05
@@ -194,7 +193,7 @@ def test_c06_semigroup_smoothing_slopes():
 
 
 def test_c07_existence_flips_at_threshold():
-    model = build_spectral_model(1.0, 1, 64)
+    model = SpectralModel(1.0, 1, 64)
     all_ok = True
     details = []
     for h in (0.35, 0.4, 0.45):
@@ -213,7 +212,7 @@ def test_c08_holder_exponent_floors():
     t0 = time.perf_counter()
     results = []
     for m, h, floor in ((1, 0.4, 0.10), (2, 0.45, 0.275)):
-        model = build_spectral_model(math.pi, m, 64)
+        model = SpectralModel(math.pi, m, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         with worker_threads(THREADS):
             _, slope = mild_summary(model, FracParams.fbm(h), grid, 10_000, 0.0, seed=ACC_SEED,
@@ -230,7 +229,7 @@ def test_c08_holder_exponent_floors():
 
 
 def test_c09_mild_mode_variance_brownian_case():
-    model = build_spectral_model(math.pi, 1, 1)
+    model = SpectralModel(math.pi, 1, 1)
     grid = TimeGrid(0.0, 1.0 / 512, 512)
     with worker_threads(THREADS):
         ens = solve_mild(model, FracParams.fbm(0.5), grid, 20_000, seed=ACC_SEED)

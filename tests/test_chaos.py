@@ -38,7 +38,7 @@ class TestDiscreteIsonormal:
 
     def test_inner_product_covariance(self):
         iso = DiscreteIsonormal.for_window(1.0, 96, seed=1234)
-        y = iso.sample_points
+        y = iso.grid.cell_midpoints
         v1 = np.sin(y)
         v2 = np.exp(-np.abs(y))
         n = 150_000
@@ -115,7 +115,7 @@ class TestDoubleWienerIntegral:
         n = 100_000
         with worker_threads(4):
             second = double_wiener_integral(np.outer(e, e), iso, n)
-            first = iso.first_order(np.cos(iso.sample_points), n)
+            first = iso.first_order(np.cos(iso.grid.cell_midpoints), n)
         corr = np.corrcoef(first, second)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
 

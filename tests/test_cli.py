@@ -377,6 +377,10 @@ class TestInvalidConfigExit2:
             BOUNDARY_CFG + "sigma = 1e300\n",
             SWEEP_CFG + "sigma = 1e300\n",
             NORM_CFG + "t_end = 1e300\n",
+            # spectral numbers that overflow: the block masses of a huge alpha,
+            # and the top eigenvalue of a tiny domain
+            SWEEP_CFG.replace("alpha = 0.0, 0.1, 0.2, 0.3", "alpha = 0, 1, 5, 30"),
+            SPDE_CFG.replace("length = 3.141592653589793", "length = 1e-200"),
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):

@@ -20,6 +20,8 @@ from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import (
     HSOperator,
     LpKernelField,
+    _dyadic_sum,
+    _stops_decaying,
     condition_regular,
     condition_singular,
     cylindrical_integral,
@@ -37,7 +39,7 @@ from fracwiener.processes import (
 from fracwiener.rng import worker_threads
 from fracwiener.sobolev import integrand_norm
 
-GRID_F = TimeGrid.from_window(0.0, 1.0, 64)
+GRID_F = TimeGrid(0.0, 1.0 / 64, 64)
 GRID_R = TimeGrid(0.0, 0.25, 4)
 
 # (H, gamma, tau) -> condition value, 30-digit quadrature
@@ -334,6 +336,28 @@ class TestConditionSingular:
             condition_singular(lambda u: u, 0.6, 1.0)
         with pytest.raises(ValueError, match="tau"):
             condition_singular(lambda u: u, 0.3, -1.0)
+
+
+class TestDyadicSumCap:
+    """At its shell cap, _dyadic_sum reads divergence by the rule of existence_report."""
+
+    @staticmethod
+    def _at_cap(last_ratios):
+        # halving shells, then the given ratios; rtol 0 never stops the loop early
+        terms = [1.0, 0.5, 0.25]
+        for r in last_ratios:
+            terms.append(terms[-1] * r)
+        value = _dyadic_sum(lambda j: terms[j], len(terms), 0.0)[0]
+        assert math.isinf(value) == _stops_decaying(terms)
+        return value
+
+    def test_extrapolated_ratio_reads_divergence(self):
+        # the smaller ratio is below 0.95, but 2 * 0.94 - 0.90 = 0.98
+        assert self._at_cap((0.90, 0.94)) == math.inf
+
+    def test_decelerating_decay_reads_finite(self):
+        # both ratios are above 0.95, but 2 * 0.97 - 0.99 = 0.95
+        assert math.isfinite(self._at_cap((0.99, 0.97)))
 
 
 class TestConditionRegular:

@@ -5,6 +5,7 @@ itself; deterministic kernel-discretization error is tested separately
 against frozen thresholds measured at the pinned resolutions.
 """
 import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fracwiener.processes import (
     CylindricalEnsemble,
     Family,
     FracParams,
-    HermiteScheme,
     covariance_rh,
     hermite_covariance,
     simulate_cylindrical,
@@ -81,6 +81,30 @@ class TestCovarianceRh:
             covariance_rh(1.0, 1.0, 1.0)
 
 
+class TestIncrementCovariance:
+    @pytest.mark.parametrize("n", [1025, 8192])
+    @pytest.mark.parametrize("h", [0.05, 0.5, 0.75, 0.99])
+    def test_fgn_row_against_decimal(self, n, h):
+        """The first row that the circulant drawer embeds, against 50-digit fGn values.
+
+        gamma_k = (|k+1|^2H + |k-1|^2H - 2|k|^2H) dt^2H / 2 at 60 lags up to n.
+        """
+        dt = 1.0 / n
+        lags = dt * np.arange(n + 2)
+        row = processes._increment_covariance(lags[:2], lags, h)[0]
+        ks = np.unique(np.concatenate([np.arange(20), np.geomspace(20, n, 40).round()]))
+        assert ks.size == 60
+        with localcontext() as ctx:
+            ctx.prec = 50
+            two_h, scale = Decimal(2 * h), Decimal(dt) ** Decimal(2 * h)
+            want = [
+                float((abs(k + 1) ** two_h + abs(k - 1) ** two_h - 2 * abs(k) ** two_h) * scale / 2)
+                for k in (Decimal(int(k)) for k in ks)
+            ]
+        err = np.abs(row[ks.astype(int)] - np.array(want))
+        assert err.max() <= 2e-8 * want[0]
+
+
 class TestFracParams:
     def test_fbm(self):
         p = FracParams.fbm(0.3, sigma=2.0)
@@ -122,7 +146,7 @@ class TestFracParams:
 
 class TestSimulateFbm:
     def test_basic_shape_and_zero_start(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
         ens = simulate_fbm(FracParams.fbm(0.7), grid, 500, seed=1)
         assert ens.paths.shape == (500, 33)
         assert np.all(ens.paths[:, 0] == 0.0)
@@ -138,7 +162,7 @@ class TestSimulateFbm:
         # 7-path blocks keep the 1024-step factor cheap; 15 paths make three
         # blocks, the last with an odd count
         monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
-        grid = TimeGrid.from_window(0.0, 1.0, n_steps)
+        grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
         p = FracParams.fbm(0.6)
         a = simulate_fbm(p, grid, 15, seed=5, stream=2).paths
         assert np.array_equal(a, _drawer_paths(getattr(processes, drawer), p, grid, 15, 5, 2))
@@ -147,13 +171,13 @@ class TestSimulateFbm:
         assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).paths)
 
     def test_sigma_scales_paths_exactly(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
         a = simulate_fbm(FracParams.fbm(0.6), grid, 200, seed=7).paths
         b = simulate_fbm(FracParams.fbm(0.6, sigma=2.5), grid, 200, seed=7).paths
         assert np.allclose(b, 2.5 * a, rtol=1e-12)
 
     def test_wiener_increment_variance(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(0.5), grid, 30_000, seed=3)
         inc = np.diff(ens.paths, axis=1)
@@ -162,7 +186,7 @@ class TestSimulateFbm:
         assert abs(v - grid.dt) < 4 * se + 1e-12
 
     def test_terminal_variance(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=1)
         v = np.var(ens.paths[:, -1], ddof=1)
@@ -170,7 +194,7 @@ class TestSimulateFbm:
         assert abs(v - 1.0) < 3 * se
 
     def test_increment_second_moment(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         h = 0.3
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(h), grid, 40_000, seed=9)
@@ -182,7 +206,7 @@ class TestSimulateFbm:
             assert abs(m - target) < 4 * se
 
     def test_stationary_increments(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41)
         lag = 8
@@ -196,7 +220,7 @@ class TestSimulateFbm:
     @pytest.mark.parametrize("h", [0.3, 0.75])
     def test_holder_regression_recovers_h(self, h):
         # log-log slope of RMS increments against dyadic lags up to n/4
-        grid = TimeGrid.from_window(0.0, 1.0, 128)
+        grid = TimeGrid(0.0, 1.0 / 128, 128)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13)
         lags = [2**j for j in range(6)]
@@ -207,20 +231,20 @@ class TestSimulateFbm:
     def test_jitter_flag(self):
         # the case the deleted jitter flag was for: H = 0.9 on a coarse
         # grid factors without any diagonal shift
-        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
         with worker_threads(4):
             a = simulate_fbm(FracParams.fbm(0.9), grid, 20_000, seed=2)
         v = np.var(a.paths[:, -1], ddof=1)
         assert v == pytest.approx(1.0, rel=0.05)
 
     def test_marginal_normality(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41)
         assert stats.normaltest(ens.paths[:, -1]).pvalue > 0.01
 
     def test_circulant_agrees_in_law(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 64)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
         p = FracParams.fbm(0.75)
         with worker_threads(4):
             chol = simulate_fbm(p, grid, 50_000, seed=1)
@@ -235,7 +259,7 @@ class TestSimulateFbm:
     def test_circulant_pair_uncorrelated(self):
         # one block of 4000 paths: path i is the real part of transform i,
         # path i + 2000 its imaginary part
-        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
         paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(0.3), grid, 4000, 6)
         h = paths.shape[0] // 2
         re, im = paths[:h, 1:], paths[h:, 1:]
@@ -244,7 +268,7 @@ class TestSimulateFbm:
 
     def test_circulant_increment_covariance(self):
         # the fGn Toeplitz matrix as the mixed second difference of R_H
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
         h = 0.3
         paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(h), grid, 20_001, 12)
         t = grid.nodes
@@ -384,7 +408,7 @@ class TestSimulateHermite:
         """
         par = FracParams.rosenblatt(h)
         iso = DiscreteIsonormal.for_window(1.0, 512, seed=1)
-        cov = hermite_covariance(par, NINE_POINT, iso, HermiteScheme(warp_scale=warp))
+        cov = hermite_covariance(par, NINE_POINT, iso, warp_scale=warp)
         tgt = np.array([[covariance_rh(s, t, h) for t in NINE_POINT] for s in NINE_POINT])
         assert np.abs(cov - tgt).max() < bound
 
@@ -433,15 +457,14 @@ class TestSimulateHermite:
         """
         par = FracParams.rosenblatt(h, sigma)
         iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=1, lead_factor=lead)
-        scheme = HermiteScheme(warp_scale=warp)
         times = TimeGrid(0.0, 0.25, 4).nodes
-        op = processes._HermiteOperator(par, times, iso, scheme)
+        op = processes._HermiteOperator(par, times, iso, warp)
         assert op.dropped <= processes._ENERGY_TOL
         assert op.rank < n_cells
 
         x, x_b, c = iso.grid.nodes, -1.0, warp  # horizon t_end = 1
         y_edges, _ = processes._warp(x, x_b, c)
-        u, w = processes._filter_nodes(times, par.beta, y_edges, x, x_b, c, scheme)
+        u, w = processes._filter_nodes(times, par.beta, y_edges, x, x_b, c)
         gbar = processes._cell_averages(u, x, x_b, c, par.alpha)
         omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
         gram = iso.grid.dt * (gbar @ gbar.T)
@@ -451,28 +474,23 @@ class TestSimulateHermite:
         oracle = sigma**2 * raw / raw[-1, -1]
         assert np.abs(op.covariance - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    def test_scheme_refined(self):
-        s = HermiteScheme()
-        r = s.refined()
-        assert r.gl_points > s.gl_points and r.u_stride <= s.u_stride
-
 
 class TestCylindrical:
     def test_validation_and_sharing(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
         with pytest.raises(ValueError):
             simulate_cylindrical(FracParams.fbm(0.6), grid, 0, 100, seed=1)
         ens = simulate_cylindrical(FracParams.fbm(0.6), grid, 2, 100, seed=1)
         assert ens.dim_u == 2 and ens.grid == grid
 
     def test_single_component_matches_scalar(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
         cyl = simulate_cylindrical(FracParams.fbm(0.6), grid, 1, 400, seed=6)
         sca = simulate_fbm(FracParams.fbm(0.6), grid, 400, seed=6)
         assert np.array_equal(cyl.components[0].paths, sca.paths)
 
     def test_cross_component_independence(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 16)
+        grid = TimeGrid(0.0, 1.0 / 16, 16)
         with worker_threads(4):
             cyl = simulate_cylindrical(FracParams.fbm(0.6), grid, 3, 20_000, seed=8)
         n = 20_000
@@ -485,7 +503,7 @@ class TestCylindrical:
                 assert abs(np.mean(prod)) < 4 * se
 
     def test_wiener_components(self):
-        grid = TimeGrid.from_window(0.0, 1.0, 32)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
         with worker_threads(4):
             cyl = simulate_cylindrical(FracParams.fbm(0.5), grid, 2, 20_000, seed=9)
         for comp in cyl.components:
@@ -507,8 +525,8 @@ class TestCylindrical:
         assert abs(np.mean(prod)) < 4 * se
 
     def test_mismatched_grids_rejected(self):
-        g1 = TimeGrid.from_window(0.0, 1.0, 8)
-        g2 = TimeGrid.from_window(0.0, 1.0, 16)
+        g1 = TimeGrid(0.0, 1.0 / 8, 8)
+        g2 = TimeGrid(0.0, 1.0 / 16, 16)
         a = simulate_fbm(FracParams.fbm(0.6), g1, 50, seed=1)
         b = simulate_fbm(FracParams.fbm(0.6), g2, 50, seed=1)
         with pytest.raises(ValueError):

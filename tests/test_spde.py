@@ -18,7 +18,6 @@ from fracwiener.spde import (
     SpectralModel,
     assemble_kernel_field,
     boundary_solution_check,
-    build_spectral_model,
     existence_report,
     holder_exponent_estimate,
     mild_summary,
@@ -35,20 +34,20 @@ L_PI = math.pi
 
 @pytest.fixture(scope="module")
 def laplace8():
-    return build_spectral_model(L_PI, 1, 8)
+    return SpectralModel(L_PI, 1, 8)
 
 
 class TestSpectralModel:
     def test_dirichlet_eigenvalues_m1(self):
-        mod = build_spectral_model(L_PI, 1, 6)
+        mod = SpectralModel(L_PI, 1, 6)
         assert np.allclose(mod.eigenvalues, np.arange(1, 7) ** 2, rtol=1e-14)
 
     def test_spectral_power_m2(self):
-        mod = build_spectral_model(L_PI, 2, 6)
+        mod = SpectralModel(L_PI, 2, 6)
         assert np.allclose(mod.eigenvalues, np.arange(1, 7) ** 4, rtol=1e-14)
 
     def test_eigenvalues_increasing(self):
-        mod = build_spectral_model(2.5, 3, 40)
+        mod = SpectralModel(2.5, 3, 40)
         assert np.all(np.diff(mod.eigenvalues) > 0)
 
     def test_gram_identity_under_quadrature(self, laplace8):
@@ -62,7 +61,7 @@ class TestSpectralModel:
         # rounding; existence_report (4 K cells) and the p != 2 Hölder fit
         # (64 cells) read spatial norms through it
         for n_cells, k in ((64, 12), (64, 63), (4 * 128, 128)):
-            mod = build_spectral_model(2.5, 1, k)
+            mod = SpectralModel(2.5, 1, k)
             xs, ws = mod.spatial_quadrature(n_cells)
             modes = mod.eigenfunctions(xs)
             gram = (modes * ws[:, None]).T @ modes
@@ -75,7 +74,7 @@ class TestSpectralModel:
         assert small.order == laplace8.order
 
     def test_fractional_weights(self):
-        mod = build_spectral_model(L_PI, 1, 4, lambda_shift=2.0)
+        mod = SpectralModel(L_PI, 1, 4, shift=2.0)
         assert np.allclose(mod.fractional_weights(0.5), np.sqrt(2.0 + np.arange(1, 5) ** 2))
 
     @pytest.mark.parametrize(
@@ -84,13 +83,13 @@ class TestSpectralModel:
             dict(length=0.0, m=1, truncation=4),
             dict(length=1.0, m=0, truncation=4),
             dict(length=1.0, m=1, truncation=0),
-            dict(length=1.0, m=1, truncation=4, lambda_shift=-0.1),
+            dict(length=1.0, m=1, truncation=4, shift=-0.1),
             dict(length=1.0, m=1, truncation=4, p=0.5),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            build_spectral_model(**kwargs)
+            SpectralModel(**kwargs)
 
 
 class TestModeNorm:
@@ -102,7 +101,7 @@ class TestModeNorm:
 
     def test_soft_mode_limit_is_isometry_anchor(self):
         # lam_1 = (pi/L)^2 -> 0 turns the kernel into an indicator
-        mod = build_spectral_model(1e6, 1, 1)
+        mod = SpectralModel(1e6, 1, 1)
         for h in (0.3, 0.6, 0.9):
             assert mode_norm(mod, 1, 1.5, h, sigma=2.0) == pytest.approx(
                 2.0 * 1.5**h, rel=1e-6
@@ -128,7 +127,7 @@ class TestModeNorm:
 
 class TestExistenceReport:
     def test_subcritical_m1(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         rep = existence_report(mod, 0.4, 0.0, 1.0)
         assert rep.finite
         assert rep.threshold == pytest.approx(0.15)
@@ -137,24 +136,24 @@ class TestExistenceReport:
         assert rep.per_mode_tail[-1] < rep.per_mode_tail[0]
 
     def test_supercritical_m1(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         rep = existence_report(mod, 0.4, 0.2, 1.0)
         assert not rep.finite
         assert rep.per_mode_tail[-1] > rep.per_mode_tail[0]
 
     def test_fourth_order_rough_driver(self):
-        mod = build_spectral_model(L_PI, 2, 16)
+        mod = SpectralModel(L_PI, 2, 16)
         assert existence_report(mod, 0.3, 0.0, 1.0).finite
 
     @pytest.mark.parametrize("hurst", [0.35, 0.4, 0.45])
     def test_verdict_flips_at_quarter_offset(self, hurst):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         thr = hurst - 0.25
         assert existence_report(mod, hurst, thr - 0.02, 1.0).finite
         assert not existence_report(mod, hurst, thr + 0.02, 1.0).finite
 
     def test_monotone_in_alpha_and_hurst(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         hs = (0.3, 0.35, 0.4, 0.45)
         alphas = (0.0, 0.06, 0.12, 0.18)
         verdicts = {
@@ -171,7 +170,7 @@ class TestExistenceReport:
 
     def test_matches_composed_kernel_field(self):
         """existence_report (threshold-sweep, solve_mild) against the assemble_kernel_field oracle."""
-        mod = build_spectral_model(L_PI, 1, 6)
+        mod = SpectralModel(L_PI, 1, 6)
         field = assemble_kernel_field(mod, 0.4, 0.0, 1.0, n_x=256)
         rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0, n_x=256)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
@@ -180,12 +179,12 @@ class TestExistenceReport:
         field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7, n_x=256)
         rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0, n_x=256)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
-        cached = _mode_step_norms(mod.length, mod.order, 0.35, 1.0, 1.7, mod.truncation)
+        cached = _mode_step_norms(mod.length, mod.m, 0.35, 1.0, 1.7, mod.truncation)
         with pytest.raises(ValueError):
             cached[0] = 0.0
 
     def test_horizon_validation(self):
-        mod = build_spectral_model(L_PI, 1, 4)
+        mod = SpectralModel(L_PI, 1, 4)
         with pytest.raises(ValueError, match="positive"):
             existence_report(mod, 0.4, 0.0, 0.0)
 
@@ -198,7 +197,7 @@ def _dense_existence(mod, hurst, alpha, t0, sigma, doublings, n_x):
     """
     k_max = mod.truncation * 2**doublings
     big = mod.truncated(k_max)
-    base = _mode_step_norms(mod.length, mod.order, hurst, t0, sigma, k_max)
+    base = _mode_step_norms(mod.length, mod.m, hurst, t0, sigma, k_max)
     norms = big.fractional_weights(alpha) * base
     xs, ws = mod.spatial_quadrature(max(n_x, 4 * k_max))
     modes = big.eigenfunctions(xs)
@@ -224,7 +223,7 @@ class TestExistenceReportDenseOracle:
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
     @pytest.mark.parametrize("above", [False, True])
     def test_matches_sine_matrix(self, p, truncation, doublings, above):
-        mod = build_spectral_model(L_PI, 1, truncation, p=p)
+        mod = SpectralModel(L_PI, 1, truncation, p=p)
         k_max = truncation * 2**doublings
         # 64 cells sit below 4 k_max here; the other n_x is above it and no
         # power of two
@@ -239,14 +238,14 @@ class TestExistenceReportDenseOracle:
         def refuse(self, x):
             raise AssertionError("dense sine matrix built")
 
-        mod = build_spectral_model(L_PI, 1, 8, p=1.5)
+        mod = SpectralModel(L_PI, 1, 8, p=1.5)
         monkeypatch.setattr(SpectralModel, "eigenfunctions", refuse)
         existence_report(mod, 0.4, 0.1, 1.0)
         semigroup_smoothing_exponent(mod, 0.1)
 
     @pytest.mark.parametrize("m,p", [(1, 1.5), (1, 2.0), (2, 1.5), (2, 2.0)])
     def test_same_verdicts_over_grid(self, m, p):
-        mod = build_spectral_model(L_PI, m, 16, p=p)
+        mod = SpectralModel(L_PI, m, 16, p=p)
         for h in (0.3, 0.35, 0.4, 0.45):
             for a in np.linspace(0.0, 0.3, 13):
                 rep = existence_report(mod, h, a, 1.0)
@@ -259,7 +258,7 @@ class TestSmoothingExponent:
         [(1, 0.0, -0.25), (1, 0.5, -0.75), (2, 0.0, -0.125)],
     )
     def test_decay_exponents(self, m, alpha, want):
-        mod = build_spectral_model(L_PI, m, 256)
+        mod = SpectralModel(L_PI, m, 256)
         assert semigroup_smoothing_exponent(mod, alpha) == pytest.approx(want, abs=0.05)
 
     def test_negative_alpha_rejected(self, laplace8):
@@ -269,7 +268,7 @@ class TestSmoothingExponent:
     @pytest.mark.parametrize("m,p,alpha", [(1, 1.5, 0.0), (1, 3.0, 0.5), (2, 1.0, 0.2)])
     def test_cosine_sums_match_sine_matrix(self, m, p, alpha):
         # p != 2: the spatial L^p norms against sums over a dense sine matrix
-        mod = build_spectral_model(L_PI, m, 64, p=p)
+        mod = SpectralModel(L_PI, m, 64, p=p)
         lams, weights = mod.eigenvalues, mod.fractional_weights(alpha)
         us = np.geomspace(2.0 / lams[-1], 200.0 / lams[-1], 17)
         xs, ws = mod.spatial_quadrature(256)
@@ -288,13 +287,13 @@ GRID512 = TimeGrid(0.0, 1.0 / 512, 512)
 
 class TestSolveMild:
     def test_refuses_supercritical_alpha(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with pytest.raises(ValueError, match="existence threshold"):
             solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.2)
 
     def test_single_mode_variance_anchor(self):
-        mod = build_spectral_model(L_PI, 1, 1)
+        mod = SpectralModel(L_PI, 1, 1)
         ens = solve_mild(mod, FracParams.fbm(0.5), GRID512, 20000, seed=11)
         y_sq = ens.coeffs[:, 0, -1] ** 2
         want = (1.0 - math.exp(-2.0)) / 2.0
@@ -336,7 +335,7 @@ class TestSolveMild:
 
     def test_thread_invariance_and_determinism(self):
         # more than one path block, so the worker pool really runs
-        mod = build_spectral_model(L_PI, 1, 3)
+        mod = SpectralModel(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 16, 16)
         n = BLOCK_PATHS + 1
         assert len(list(path_blocks(n))) >= 2
@@ -348,7 +347,7 @@ class TestSolveMild:
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_fractional_weights_applied_exactly(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         plain = solve_mild(mod, FracParams.fbm(0.6), grid, 50, seed=9)
         lifted = solve_mild(mod, FracParams.fbm(0.6), grid, 50, seed=9, alpha=0.25)
@@ -359,7 +358,7 @@ class TestSolveMild:
         # restart identity: y(t_{i+j}) = e^{-lam j dt} y(t_i) + fresh convolution,
         # with increments recovered from the identically seeded driver, which
         # is component k of the cylindrical driver
-        mod = build_spectral_model(L_PI, 1, 3)
+        mod = SpectralModel(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         ens = solve_mild(mod, FracParams.fbm(0.7), grid, 20, seed=6)
         cyl = simulate_cylindrical(FracParams.fbm(0.7), grid, 3, 20, seed=6)
@@ -377,7 +376,7 @@ class TestSolveMild:
             assert np.allclose(y[:, i + j], fade**j * y[:, i] + fresh, atol=1e-12)
 
     def test_rosenblatt_driver(self):
-        mod = build_spectral_model(L_PI, 1, 2)
+        mod = SpectralModel(L_PI, 1, 2)
         grid = TimeGrid(0.0, 0.25, 4)
         n = BLOCK_PATHS + 1
         assert len(list(path_blocks(n))) >= 2
@@ -430,7 +429,7 @@ class TestMildSummary:
     @pytest.mark.parametrize("alpha", [0.0, 0.25])
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_matches_stored_ensemble(self, family, alpha, p):
-        mod = build_spectral_model(L_PI, 1, 6, p=p)
+        mod = SpectralModel(L_PI, 1, 6, p=p)
         params = FracParams.fbm(0.75) if family == "fbm" else FracParams.rosenblatt(0.75)
         grid = TimeGrid(0.0, 1.0 / 32, 32)
         ens = solve_mild(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
@@ -441,10 +440,10 @@ class TestMildSummary:
     def test_no_fit_without_request(self):
         # a grid too short for the fit is fine when no fit is asked for
         grid = TimeGrid(0.0, 0.25, 4)
-        terminal, slope = _summary(build_spectral_model(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8,
+        terminal, slope = _summary(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8,
                                    seed=5, fit_holder=False)
         assert slope is None
-        ens = solve_mild(build_spectral_model(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
+        ens = solve_mild(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
         assert np.array_equal(terminal, ens.coeffs[:, :, -1])
 
     def test_short_grid_rejected(self, laplace8):
@@ -452,12 +451,12 @@ class TestMildSummary:
             _summary(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.25, 4), 4, seed=5)
 
     def test_refuses_supercritical_alpha(self):
-        mod = build_spectral_model(L_PI, 1, 16)
+        mod = SpectralModel(L_PI, 1, 16)
         with pytest.raises(ValueError, match="existence threshold"):
             _summary(mod, FracParams.fbm(0.4), TimeGrid(0.0, 1.0 / 64, 64), 10, alpha=0.2)
 
     def test_thread_invariance(self):
-        mod = build_spectral_model(L_PI, 1, 3)
+        mod = SpectralModel(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 16, 16)
         n = BLOCK_PATHS + 1
         assert len(list(path_blocks(n))) >= 2
@@ -469,7 +468,7 @@ class TestMildSummary:
 
     def test_memory_below_half_the_coefficient_array(self):
         # p = 2 keeps one sum per lag; p != 2 keeps half of every path by design
-        mod = build_spectral_model(L_PI, 1, 64)
+        mod = SpectralModel(L_PI, 1, 64)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         n_paths = 500
         full = n_paths * mod.truncation * (grid.n_steps + 1) * 8
@@ -484,7 +483,7 @@ class TestMildSummary:
 
 class TestHolderEstimate:
     def test_second_order_slope_above_floor(self):
-        mod = build_spectral_model(L_PI, 1, 64)
+        mod = SpectralModel(L_PI, 1, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         _, slope = _summary(mod, FracParams.fbm(0.4), grid, 2000, seed=21)
         # truncation can only steepen the small-lag decay, so the continuum
@@ -493,7 +492,7 @@ class TestHolderEstimate:
         assert slope < 0.45
 
     def test_fourth_order_slope_above_floor(self):
-        mod = build_spectral_model(L_PI, 2, 64)
+        mod = SpectralModel(L_PI, 2, 64)
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         _, slope = _summary(mod, FracParams.fbm(0.45), grid, 2000, seed=22)
         assert slope > 0.45 - 0.125 - 0.05
@@ -503,7 +502,7 @@ class TestHolderEstimate:
     def test_lp_route_resolves_every_mode(self, k):
         # p = 2 sums the modes by Parseval; p just above 2 integrates the field
         # on the midpoint rule, which must keep all K sine modes orthonormal
-        mod = build_spectral_model(L_PI, 1, k)
+        mod = SpectralModel(L_PI, 1, k)
         grid = TimeGrid(0.0, 1.0 / 4096, 64)
         ens = solve_mild(mod, FracParams.fbm(0.4), grid, 200, seed=1)
         slope = holder_exponent_estimate(ens)
@@ -516,7 +515,7 @@ class TestHolderEstimate:
          pytest.param(1.5, 1e-12, id="float64-1.5-1e-12")],
     )
     def test_lag_means_match_indexed_oracle(self, monkeypatch, p, rtol):
-        mod = build_spectral_model(L_PI, 1, 12)
+        mod = SpectralModel(L_PI, 1, 12)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         ens = solve_mild(mod, FracParams.fbm(0.4), grid, 300, seed=8)
         fits = []
@@ -547,7 +546,7 @@ class TestHolderEstimate:
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ks = np.arange(1, 9)
         coeffs = np.exp(-ks[None, :, None]) * np.sin(grid.nodes[None, None, :] + ks[None, :, None])
-        ens = MildSolutionEnsemble(build_spectral_model(L_PI, 1, 8), grid, coeffs, 0.0)
+        ens = MildSolutionEnsemble(SpectralModel(L_PI, 1, 8), grid, coeffs, 0.0)
         assert holder_exponent_estimate(ens) == pytest.approx(1.0, abs=0.05)
 
     def test_short_grid_rejected(self, laplace8):
