@@ -24,7 +24,7 @@ import numpy as np
 
 from .chaos import DiscreteIsonormal, double_wiener_integral, moment_ratio
 from .grids import StepFunction, TimeGrid
-from .integrals import isometry_report
+from .integrals import _second_moment_z, isometry_report
 from .processes import Family, FracParams, simulate_driver
 from .sobolev import integrand_norm, norm_equivalence_constant, sobolev_norm_fourier
 from .spde import (
@@ -515,14 +515,8 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     n_check = min(p["check_modes"], model.truncation)
     rows, verdicts = [], []
     for j in range(n_check):
-        vals = terminal[:, j]
-        mc = float(np.mean(vals**2))
         target = mode_norm(model, j + 1, p["t_end"], p["hurst"], p["alpha"], p["sigma"]) ** 2
-        # z at a power-of-two scale, which is exact, so that vals**4 cannot overflow
-        e = math.frexp(float(np.max(np.abs(vals))))[1]
-        sq = np.ldexp(vals, -e) ** 2
-        se = float(np.std(sq, ddof=1) / math.sqrt(len(vals)))
-        z = 0.0 if se == 0.0 else (float(np.mean(sq)) - math.ldexp(target, -2 * e)) / se
+        mc, _, z = map(float, _second_moment_z(terminal[:, j], target))
         ok = abs(z) <= p["z_max"]
         rows.append((j + 1, float(model.eigenvalues[j]), mc, target, z, ok))
         verdicts.append(
@@ -600,11 +594,10 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
     rows = []
-    se_rel = math.sqrt(2.0 / p["n_paths"])  # Gaussian driver: var of a squared mean
-    for x, mc, exp_v in zip(check.x_nodes, check.variance_profile, check.expected_profile):
-        z = 0.0 if exp_v == 0.0 else (mc - exp_v) / (exp_v * se_rel)
+    profiles = (check.x_nodes, check.variance_profile, check.expected_profile, check.z_profile)
+    for x, mc, exp_v, z in np.column_stack(profiles).tolist():
         ok = abs(z) <= p["z_max"]
-        rows.append((float(x), float(mc), float(exp_v), z, ok))
+        rows.append((x, mc, exp_v, z, ok))
         verdicts.append(Verdict(f"wall variance at x={x:g}", ok, f"z = {z:.3f}"))
 
     summary = {
@@ -729,8 +722,9 @@ EXPERIMENTS: dict = {
                 ("H", "Hurst parameter of the driver"),
                 ("f-id", "index of the random step integrand"),
                 ("dh_norm_sq", "exact squared integrand norm (the isometry target)"),
-                ("mc_var", "Monte Carlo variance of the integral"),
-                ("z", "(mc_var - dh_norm_sq) / SE"),
+                ("mc_var", "Monte Carlo second moment of the integral"),
+                ("z", "(mc_var - dh_norm_sq) / SE, SE the empirical standard\n"
+                      "error of the per-path squares"),
                 ("pass", "true when |z| <= z_max"),
             ),
             runner=_run_isometry,
@@ -816,7 +810,8 @@ EXPERIMENTS: dict = {
                 ("x", "spatial node of the wall-variance check"),
                 ("mc_variance", "Monte Carlo variance of the boundary-driven solution"),
                 ("expected_variance", "exact variance via the integrand norm of the kernel"),
-                ("z", "(mc - expected) / (expected * sqrt(2/n_paths))"),
+                ("z", "(mc - expected) / SE, SE the empirical standard error\n"
+                      "of the per-path squares"),
                 ("pass", "true when |z| <= z_max"),
             ),
             runner=_run_spde_boundary,

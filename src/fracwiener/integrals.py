@@ -62,25 +62,11 @@ class ElementaryIntegralResult:
     def n_paths(self) -> int:
         return self.samples.size
 
-    @property
-    def variance(self) -> float:
-        return float(np.var(self.samples, ddof=1))
-
-    @property
-    def se_variance(self) -> float:
-        # asymptotic SE of the sample variance, no normality assumed; moments at
-        # an exact power-of-two scale, so that c**4 cannot overflow
-        c = self.samples - np.mean(self.samples)
-        e = math.frexp(float(np.max(np.abs(c))))[1]
-        c = np.ldexp(c, -e)
-        m2 = np.mean(c**2)
-        m4 = np.mean(c**4)
-        return math.ldexp(float(np.sqrt(max(m4 - m2**2, 0.0) / self.n_paths)), 2 * e)
-
 
 @dataclass(frozen=True)
 class IsometryReport:
-    """Monte Carlo variance against the exact integrand norm."""
+    """Monte Carlo second moment of the integral (the variance of a centred
+    driver) against the exact integrand norm, z-tested by ``_second_moment_z``."""
 
     mc_var: float
     dh_norm_sq: float
@@ -138,8 +124,27 @@ def elementary_integral(f: StepFunction, ensemble: PathEnsemble) -> ElementaryIn
     )
 
 
+def _second_moment_z(samples, target):
+    """``(mc, se, z)`` along axis 0: ``mc = mean(samples**2)``, ``se`` the empirical
+    standard error of the squares (no normality assumed), ``z = (mc - target) / se``
+    (0 where ``se == 0``).  The squares' moments are taken at the exact power-of-two
+    scale of ``max|samples|``, so that ``samples**4`` cannot overflow.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    if n < 2:
+        raise ValueError(f"a second-moment z-test needs at least two samples, got {n}")
+    mc = np.mean(samples**2, axis=0)
+    e = np.frexp(np.max(np.abs(samples), axis=0))[1]
+    sq = np.ldexp(samples, -e) ** 2
+    se = np.std(sq, axis=0, ddof=1) / math.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se == 0.0, 0.0, (np.mean(sq, axis=0) - np.ldexp(target, -2 * e)) / se)
+    return mc, np.ldexp(se, 2 * e), z
+
+
 def isometry_report(f: StepFunction, ensemble: PathEnsemble) -> IsometryReport:
-    """Compare the Monte Carlo variance of the integral with the exact norm.
+    """Compare the Monte Carlo second moment of the integral with the exact norm.
 
     The norm is evaluated for the snapped integrand, so the comparison is
     honest even when breakpoints moved.  A zero integrand reports z = 0.
@@ -147,19 +152,8 @@ def isometry_report(f: StepFunction, ensemble: PathEnsemble) -> IsometryReport:
     res = elementary_integral(f, ensemble)
     p = ensemble.params
     dh_sq = integrand_norm(res.f, p.h, p.sigma) ** 2
-    mc_var = res.variance if res.f.n_pieces else 0.0
-    se = res.se_variance
-    if se == 0.0:
-        z = 0.0
-    else:
-        z = (mc_var - dh_sq) / se
-    return IsometryReport(
-        mc_var=mc_var,
-        dh_norm_sq=dh_sq,
-        z_score=z,
-        se_var=se,
-        n_paths=res.n_paths,
-    )
+    mc, se, z = map(float, _second_moment_z(res.samples, dh_sq))
+    return IsometryReport(mc_var=mc, dh_norm_sq=dh_sq, z_score=z, se_var=se, n_paths=res.n_paths)
 
 
 @dataclass(frozen=True)

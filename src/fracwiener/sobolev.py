@@ -419,8 +419,6 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
 
 def _simpson(y: np.ndarray, dx: float) -> float:
     n = y.size - 1
-    if n < 2:
-        return float(np.trapezoid(y, dx=dx))
     if n % 2 == 1:
         # composite Simpson on the even part, trapezoid on the last interval
         return _simpson(y[:-1], dx) + 0.5 * dx * (y[-2] + y[-1])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dct
 
 from .grids import StepFunction, TimeGrid
-from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _stops_decaying
+from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _second_moment_z, _stops_decaying
 from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .sobolev import dh_norm_exponential, integrand_norm
 
@@ -140,7 +140,7 @@ def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
         vals = np.ones(edges.size - 1)
     else:
         with np.errstate(under="ignore"):
-            mass = -np.diff(np.exp(-lam * edges)) / lam
+            mass = np.exp(-lam * edges[:-1]) * -np.expm1(-lam * np.diff(edges)) / lam
         vals = mass / np.diff(edges)
     return StepFunction(edges, vals)
 
@@ -215,10 +215,16 @@ def existence_report(
     ``max(n_x, 4 K 2^doublings)`` midpoint cells come from the identity
     ``sin^2 = (1 - cos)/2``: ``(sum_k a_k - sum_k a_k cos(2 k pi x_i / L)) / L``,
     whose cosine sum is one DCT-III per doubling (``_midpoint_sq_sums``),
-    O(n log n) in the n cells and without an (n, K) sine matrix.
+    O(n log n) in the n cells and without an (n, K) sine matrix.  A horizon the
+    truncation cannot resolve (``lambda_K t0 < 1``) is refused: there the K-doubling
+    blocks do not yet show the decay of the series, and the verdict is wrong.
     """
-    if not t0 > 0:
-        raise ValueError("horizon must be positive")
+    if not model.eigenvalues[-1] * t0 >= 1.0:
+        raise ValueError(
+            f"horizon t0 = {t0:g} must be positive and resolved by the truncation "
+            f"(lambda_K t0 >= 1); it is not at length {model.length:g}, m = {model.m} and "
+            f"truncation {model.truncation}: raise t0 or the truncation, or shorten the domain"
+        )
     k_max = model.truncation * 2**doublings
     base = _mode_step_norms(model.length, model.m, hurst, t0, sigma, k_max)
     n_cells = max(n_x, 4 * k_max)
@@ -625,9 +631,12 @@ def neumann_boundary_integral(
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCheckRecord:
+    """Per node: Monte Carlo second moment, isometry target and their z-score."""
+
     x_nodes: np.ndarray
     variance_profile: np.ndarray
     expected_profile: np.ndarray
+    z_profile: np.ndarray
     gamma_norm: float
     n_paths: int
 
@@ -652,7 +661,7 @@ def boundary_solution_check(
     seed: int = 0,
     kernel_pieces: int = 96,
 ) -> BoundaryCheckRecord:
-    """Simulate the boundary-driven solution and report its second moments.
+    """Simulate the boundary-driven solution and z-test its second moments.
 
     One independent fBm component per boundary atom, with the Hurst index
     ``cfg.hurst`` and the scale ``sigma``; the expected profile is the
@@ -685,7 +694,6 @@ def boundary_solution_check(
         )
         dz = np.diff(comp.paths, axis=1)
         total += dz @ gmat
-    variance = np.mean(total**2, axis=0)
 
     steps = [
         tuple(_boundary_kernel_step(cfg, x, y, kernel_pieces) for y in (0.0, cfg.length))
@@ -697,12 +705,14 @@ def boundary_solution_check(
             for pair in steps
         ]
     )
+    variance, _, z = _second_moment_z(total, expected)
     # cell weights from the midpoints between nodes, extended to the walls
     w = np.diff(np.concatenate(([0.0], 0.5 * (xs[1:] + xs[:-1]), [cfg.length])))
     return BoundaryCheckRecord(
         x_nodes=xs,
         variance_profile=variance,
         expected_profile=expected,
+        z_profile=z,
         gamma_norm=float(np.sum(w * np.sqrt(expected) ** cfg.p) ** (1.0 / cfg.p)),
         n_paths=n_paths,
     )

@@ -437,6 +437,21 @@ class TestInvalidConfigExit2:
         with pytest.raises(ZeroDivisionError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SWEEP_CFG + "t0 = 1e-6\n",
+            SWEEP_CFG + "length = 1e300\n",
+            SPDE_CFG.replace("length = 3.141592653589793", "length = 1e300"),
+        ],
+        ids=["sweep-short-t0", "sweep-huge-length", "spde-huge-length"],
+    )
+    def test_unresolved_horizon_is_diagnosed(self, tmp_path, text, capsys):
+        # lambda_K t0 < 1: the K-doubling detector cannot see the mode series decay
+        code, _ = _run(tmp_path, text)
+        assert code == 2
+        assert "horizon t0 = " in capsys.readouterr().err
+
     def test_supercritical_alpha_is_diagnosed(self, tmp_path, capsys):
         text = SPDE_CFG.replace("alpha = 0.0", "alpha = 0.3").replace("hurst = 0.5", "hurst = 0.4")
         code, _ = _run(tmp_path, text)
@@ -445,8 +460,14 @@ class TestInvalidConfigExit2:
 
 
 class TestDeterminism:
-    def test_rerun_and_threads_suite(self, tmp_path):
-        cfg = _write(tmp_path, ISO_CFG)
+    # 5000 boundary paths span two path blocks, so --threads 4 splits the draws
+    @pytest.mark.parametrize(
+        "text",
+        [ISO_CFG, BOUNDARY_CFG.replace("n_paths = 1000", "n_paths = 5000")],
+        ids=["isometry", "spde-boundary"],
+    )
+    def test_rerun_and_threads_suite(self, tmp_path, text):
+        cfg = _write(tmp_path, text)
         blobs = []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / name
@@ -470,7 +491,9 @@ class TestKinds:
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["n_cases"] == 6
 
-    @pytest.mark.parametrize("text", [ISO_CFG, COARSE_SPDE_CFG], ids=["isometry", "spde"])
+    @pytest.mark.parametrize(
+        "text", [ISO_CFG, COARSE_SPDE_CFG, BOUNDARY_CFG], ids=["isometry", "spde", "boundary"]
+    )
     def test_z_is_scale_free(self, tmp_path, text):
         # z is invariant under sigma; its fourth moments must not overflow
         zs, passes = [], []

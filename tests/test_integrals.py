@@ -21,6 +21,7 @@ from fracwiener.integrals import (
     HSOperator,
     LpKernelField,
     _dyadic_sum,
+    _second_moment_z,
     _stops_decaying,
     condition_regular,
     condition_singular,
@@ -131,18 +132,63 @@ class TestElementaryIntegral:
         f = random_grid_step(np.random.default_rng(88), GRID_F)
         res = elementary_integral(f, ens)
         dh_sq = integrand_norm(res.f, 0.3) ** 2
-        assert abs(res.variance - dh_sq) < 3 * res.se_variance
-        assert abs(np.mean(res.samples)) < 4 * np.sqrt(res.variance / res.n_paths)
+        mc, _, z = _second_moment_z(res.samples, dh_sq)
+        assert abs(z) < 3
+        assert abs(np.mean(res.samples)) < 4 * np.sqrt(mc / res.n_paths)
 
     def test_record_serializes(self, fbm_ensembles):
         # provenance of a grid-aligned scalar integral: every path kept,
-        # nothing snapped, no truncation tail, plain-float statistics
+        # nothing snapped, no truncation tail
         res = elementary_integral(StepFunction.indicator(0.0, 0.5), fbm_ensembles[0.5])
         assert res.n_paths == 30_000
         assert res.snap_distance == 0.0 and res.series_tail == 0.0
-        rec = {"variance": res.variance, "se_variance": res.se_variance}
-        assert json.loads(json.dumps(rec)) == rec
-        assert res.variance == pytest.approx(0.5, rel=0.05)
+        assert _second_moment_z(res.samples, 0.5)[0] == pytest.approx(0.5, rel=0.05)
+
+
+def _runner_z(vals, target):
+    """Reference: the one-column z-test written out with scalar math calls."""
+    mc = float(np.mean(vals**2))
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    sq = np.ldexp(vals, -e) ** 2
+    se = float(np.std(sq, ddof=1) / math.sqrt(len(vals)))
+    z = 0.0 if se == 0.0 else (float(np.mean(sq)) - math.ldexp(target, -2 * e)) / se
+    return mc, z
+
+
+class TestSecondMomentZ:
+    def test_bit_equal_to_the_runner_expression(self):
+        # columns of a 2-D array, as the runner reads terminal[:, j]
+        vals = np.random.default_rng(5).standard_normal((2001, 3)) * [0.7, 3.0, 1e-3]
+        for j, target in enumerate((0.5, 9.5, 1e-6)):
+            mc, _, z = _second_moment_z(vals[:, j], target)
+            assert (float(mc), float(z)) == _runner_z(vals[:, j], target)
+
+    def test_z_is_invariant_under_powers_of_two(self):
+        vals = np.random.default_rng(6).standard_normal((1500, 2))
+        _, se, z = _second_moment_z(vals, [0.9, 1.1])
+        for k in (-400, -30, 17, 498):  # 2**498 puts the values near 1e150
+            _, se_k, z_k = _second_moment_z(vals * 2.0**k, np.array([0.9, 1.1]) * 4.0**k)
+            assert np.array_equal(z_k, z)
+            assert np.array_equal(se_k, se * 4.0**k)
+        assert np.max(np.abs(vals * 2.0**498)) > 1e150
+
+    def test_axis_zero_matches_columns(self):
+        vals = np.random.default_rng(7).standard_normal((800, 4)) * [1.0, 2.0, 0.5, 8.0]
+        target = np.array([1.0, 4.0, 0.25, 60.0])
+        mc, se, z = _second_moment_z(vals, target)
+        assert np.array_equal(mc, np.mean(vals**2, axis=0))
+        for j in range(4):
+            col = tuple(map(float, _second_moment_z(vals[:, j], target[j])))
+            assert (mc[j], se[j], z[j]) == pytest.approx(col, rel=1e-12, abs=1e-12)
+
+    def test_zero_samples_give_zero_z(self):
+        mc, se, z = _second_moment_z(np.zeros((50, 3)), 1.0)
+        assert not np.any(mc) and not np.any(se) and not np.any(z)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 4)])
+    def test_one_sample_is_refused(self, shape):
+        with pytest.raises(ValueError, match="at least two samples"):
+            _second_moment_z(np.ones(shape), 1.0)
 
 
 class TestIsometryReport:
@@ -217,7 +263,7 @@ class TestCylindricalIntegral:
         op = HSOperator(tuple(StepFunction.indicator(0.0, 1.0) for _ in range(3)))
         res = cylindrical_integral(op, cyl)
         assert op.hs_norm_sq(cyl.components[0].params) == pytest.approx(3.0, rel=1e-6)
-        assert abs(res.variance - 3.0) < 4 * res.se_variance
+        assert abs(_second_moment_z(res.samples, 3.0)[2]) < 4
         # equal column norms never decay, so no finite tail estimate exists
         assert res.series_tail == math.inf
 

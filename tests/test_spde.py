@@ -11,7 +11,7 @@ from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
 from fracwiener.rng import BLOCK_PATHS, path_blocks, worker_threads
-from fracwiener.sobolev import integrand_norm
+from fracwiener.sobolev import dh_norm_exponential, integrand_norm
 from fracwiener.spde import (
     MildSolutionEnsemble,
     NeumannKernelConfig,
@@ -113,6 +113,12 @@ class TestModeNorm:
             lam = float(k * k)
             direct = integrand_norm(_exp_kernel_step(lam, 1.0), 0.75, method="covariance")
             assert mode_norm(laplace8, k, 1.0, 0.75) == pytest.approx(direct, rel=0.01)
+
+    def test_covariance_route_at_tiny_horizon(self):
+        # lam t0 ~ 1e-19: the cell masses must not cancel to 0
+        lam = float(SpectralModel(1.0, 1, 1).eigenvalues[0])
+        step = integrand_norm(_exp_kernel_step(lam, 1e-20), 0.4, method="covariance")
+        assert step == pytest.approx(dh_norm_exponential(lam, 1e-20, 0.4), rel=1e-6)
 
     def test_fractional_weight_is_scalar_factor(self, laplace8):
         base = mode_norm(laplace8, 3, 1.0, 0.6)
