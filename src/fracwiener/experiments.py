@@ -305,9 +305,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     So is a parameter that overflows the floating-point range on its way
     through the model.  The runner's summary is stamped with the summary
-    version, kind and seed, and a Monte Carlo kind run on fewer than 1000
-    paths gets a warning ahead of the runner's own.  Path blocks run on the
-    ``rng.worker_threads`` pool of the caller.
+    version, kind, seed and count of failed verdicts, and a Monte Carlo kind
+    run on fewer than 1000 paths gets a warning ahead of the runner's own.
+    Path blocks run on the ``rng.worker_threads`` pool of the caller.
     """
     try:
         res = EXPERIMENTS[cfg.kind].runner(cfg)
@@ -315,7 +315,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError([str(exc)]) from None
     except OverflowError as exc:
         raise ConfigError([f"a parameter overflowed the floating-point range: {exc}"]) from None
-    header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed}
+    n_failed = sum(not v.passed for v in res.verdicts)
+    header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed, "n_failed": n_failed}
     n_paths = cfg.params.get("n_paths")
     few = [] if n_paths is None or n_paths >= 1000 else [
         f"n_paths = {n_paths} is small for stable Monte Carlo statistics"
@@ -390,7 +391,6 @@ def _run_norm_identity(cfg: ExperimentConfig) -> ExperimentResult:
         "max_rel_deviation": worst,
         "ratio_rtol": p["ratio_rtol"],
         "n_cases": len(rows),
-        "n_failed": sum(not v.passed for v in verdicts),
     }
     return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
@@ -496,6 +496,8 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
+    if p["holder_floor"] is not None and not p["fit_holder"]:
+        raise ConfigError(["holder_floor needs fit_holder = true"])
     warnings = []
     if p["fit_smoothing"] and p["truncation"] < 128:
         warnings.append(
@@ -552,10 +554,9 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
         "family": p["family"],
         "hurst": p["hurst"],
         "alpha": p["alpha"],
-        "existence_threshold": p["hurst"] - 1.0 / (4.0 * p["m"]),
+        "existence_threshold": model.existence_threshold(p["hurst"]),
         "fitted_exponents": fitted,
         "n_modes_checked": n_check,
-        "n_failed": sum(not v.passed for v in verdicts),
     }
     return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts, warnings=warnings)
 
@@ -606,7 +607,6 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
         "refinement_trace": trace,
         "gamma_norm": check.gamma_norm,
         "n_paths": p["n_paths"],
-        "n_failed": sum(not v.passed for v in verdicts),
     }
     return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
 
@@ -621,7 +621,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     rows, verdicts = [], []
     flips = {}
     for h in p["hurst"]:
-        threshold = h - 1.0 / (4.0 * p["m"])
+        threshold = model.existence_threshold(h)
         flags = []
         all_rows_ok = True
         for a in p["alpha"]:
@@ -667,7 +667,6 @@ class Experiment:
     optional: tuple
     columns: tuple  # one (name, doc) pair per results.csv column, in order
     runner: Callable
-    doc_width: int = 14  # least width of the name column in column_docs_text
 
 
 EXPERIMENTS: dict = {
@@ -843,7 +842,6 @@ EXPERIMENTS: dict = {
                 ("pass", "true when the verdict matches the side of the threshold\n"
                          "(rows within margin of the threshold pass unconditionally)"),
             ),
-            doc_width=12,
             runner=_run_threshold_sweep,
         ),
     )
@@ -867,11 +865,11 @@ def list_experiments_text() -> str:
 
 
 def column_docs_text() -> str:
-    """Per-kind documentation of every results.csv column, names padded to
-    max(doc_width, longest name + 2) and further doc lines aligned under the first."""
+    """Per-kind documentation of every results.csv column, names padded to the
+    longest name + 2 and further doc lines aligned under the first."""
     blocks = []
     for exp in EXPERIMENTS.values():
-        width = max(exp.doc_width, 2 + max(len(name) for name, _ in exp.columns))
+        width = 2 + max(len(name) for name, _ in exp.columns)
         lines = [f"{exp.name} results.csv:"]
         for name, doc in exp.columns:
             first, *more = doc.splitlines()

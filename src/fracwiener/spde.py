@@ -66,13 +66,15 @@ class SpectralModel:
             raise ValueError("spectral shift must be nonnegative")
         if self.p < 1:
             raise ValueError("integrability exponent p must be >= 1")
-        with np.errstate(over="ignore"):
-            top = np.float64(self.truncation * math.pi / self.length) ** self.order
-        if not np.isfinite(top):
-            raise ValueError(
-                f"the top eigenvalue (K pi / L)^(2m) overflows at length {self.length:g}, "
-                f"m = {self.m} and truncation {self.truncation}; use a longer domain"
-            )
+        with np.errstate(over="ignore", under="ignore"):
+            bottom, top = (np.array([1.0, self.truncation]) * math.pi / self.length) ** self.order
+            if not (bottom > 0 and np.isfinite(top + self.shift)):
+                raise ValueError(
+                    f"the spectrum (k pi / L)^(2m) leaves the floating-point range at length "
+                    f"{self.length:g}, m = {self.m}, truncation {self.truncation} and shift "
+                    f"{self.shift:g}: the bottom eigenvalue must be positive and the shifted "
+                    "top one finite"
+                )
 
     @property
     def order(self) -> int:
@@ -95,6 +97,10 @@ class SpectralModel:
         """Midpoint rule on the interval; exact enough for smooth modes."""
         dx = self.length / n_cells
         return dx * (np.arange(n_cells) + 0.5), np.full(n_cells, dx)
+
+    def existence_threshold(self, hurst: float) -> float:
+        """``H - 1/(4m)``: the mode series of the mild convolution converges iff alpha is below it."""
+        return hurst - 1.0 / (4.0 * self.m)
 
     def fractional_weights(self, alpha: float) -> np.ndarray:
         return (self.shift + self.eigenvalues) ** alpha
@@ -147,14 +153,11 @@ def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
 
 @dataclass(frozen=True)
 class ExistenceReport:
-    """Verdict on the mode series behind a distributed-noise convolution."""
+    """Verdict of the K-doubling detector on the distributed-noise mode series."""
 
     gamma_norm_lp_value: float
     per_mode_tail: tuple
     finite: bool
-    threshold: float
-    alpha: float
-    hurst: float
 
 
 def _midpoint_sq_sums(coef: np.ndarray, length: float, n_cells: int) -> np.ndarray:
@@ -207,9 +210,10 @@ def existence_report(
 ) -> ExistenceReport:
     """Evaluate the kernel-field gamma norm and probe it under K-doubling.
 
-    The per-node norm is an l2 combination over modes, so doubling the
-    truncation adds a block of nonnegative mass to the p-th power of the
-    norm; the verdict is divergence when those blocks stop decaying.
+    The detector threshold-sweep tests against ``model.existence_threshold``
+    (mild solves do not run it).  The per-node norm is an l2 combination over
+    modes, so doubling the truncation adds a block of nonnegative mass to the
+    p-th power of the norm; the verdict is divergence when those blocks stop decaying.
 
     The squared node norms ``sum_k a_k (2/L) sin^2(k pi x_i / L)`` on the
     ``max(n_x, 4 K 2^doublings)`` midpoint cells come from the identity
@@ -248,9 +252,6 @@ def existence_report(
         gamma_norm_lp_value=mass[0] ** (1.0 / model.p),
         per_mode_tail=tuple(float(d) for d in incs),
         finite=not _stops_decaying(incs),
-        threshold=hurst - 1.0 / (4.0 * model.m),
-        alpha=alpha,
-        hurst=hurst,
     )
 
 
@@ -334,7 +335,7 @@ class MildSolutionEnsemble:
 
 
 def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
-    """Check existence once, then yield ``(k, steps)`` for every mode.
+    """Refuse an alpha not below ``model.existence_threshold``, then yield ``(k, steps)`` per mode.
 
     ``steps[i - 1]`` holds the weighted coefficients of mode k at node i
     >= 1 on all paths, shape ``(n_steps, n_paths)``: time-major, as the
@@ -342,11 +343,11 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     order.  The check runs when this is called, the draws as the modes are
     consumed.
     """
-    rep = existence_report(model, params.h, alpha, grid.t_end, sigma=params.sigma)
-    if not rep.finite:
+    threshold = model.existence_threshold(params.h)
+    if not alpha < threshold:
         raise ValueError(
-            f"fractional order alpha={alpha:g} lies above the existence "
-            f"threshold H - 1/(4m) = {rep.threshold:g}: the mode series "
+            f"fractional order alpha={alpha:g} is not below the existence "
+            f"threshold H - 1/(4m) = {threshold:g}: the mode series "
             "for the convolution diverges, so there is no mild solution "
             "to simulate. Lower alpha, raise H, or raise the operator order."
         )
@@ -386,8 +387,8 @@ def solve_mild(
 
     The discrete convolution satisfies the exact per-step recursion
     ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
-    semigroup decomposition property tested against it.  A configuration
-    whose mode series diverges (``existence_report``) is refused.
+    semigroup decomposition property tested against it.  An ``alpha`` not
+    below ``model.existence_threshold(H)`` is refused: the mode series diverges.
 
     This stores every path, ``n_paths * K * (n_steps + 1)`` floats, for
     callers that need them; ``mild_summary`` gives the terminal values and

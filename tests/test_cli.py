@@ -124,6 +124,8 @@ alpha = 0.0, 0.1, 0.2, 0.3
 m = 1
 """
 
+SPECTRUM_MESSAGE = "the spectrum (k pi / L)^(2m) leaves the floating-point range at length 1e+300"
+
 WARN_CFG = """\
 config_version = 1
 kind = moments
@@ -381,6 +383,8 @@ class TestInvalidConfigExit2:
             # and the top eigenvalue of a tiny domain
             SWEEP_CFG.replace("alpha = 0.0, 0.1, 0.2, 0.3", "alpha = 0, 1, 5, 30"),
             SPDE_CFG.replace("length = 3.141592653589793", "length = 1e-200"),
+            # a floor for a fit that is not asked for
+            SPDE_CFG + "holder_floor = 0.9\n",
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):
@@ -438,19 +442,20 @@ class TestInvalidConfigExit2:
             run_experiment(cfg)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            SWEEP_CFG + "t0 = 1e-6\n",
-            SWEEP_CFG + "length = 1e300\n",
-            SPDE_CFG.replace("length = 3.141592653589793", "length = 1e300"),
+            (SWEEP_CFG + "t0 = 1e-6\n", "horizon t0 = "),
+            (SWEEP_CFG + "length = 1e300\n", SPECTRUM_MESSAGE),
+            (SPDE_CFG.replace("length = 3.141592653589793", "length = 1e300"), SPECTRUM_MESSAGE),
         ],
         ids=["sweep-short-t0", "sweep-huge-length", "spde-huge-length"],
     )
-    def test_unresolved_horizon_is_diagnosed(self, tmp_path, text, capsys):
-        # lambda_K t0 < 1: the K-doubling detector cannot see the mode series decay
+    def test_unresolved_horizon_is_diagnosed(self, tmp_path, text, message, capsys):
+        # lambda_K t0 < 1: the K-doubling detector cannot see the mode series
+        # decay; at a huge length every eigenvalue underflows to 0
         code, _ = _run(tmp_path, text)
         assert code == 2
-        assert "horizon t0 = " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_supercritical_alpha_is_diagnosed(self, tmp_path, capsys):
         text = SPDE_CFG.replace("alpha = 0.0", "alpha = 0.3").replace("hurst = 0.5", "hurst = 0.4")
@@ -539,6 +544,17 @@ class TestKinds:
 
         assert expected == pytest.approx((1 - math.exp(-2 * lam)) / (2 * lam), rel=1e-3)
         assert all(r[5] == "true" for r in rows)
+
+    def test_spde_distributed_admits_alpha_below_threshold(self, tmp_path, capsys):
+        # H - 1/(4m) = 0.25: alpha = 0.245 is admitted by the closed form
+        code, _ = _run(tmp_path, SPDE_CFG.replace("alpha = 0.0", "alpha = 0.245"))
+        assert code != 2
+        assert "invalid config" not in capsys.readouterr().err
+
+    def test_spde_distributed_short_horizon(self, tmp_path):
+        # no truncation-resolves-the-horizon guard on the mild solve
+        code, _ = _run(tmp_path, SPDE_CFG.replace("t_end = 1.0", "t_end = 1e-6"))
+        assert code == 0
 
     def test_spde_distributed_fitted_exponents(self, tmp_path):
         text = SPDE_CFG + "fit_holder = true\nholder_floor = 0.1\n"

@@ -2,11 +2,13 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracwiener import spde
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
@@ -91,6 +93,16 @@ class TestSpectralModel:
         with pytest.raises(ValueError):
             SpectralModel(**kwargs)
 
+    @pytest.mark.parametrize("length", [1e300, 1e-200])
+    def test_spectrum_out_of_range_refused(self, length):
+        # 1e300: the bottom eigenvalue underflows to 0; 1e-200: the top one overflows
+        with pytest.raises(ValueError, match=re.escape(f"at length {length:g}, m = 1")):
+            SpectralModel(length, 1, 4)
+
+    def test_existence_threshold(self):
+        assert SpectralModel(L_PI, 1, 4).existence_threshold(0.4) == 0.4 - 0.25
+        assert SpectralModel(L_PI, 2, 4).existence_threshold(0.45) == 0.45 - 0.125
+
 
 class TestModeNorm:
     def test_uncorrelated_case_closed_form(self, laplace8):
@@ -136,7 +148,7 @@ class TestExistenceReport:
         mod = SpectralModel(L_PI, 1, 16)
         rep = existence_report(mod, 0.4, 0.0, 1.0)
         assert rep.finite
-        assert rep.threshold == pytest.approx(0.15)
+        assert mod.existence_threshold(0.4) == pytest.approx(0.15)
         assert rep.gamma_norm_lp_value == pytest.approx(0.948752, rel=1e-5)
         # block masses decay for a convergent mode series
         assert rep.per_mode_tail[-1] < rep.per_mode_tail[0]
@@ -297,6 +309,14 @@ class TestSolveMild:
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with pytest.raises(ValueError, match="existence threshold"):
             solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.2)
+
+    def test_admits_alpha_just_below_threshold(self):
+        # the closed form H - 1/(4m) = 0.15 admits 0.145; the K-doubling
+        # detector cannot tell this alpha from a divergent one
+        mod = SpectralModel(L_PI, 1, 16)
+        grid = TimeGrid(0.0, 1.0 / 64, 64)
+        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.145)
+        assert np.all(np.isfinite(ens.coeffs))
 
     def test_single_mode_variance_anchor(self):
         mod = SpectralModel(L_PI, 1, 1)
@@ -460,6 +480,16 @@ class TestMildSummary:
         mod = SpectralModel(L_PI, 1, 16)
         with pytest.raises(ValueError, match="existence threshold"):
             _summary(mod, FracParams.fbm(0.4), TimeGrid(0.0, 1.0 / 64, 64), 10, alpha=0.2)
+
+    def test_runs_no_existence_detector(self, monkeypatch):
+        # admission is the closed-form threshold; the detector belongs to threshold-sweep
+        def refuse(*args, **kwargs):
+            raise AssertionError("existence_report called on the mild-solve path")
+
+        monkeypatch.setattr(spde, "existence_report", refuse)
+        terminal, _ = _summary(SpectralModel(L_PI, 1, 4), FracParams.fbm(0.5),
+                               TimeGrid(0.0, 1.0 / 16, 16), 8, alpha=0.2, seed=1)
+        assert terminal.shape == (8, 4)
 
     def test_thread_invariance(self):
         mod = SpectralModel(L_PI, 1, 3)
