@@ -569,7 +569,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
     if p["x_nodes"] is not None and p["n_x"] is not None:
         raise ConfigError(["give either x_nodes or n_x, not both"])
-    kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"], p["image_terms"])
+    kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"])
 
     rec = neumann_boundary_integral(kcfg)
     trace = [float(v) for v in rec.refinement_trace]
@@ -798,7 +798,6 @@ EXPERIMENTS: dict = {
             ),
             optional=(
                 _Key("sigma", _float, _positive, 1.0),
-                _Key("image_terms", _int, _ge(1), 20),
                 _Key("n_x", _int, _ge(2)),
                 _Key("x_nodes", _floats, _nonempty_grid),
                 _Key("kernel_pieces", _int, _ge(8), 96),

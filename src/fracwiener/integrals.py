@@ -54,7 +54,6 @@ class ElementaryIntegralResult:
 
     samples: np.ndarray
     f: StepFunction
-    params: FracParams
     snap_distance: float = 0.0
     series_tail: float = 0.0
 
@@ -119,7 +118,6 @@ def elementary_integral(f: StepFunction, ensemble: PathEnsemble) -> ElementaryIn
     return ElementaryIntegralResult(
         samples=samples,
         f=snapped,
-        params=ensemble.params,
         snap_distance=moved,
     )
 
@@ -215,7 +213,6 @@ def cylindrical_integral(a: HSOperator, ens: CylindricalEnsemble) -> ElementaryI
     return ElementaryIntegralResult(
         samples=samples,
         f=combined,
-        params=ens.components[0].params,
         snap_distance=moved,
         series_tail=_series_tail(variances),
     )

@@ -162,7 +162,6 @@ class PathEnsemble:
     grid: TimeGrid
     paths: np.ndarray  # (n_paths, n_nodes), column 0 identically zero
     params: FracParams
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -226,7 +225,7 @@ def simulate_fbm(
         return draw(gen, sl.stop - sl.start)
 
     paths = map_path_blocks(run, n_paths)
-    return PathEnsemble(grid, paths, params, seed)
+    return PathEnsemble(grid, paths, params)
 
 
 def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
@@ -442,7 +441,7 @@ def simulate_hermite_k2(
     op = _HermiteOperator(params, grid.nodes, iso, warp_scale)
     paths = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start), n_paths)
     paths[:, 0] = 0.0  # omega vanishes at t = 0; pin the exact zero
-    return PathEnsemble(grid, paths, params, iso.seed)
+    return PathEnsemble(grid, paths, params)
 
 
 def hermite_covariance(

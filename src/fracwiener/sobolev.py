@@ -15,7 +15,7 @@ several independent routes to these quantities:
   edge, with adaptive quadrature,
 * ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
   the process increment covariance (no quadrature at all); the spde mode
-  norms use it, cached per H, with alpha and noise coefficients applied after,
+  norms use it, cached per H, with the alpha weight applied after,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
 * ``sobolev_norm_fourier``: FFT of sampled data with an analytic
   high-frequency tail correction,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -101,45 +101,31 @@ def cosine_tail_constant(a: float) -> float:
     return float(_gamma(2.0 - a) * (np.pi / 2.0) * np.sinc(eps / 2.0) / a)
 
 
-@lru_cache(maxsize=None)
 def transform_constant(hurst: float) -> float:
     r"""Normalizing constant of the weighted tail transform.
 
-    Square equals ``\int_0^\infty ((1+u)^{H-1/2} - u^{H-1/2})^2 du + 1/(2H)``;
-    the value is 1 at H = 1/2.  Quadrature is split at u = 1; both endpoint
-    behaviours (an integrable power at 0, algebraic decay at infinity) are
-    handled by the adaptive rule.
+    Square equals ``\int_0^\infty ((1+u)^{H-1/2} - u^{H-1/2})^2 du + 1/(2H)``,
+    which is the Mandelbrot--Van Ness closed form
+    ``gamma(H + 1/2)^2 / (gamma(2H + 1) sin(pi H))``; the value is exactly
+    1 at H = 1/2.
     """
     h = _check_hurst(hurst)
-    if h == 0.5:
-        return 1.0
-    a = h - 0.5
-
-    def integrand(u):
-        return ((1.0 + u) ** a - u**a) ** 2
-
-    head = _quad(integrand, 0.0, 1.0)
-    tail = _quad(integrand, 1.0, np.inf)
-    return float(np.sqrt(head + tail + 0.5 / h))
+    return math.gamma(h + 0.5) / math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h))
 
 
 def norm_equivalence_constant(hurst: float, sigma: float = 1.0) -> float:
     r"""Ratio between the integrand norm and the order-(1/2 - H) Sobolev norm.
 
-    Equals ``sigma * gamma(H + 1/2) / transform_constant(H)``.  This is the
-    constant for the covariance-normalized tail transform used throughout
-    this module (the one under which indicators have norm ``sigma t^H``);
-    written through the gamma recurrence it is
-    ``sigma |H - 1/2| |gamma(H - 1/2)| / c_H`` with the reflected value of
-    the gamma function at negative arguments.  At H = 1/2 the constant is
-    sigma itself, and the map H -> constant is continuous there.
+    Equals ``sigma * gamma(H + 1/2) / transform_constant(H)``, that is
+    ``sigma * sqrt(gamma(2H + 1) sin(pi H))``.  This is the constant for the
+    covariance-normalized tail transform used throughout this module (the
+    one under which indicators have norm ``sigma t^H``).  At H = 1/2 the
+    constant is exactly sigma, and the map H -> constant is smooth there.
     """
     h = _check_hurst(hurst)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if h == 0.5:
-        return float(sigma)
-    return float(sigma * _gamma(h + 0.5) / transform_constant(h))
+    return float(sigma * math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)))
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,6 @@ class MildSolutionEnsemble:
     grid: TimeGrid
     coeffs: np.ndarray
     alpha: float
-    params: FracParams | None = None
 
     @property
     def n_paths(self) -> int:
@@ -398,7 +397,7 @@ def solve_mild(
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
     for k, steps in modes:
         coeffs[:, k, 1:] = steps.T
-    return MildSolutionEnsemble(model, grid, coeffs, alpha, params)
+    return MildSolutionEnsemble(model, grid, coeffs, alpha)
 
 
 def mild_summary(
@@ -514,15 +513,33 @@ def holder_exponent_estimate(ens: MildSolutionEnsemble) -> float:
 # boundary noise through the Neumann heat kernel
 
 
+# a heat kernel at time u carries a factor below e^{-400} farther than
+# _KERNEL_REACH sqrt(u) from its centre: the image sum stops there, and so
+# does the first shell of neumann_boundary_integral.  The boundary Monte Carlo
+# holds a (steps x nodes x 4N+2) array, so N stops at 200 images (u <= 100 L^2)
+_KERNEL_REACH = 40.0
+_MAX_IMAGES = 200
+
+
+def _image_count(u: float, length: float, name: str = "time u") -> int:
+    """Images per side within ``_KERNEL_REACH sqrt(u)`` of the domain (0, L)."""
+    reach = 0.5 * _KERNEL_REACH * math.sqrt(u) / length
+    if not reach <= _MAX_IMAGES:
+        raise ValueError(
+            f"{name} = {u:g} at length {length:g} needs more than {_MAX_IMAGES} Neumann "
+            f"images; the image sum covers times up to 100 length^2 = {100.0 * length**2:g}"
+        )
+    return max(1, math.ceil(reach))
+
+
 @dataclass(frozen=True)
 class NeumannKernelConfig:
-    """Setup for the boundary-noise problem on (0, L)."""
+    """Setup for the boundary-noise problem on (0, L); t0 <= 100 L^2, the image sum's reach."""
 
     length: float
     t0: float
     hurst: float
     p: float
-    image_terms: int = 20
 
     def __post_init__(self):
         if not self.length > 0:
@@ -533,19 +550,21 @@ class NeumannKernelConfig:
             raise ValueError("boundary problem needs hurst in [1/2, 1)")
         if not 1.0 < self.p <= 2.0:
             raise ValueError("integrability exponent p must lie in (1, 2]")
-        if self.image_terms < 1:
-            raise ValueError("need at least one image term")
+        _image_count(self.t0, self.length, "horizon t0")
 
 
-def neumann_heat_kernel(u, x, y: float, length: float, image_terms: int) -> np.ndarray:
+def neumann_heat_kernel(u, x, y: float, length: float) -> np.ndarray:
     """Heat kernel with reflecting endpoints, by the method of images.
 
-    All images enter with positive sign, so the kernel is positive; the
-    image series converges like a Gaussian tail in ``image_terms``.
+    All images enter with positive sign, so the kernel is positive.  The
+    sum takes every image within ``_KERNEL_REACH sqrt(max u)`` of the
+    domain, ``ceil(20 sqrt(max u) / L)`` per side, so it is exact to
+    rounding; a time beyond 100 L^2 (more than 200 images) is refused.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    shifts = 2.0 * length * np.arange(-image_terms, image_terms + 1)
+    n = _image_count(float(u.max(initial=0.0)), length)
+    shifts = 2.0 * length * np.arange(-n, n + 1)
     centers = np.concatenate((shifts + y, shifts - y))
     d = x[..., None] - centers
     with np.errstate(under="ignore"):
@@ -555,8 +574,8 @@ def neumann_heat_kernel(u, x, y: float, length: float, image_terms: int) -> np.n
 
 
 def _boundary_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x: float) -> np.ndarray:
-    g0 = neumann_heat_kernel(s, np.full_like(s, x), 0.0, cfg.length, cfg.image_terms)
-    gL = neumann_heat_kernel(s, np.full_like(s, x), cfg.length, cfg.length, cfg.image_terms)
+    g0 = neumann_heat_kernel(s, np.full_like(s, x), 0.0, cfg.length)
+    gL = neumann_heat_kernel(s, np.full_like(s, x), cfg.length, cfg.length)
     return g0**2 + gL**2
 
 
@@ -584,10 +603,10 @@ def neumann_boundary_integral(
     boundary (both endpoints at once, using the x <-> L-x symmetry of the
     two-atom integrand; 8-point rule, at most 34 shells, relative shell
     tolerance 1e-7); the trace of partial sums doubles as the divergence
-    detector.  The shells start at ``min(L/2, 40 sqrt(t0))``: farther from
-    both walls the kernels carry a factor below ``e^{-400}``, and a short
-    horizon would otherwise spend the shell budget where the integrand
-    underflows.  ``surrogate_d`` switches the kernel to the
+    detector.  The shells start at ``min(L/2, _KERNEL_REACH sqrt(t0))``:
+    farther from both walls the kernels carry a factor below ``e^{-400}``,
+    and a short horizon would otherwise spend the shell budget where the
+    integrand underflows.  ``surrogate_d`` switches the kernel to the
     Gaussian-bound power model with a formal dimension, which is the only
     way a 1-D setup can exhibit the supercritical regime.
     """
@@ -615,7 +634,7 @@ def neumann_boundary_integral(
 
         return _dyadic_sum(time_shell, 120, 1e-12)[0]
 
-    x_top = min(0.5 * cfg.length, 40.0 * math.sqrt(cfg.t0))
+    x_top = min(0.5 * cfg.length, _KERNEL_REACH * math.sqrt(cfg.t0))
 
     def space_shell(j: int) -> float:
         xn, xw = _dyadic_shell(x_top, j, xg, wg)
@@ -639,7 +658,6 @@ class BoundaryCheckRecord:
     expected_profile: np.ndarray
     z_profile: np.ndarray
     gamma_norm: float
-    n_paths: int
 
 
 def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float, n_pieces: int) -> StepFunction:
@@ -647,7 +665,7 @@ def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float, n_pieces
     floor = min(cfg.t0 * 1e-7, 0.02 * min(x, cfg.length - x) ** 2)
     edges = np.concatenate(([0.0], np.geomspace(floor, cfg.t0, n_pieces)))
     mids = np.sqrt(edges[1:] * np.maximum(edges[:-1], floor * 1e-3))
-    vals = neumann_heat_kernel(mids, np.full_like(mids, x), y, cfg.length, cfg.image_terms)
+    vals = neumann_heat_kernel(mids, np.full_like(mids, x), y, cfg.length)
     return StepFunction(edges, vals)
 
 
@@ -690,8 +708,7 @@ def boundary_solution_check(
     total = np.zeros((n_paths, xs.size))
     for atom, comp in zip((0.0, cfg.length), cyl.components):
         gmat = neumann_heat_kernel(
-            lags[:, None], np.broadcast_to(xs, (lags.size, xs.size)), atom,
-            cfg.length, cfg.image_terms,
+            lags[:, None], np.broadcast_to(xs, (lags.size, xs.size)), atom, cfg.length
         )
         dz = np.diff(comp.paths, axis=1)
         total += dz @ gmat
@@ -715,5 +732,4 @@ def boundary_solution_check(
         expected_profile=expected,
         z_profile=z,
         gamma_norm=float(np.sum(w * np.sqrt(expected) ** cfg.p) ** (1.0 / cfg.p)),
-        n_paths=n_paths,
     )

@@ -7,10 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwiener import __version__
 from fracwiener.cli import build_parser, main
@@ -18,6 +21,10 @@ from fracwiener.experiments import (
     CONFIG_VERSION,
     EXPERIMENTS,
     ConfigError,
+    _bool,
+    _float,
+    _floats,
+    _int,
     column_docs_text,
     list_experiments_text,
     load_config,
@@ -385,6 +392,8 @@ class TestInvalidConfigExit2:
             SPDE_CFG.replace("length = 3.141592653589793", "length = 1e-200"),
             # a floor for a fit that is not asked for
             SPDE_CFG + "holder_floor = 0.9\n",
+            # a horizon beyond the reach of the Neumann image sum
+            BOUNDARY_CFG.replace("t0 = 1.0", "t0 = 101"),
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):
@@ -403,6 +412,17 @@ class TestInvalidConfigExit2:
         code, _ = _run(tmp_path, ISO_CFG + "k = 2\n")
         assert code == 2
         assert "unknown key 'k'" in capsys.readouterr().err
+
+    def test_image_count_is_not_a_key(self, tmp_path, capsys):
+        # the horizon picks the number of Neumann images
+        code, _ = _run(tmp_path, BOUNDARY_CFG + "image_terms = 20\n")
+        assert code == 2
+        assert "unknown key 'image_terms'" in capsys.readouterr().err
+
+    def test_long_horizon_is_diagnosed(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, BOUNDARY_CFG.replace("t0 = 1.0", "t0 = 101"))
+        assert code == 2
+        assert "horizon t0 = 101 at length 1" in capsys.readouterr().err
 
     def test_boundary_expectation_is_not_a_key(self, tmp_path, capsys):
         # the boundary-noise integral is finite for every admitted (H, p)
@@ -616,3 +636,64 @@ class TestStrictMode:
         assert code == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warnings"]
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: every input gives an exit code, never a traceback
+
+# each example starts from a valid config of its kind, draws every integer
+# key (a size) from a small range so the run stays short and small in memory,
+# and overwrites up to three other keys with values from a pool that mixes
+# plausible and hostile ones
+FUZZ_BASES = {
+    "norm-identity": NORM_CFG,
+    "isometry": ROS_CFG,
+    "moments": MOMENTS_CFG,
+    "spde-distributed": SPDE_CFG,
+    "spde-boundary": BOUNDARY_CFG.replace("x_nodes = 0.5\n", ""),
+    "threshold-sweep": SWEEP_CFG,
+}
+SIZES = {
+    "n_paths": (2, 400), "grid_steps": (8, 64), "truncation": (8, 32), "doublings": (1, 3),
+    "n_noise_cells": (16, 128), "n_functions": (1, 4), "pieces": (1, 8), "n_draws": (1, 5),
+    "n_cells": (8, 64), "m": (1, 3), "check_modes": (1, 8), "n_x": (4, 16),
+    "kernel_pieces": (8, 96),
+}
+SCALARS = (
+    "0", "-1", "-0.5", "1e-300", "1e300", "nan", "inf", "-inf",
+    "0.1", "0.25", "0.6", "0.75", "1", "2", "3.141592653589793",
+)
+
+
+def _scalar(key):
+    if key.coerce is _float:
+        return st.sampled_from(SCALARS)
+    if key.coerce is _floats:
+        return st.lists(st.sampled_from(SCALARS), min_size=1, max_size=3).map(", ".join)
+    if key.coerce is _bool:
+        return st.sampled_from(("true", "false", "nan"))
+    return st.sampled_from(("fbm", "rosenblatt", "generalized", "nan"))
+
+
+@st.composite
+def fuzz_configs(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    raw = parse_flat_config(FUZZ_BASES[kind])
+    keys = (*EXPERIMENTS[kind].required, *EXPERIMENTS[kind].optional)
+    for key in keys:
+        if key.coerce is _int:
+            raw[key.name] = str(draw(st.integers(*SIZES[key.name])))
+    scalars = [k for k in keys if k.coerce is not _int]
+    for key in draw(st.lists(st.sampled_from(scalars), max_size=3, unique=True)):
+        raw[key.name] = draw(_scalar(key))
+    return "".join(f"{k} = {v}\n" for k, v in raw.items())
+
+
+@given(text=fuzz_configs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_config_fuzz_exits_with_a_code(text):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)

@@ -114,7 +114,7 @@ class TestCosineTailConstant:
 class TestTransformConstant:
     @pytest.mark.parametrize("h", HURSTS)
     def test_frozen_values(self, h):
-        assert sb.transform_constant(h) == pytest.approx(C_H[h], rel=1e-9)
+        assert sb.transform_constant(h) == pytest.approx(C_H[h], rel=1e-13)
 
     def test_identity_regime(self):
         assert sb.transform_constant(0.5) == 1.0
@@ -133,7 +133,7 @@ class TestTransformConstant:
 class TestNormEquivalenceConstant:
     @pytest.mark.parametrize("h", HURSTS)
     def test_frozen_values(self, h):
-        assert sb.norm_equivalence_constant(h) == pytest.approx(EQUIV_CONST[h], rel=1e-9)
+        assert sb.norm_equivalence_constant(h) == pytest.approx(EQUIV_CONST[h], rel=1e-13)
 
     def test_gamma_relation(self):
         # the constant times c_H is the gamma function at H + 1/2
