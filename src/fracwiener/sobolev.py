@@ -14,8 +14,11 @@ several independent routes to these quantities:
   arithmetic and integrated piece by piece, in the distance to that
   edge, with adaptive quadrature,
 * ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
-  the process increment covariance (no quadrature at all); the spde mode
-  norms use it, cached per H, with the alpha weight applied after,
+  the process increment covariance (no quadrature at all); the K-doubling
+  detector's step-projected mode norms use it, cached per H, with the
+  alpha weight applied after,
+* ``dh_norm_exponential``: closed form for the exponential kernel of the
+  spde mode norms, with ``dh_norm_smooth`` as its quadrature oracle,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
 * ``sobolev_norm_fourier``: FFT of sampled data with an analytic
   high-frequency tail correction,
@@ -32,7 +35,7 @@ from functools import partial
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, gammainc as _gammainc, hyp1f1 as _hyp1f1
 
 from .grids import GridFunction, StepFunction
 from .processes import _increment_covariance
@@ -57,17 +60,16 @@ __all__ = [
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-10, limit=400)
 
 
-def _quad(fn, a, b, **kwargs):
+def _quad(fn, a, b):
     """Adaptive quadrature; roundoff-limited convergence reports are fine here.
 
     The tolerances in ``_QUAD_OPTS`` are deliberately tighter than what some
     algebraically-decaying tails admit, so the value returned at the roundoff
     plateau is accepted silently.
     """
-    opts = {**_QUAD_OPTS, **kwargs}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(fn, a, b, **opts)
+        val, _ = quad(fn, a, b, **_QUAD_OPTS)
     return val
 
 
@@ -474,13 +476,19 @@ def sobolev_norm_gagliardo(f: GridFunction, s, domain: str = "window") -> float:
 
 
 def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) -> float:
-    r"""Integrand norm of ``u -> exp(-lam (t - u))`` on (0, t).
+    r"""Integrand norm of ``u -> exp(-lam (t - u))`` on (0, t), in closed form.
 
-    Computed through the Fourier side of the Sobolev characterization; the
-    transform of the reflected kernel is elementary, and the frequency
-    integral is split into a closed-form Cauchy part and a nonnegative
-    oscillatory remainder so that no catastrophic cancellation occurs for
-    small or large ``lam * t``.
+    With ``x = lam t`` and ``a = 2H + 1``,
+
+        ``||.||^2 = sigma^2 t^{2H} [e^{-x} (1 - x/(2a) 1F1(1; a+1; -x))
+        + x^{-2H} gamma(a, x) / 2]``,
+
+    from ``int_0^t e^{-lam (t-s)} dB_s = B_t - lam int_0^t e^{-lam (t-s)} B_s ds``
+    and the covariance; the 1F1 term is Kummer's transform of
+    ``int_0^t w^{2H} e^{lam w} dw``.  Below ``x = 1`` the ``0 * inf`` form
+    ``x^{-2H} gamma(a, x)`` is taken as ``x e^{-x} 1F1(1; a+1; x) / a``,
+    which is regular at ``x = 0``.  As ``x -> inf`` the square tends to the
+    stationary fOU variance ``sigma^2 H Gamma(2H) lam^{-2H}``.
     """
     h = _check_hurst(hurst)
     lam = float(lam)
@@ -489,40 +497,16 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
         raise ValueError("decay rate must be nonnegative")
     if t <= 0:
         return 0.0
-    if lam * t < 2e-5:
-        # below the frequency resolution of the split integral; the exact
-        # first-order expansion around the indicator takes over, using
-        # <u, 1> = t^{2H+1}/2 which holds for every H
-        return float(sigma * t**h * (1.0 - 0.5 * lam * t))
-    if h == 0.5:
-        return float(sigma * np.sqrt((1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam)))
-
-    s = 0.5 - h
-    e = np.exp(-lam * t)
-    # (1 - E)^2 * closed-form Cauchy integral
-    cauchy = (np.pi / 2.0) * lam ** (2.0 * s - 1.0) / np.cos(np.pi * s)
-    term1 = (1.0 - e) ** 2 * cauchy
-
-    # 2 E * int xi^{2s} (1 - cos(xi t)) / (lam^2 + xi^2) dxi, all nonnegative
-    if e > 1e-300:
-        c = max(10.0 / t, 2.0 * lam)
-
-        def head(xi):
-            return xi ** (2.0 * s) * (1.0 - np.cos(xi * t)) / (lam**2 + xi**2)
-
-        a1 = _quad(head, 0.0, c)
-
-        def smooth(xi):
-            return xi ** (2.0 * s) / (lam**2 + xi**2)
-
-        a2 = _quad(smooth, c, np.inf)
-        a3 = _quad(smooth, c, np.inf, epsabs=1e-12, weight="cos", wvar=t, limit=200)
-        term2 = 2.0 * e * (a1 + a2 - a3)
+    a = 2.0 * h + 1.0
+    x = lam * t
+    if x < 1.0:
+        tail = x * math.exp(-x) * _hyp1f1(1.0, a + 1.0, x) / a
     else:
-        term2 = 0.0
-
-    w_norm_sq = (term1 + term2) / np.pi
-    return float(norm_equivalence_constant(h, sigma) * np.sqrt(max(w_norm_sq, 0.0)))
+        tail = _gamma(a) * _gammainc(a, x) * x ** (-2.0 * h)
+    # e^{-x} underflows to 0 well before 1F1(1; a+1; -x) stops being finite
+    e = math.exp(-x)
+    head = e * (1.0 - x / (2.0 * a) * _hyp1f1(1.0, a + 1.0, -x)) if e else 0.0
+    return float(sigma * t**h * math.sqrt(head + 0.5 * tail))
 
 
 def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:

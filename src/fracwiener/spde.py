@@ -117,11 +117,11 @@ def mode_norm(
     alpha: float = 0.0,
     sigma: float = 1.0,
 ) -> float:
-    """Integrand norm of the k-th mode kernel ``s -> e^{-lam_k (t-s)}``.
+    """Integrand norm of the k-th mode kernel ``s -> e^{-lam_k (t-s)}``, weighted.
 
-    The fractional-power weight enters as the scalar ``(shift+lam_k)^alpha``;
-    the norm itself is reflection invariant, so the forward-time exponential
-    evaluator applies directly.
+    This is the closed form ``dh_norm_exponential`` at ``lam_k``, times the
+    fractional-power weight ``(shift+lam_k)^alpha``; its square is the mode's
+    second moment in the mild solution.
     """
     if not 1 <= k <= model.truncation:
         raise ValueError("mode index out of range")
@@ -132,7 +132,7 @@ def mode_norm(
 
 
 def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
-    """Graded step discretization of ``u -> e^{-lam u}`` on (0, t].
+    """Graded step discretization of ``u -> e^{-lam u}`` on (0, t], for ``lam > 0``.
 
     Geometric edges resolve the boundary layer at 0 for stiff rates; each
     piece carries the exact cell average, so the step function is the L2
@@ -142,13 +142,9 @@ def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
     lam_eff = max(lam, 1.0 / t)
     floor = min(t * 1e-10, 1e-8 / lam_eff)
     edges = np.concatenate(([0.0], np.geomspace(floor, t, n_pieces)))
-    if lam == 0.0:
-        vals = np.ones(edges.size - 1)
-    else:
-        with np.errstate(under="ignore"):
-            mass = np.exp(-lam * edges[:-1]) * -np.expm1(-lam * np.diff(edges)) / lam
-        vals = mass / np.diff(edges)
-    return StepFunction(edges, vals)
+    with np.errstate(under="ignore"):
+        mass = np.exp(-lam * edges[:-1]) * -np.expm1(-lam * np.diff(edges)) / lam
+    return StepFunction(edges, mass / np.diff(edges))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ KEPT = {
     "sobolev_norm_step": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
     "cosine_tail_constant": "constant of the sobolev_norm_step oracle",
     "sobolev_norm_gagliardo": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
-    "dh_norm_smooth": "oracle of dh_norm_exponential behind mode_norm for H > 1/2",
+    "dh_norm_smooth": "oracle of the dh_norm_exponential closed form (mode_norm) for H > 1/2",
     "assemble_kernel_field": "oracle of existence_report (test_spde)",
     "solve_mild": "mild-solution paths for callers that need them (c09), and the stored-ensemble "
                   "oracle of mild_summary in spde-distributed (test_spde)",

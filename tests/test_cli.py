@@ -576,6 +576,18 @@ class TestKinds:
         code, _ = _run(tmp_path, SPDE_CFG.replace("t_end = 1.0", "t_end = 1e-6"))
         assert code == 0
 
+    def test_spde_distributed_vanishing_spectrum(self, tmp_path):
+        # lam_k ~ k^2 1e-199: each mode is fBm at t_end = 1, second moment 1
+        text = (
+            COARSE_SPDE_CFG.replace("length = 3.141592653589793", "length = 1e100")
+            .replace("hurst = 0.5", "hurst = 0.9")
+            .replace("truncation = 8", "truncation = 4")
+        )
+        code, out = _run(tmp_path, text)
+        assert code == 0
+        _, rows = _read_csv(out / "results.csv")
+        assert [float(r[3]) for r in rows] == [1.0] * 4
+
     def test_spde_distributed_fitted_exponents(self, tmp_path):
         text = SPDE_CFG + "fit_holder = true\nholder_floor = 0.1\n"
         code, out = _run(tmp_path, text)
@@ -660,7 +672,7 @@ SIZES = {
     "kernel_pieces": (8, 96),
 }
 SCALARS = (
-    "0", "-1", "-0.5", "1e-300", "1e300", "nan", "inf", "-inf",
+    "0", "-1", "-0.5", "1e-300", "1e300", "1e-100", "1e100", "nan", "inf", "-inf",
     "0.1", "0.25", "0.6", "0.75", "1", "2", "3.141592653589793",
 )
 

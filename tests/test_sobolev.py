@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import gamma
 
 from fracwiener import GridFunction, StepFunction, TimeGrid
 from fracwiener import experiments as ex
@@ -479,6 +481,45 @@ class TestExponentialKernelNorm:
         a = sb.dh_norm_exponential(lam, t, h)
         b = sb.dh_norm_smooth(lambda v: np.exp(-lam * (t - v)), t, h)
         assert a == pytest.approx(b, rel=1e-8)
+
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.75])
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    def test_against_by_parts_quadrature(self, h, lam):
+        """The closed form for every H, against Var(B_t - lam int_0^t e^{-lam(t-s)} B_s ds).
+
+        The variance is expanded in R_H and integrated by nested quadrature,
+        the inner integral split at the kink u = s of |s - u|^{2H}.
+        """
+        t = 1.0
+
+        def r(s, u):
+            return 0.5 * (s ** (2 * h) + u ** (2 * h) - abs(s - u) ** (2 * h))
+
+        opts = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+
+        def inner(s):
+            f = lambda u: np.exp(-lam * (t - u)) * r(s, u)
+            return quad(f, 0.0, s, **opts)[0] + quad(f, s, t, **opts)[0]
+
+        cross = quad(lambda s: np.exp(-lam * (t - s)) * r(s, t), 0.0, t, **opts)[0]
+        double = quad(lambda s: np.exp(-lam * (t - s)) * inner(s), 0.0, t, **opts)[0]
+        var = t ** (2 * h) - 2.0 * lam * cross + lam**2 * double
+        assert sb.dh_norm_exponential(lam, t, h) == pytest.approx(np.sqrt(var), rel=1e-8)
+        # lam t = 200, and 1e150 where 1F1(1; 2H+2; -lam t) is no longer finite:
+        # the stationary fOU variance H Gamma(2H) lam^{-2H}
+        stationary = h * gamma(2 * h) * lam ** (-2 * h)
+        for x in (200.0, 1e150):
+            assert sb.dh_norm_exponential(lam, x / lam, h) ** 2 == pytest.approx(
+                stationary, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("x", [1e-6, 3.2e-5, 1e-3])
+    def test_small_rate_expansion(self, h, x):
+        # ||.|| = t^H (1 - lam t / 2 + O((lam t)^2)) for small lam t, H near 1 included
+        assert sb.dh_norm_exponential(x / 2.0, 2.0, h) / 2.0**h == pytest.approx(
+            1.0 - 0.5 * x, abs=x * x
+        )
 
     @pytest.mark.parametrize("h", [0.25, 0.4, 0.75])
     def test_small_rate_continuity(self, h):

@@ -119,6 +119,11 @@ class TestModeNorm:
                 2.0 * 1.5**h, rel=1e-6
             )
 
+    def test_vanishing_rate_is_indicator(self):
+        # lam_1 ~ 1e-199: lam^{-2H} gamma(2H+1, lam t) would overflow on the way to t^{2H}
+        mod = SpectralModel(1e100, 1, 4)
+        assert mode_norm(mod, 1, 2.0, 0.9, sigma=1.5) == pytest.approx(1.5 * 2.0**0.9, rel=1e-12)
+
     def test_dual_method_agreement(self, laplace8):
         # singular-kernel bilinear form on the graded step discretization
         for k in (1, 2, 4, 8):
@@ -187,7 +192,7 @@ class TestExistenceReport:
                     assert verdicts[(hi, a)]
 
     def test_matches_composed_kernel_field(self):
-        """existence_report (threshold-sweep, solve_mild) against the assemble_kernel_field oracle."""
+        """existence_report (threshold-sweep, c07) against the assemble_kernel_field oracle."""
         mod = SpectralModel(L_PI, 1, 6)
         field = assemble_kernel_field(mod, 0.4, 0.0, 1.0, n_x=256)
         rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0, n_x=256)
