@@ -504,9 +504,7 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
             f"truncation = {p['truncation']} is coarse for the smoothing-exponent fit; "
             "128+ modes give a stable slope"
         )
-    model = SpectralModel(
-        p["length"], p["m"], p["truncation"], shift=p["lambda_shift"], p=p["p"]
-    )
+    model = SpectralModel(p["length"], p["m"], p["truncation"], p=p["p"])
     params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
     terminal, holder = mild_summary(
@@ -567,8 +565,6 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.params
-    if p["x_nodes"] is not None and p["n_x"] is not None:
-        raise ConfigError(["give either x_nodes or n_x, not both"])
     kcfg = NeumannKernelConfig(p["length"], p["t0"], p["hurst"], p["p"])
 
     rec = neumann_boundary_integral(kcfg)
@@ -584,14 +580,9 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     )
     verdicts = [Verdict("boundary-noise integral", int_ok, detail)]
 
-    kwargs = {}
-    if p["x_nodes"] is not None:
-        kwargs["x_nodes"] = np.asarray(p["x_nodes"], dtype=float)
-    elif p["n_x"] is not None:
-        kwargs["n_x"] = p["n_x"]
     check = boundary_solution_check(
-        kcfg, p["sigma"], p["n_paths"], grid_steps=p["grid_steps"], seed=cfg.seed,
-        kernel_pieces=p["kernel_pieces"], **kwargs,
+        kcfg, p["sigma"], p["n_paths"], grid_steps=p["grid_steps"], x_nodes=p["x_nodes"],
+        seed=cfg.seed,
     )
 
     rows = []
@@ -625,10 +616,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         flags = []
         all_rows_ok = True
         for a in p["alpha"]:
-            rep = existence_report(
-                model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"],
-                n_x=p["n_x"],
-            )
+            rep = existence_report(model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"])
             diverged = not rep.finite
             if abs(a - threshold) <= p["margin"]:
                 ok = True  # indeterminate zone around the threshold
@@ -766,7 +754,6 @@ EXPERIMENTS: dict = {
             optional=(
                 _Key("sigma", _float, _positive, 1.0),
                 _Key("p", _float, _ge(1.0), 2.0),
-                _Key("lambda_shift", _float, _ge(0.0), 0.0),
                 _Key("check_modes", _int, _ge(1), 4),
                 _Key("z_max", _float, _positive, 3.0),
                 _Key("fit_holder", _bool, None, False),
@@ -798,9 +785,7 @@ EXPERIMENTS: dict = {
             ),
             optional=(
                 _Key("sigma", _float, _positive, 1.0),
-                _Key("n_x", _int, _ge(2)),
                 _Key("x_nodes", _floats, _nonempty_grid),
-                _Key("kernel_pieces", _int, _ge(8), 96),
                 _Key("z_max", _float, _positive, 3.0),
                 _Key("stability_rtol", _float, _positive, 0.01),
             ),
@@ -830,7 +815,6 @@ EXPERIMENTS: dict = {
                 _Key("sigma", _float, _positive, 1.0),
                 _Key("doublings", _int, _ge(1), 3),
                 _Key("margin", _float, _ge(0.0), 0.005),
-                _Key("n_x", _int, _ge(4), 64),
             ),
             columns=(
                 ("H", "Hurst parameter of the driving noise"),

@@ -125,8 +125,8 @@ def elementary_integral(f: StepFunction, ensemble: PathEnsemble) -> ElementaryIn
 def _second_moment_z(samples, target):
     """``(mc, se, z)`` along axis 0: ``mc = mean(samples**2)``, ``se`` the empirical
     standard error of the squares (no normality assumed), ``z = (mc - target) / se``
-    (0 where ``se == 0``).  The squares' moments are taken at the exact power-of-two
-    scale of ``max|samples|``, so that ``samples**4`` cannot overflow.
+    (with ``se == 0``: 0 on target, ±inf off it).  The squares' moments are taken at
+    the exact power-of-two scale of ``max|samples|``, so that ``samples**4`` cannot overflow.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
@@ -136,8 +136,9 @@ def _second_moment_z(samples, target):
     e = np.frexp(np.max(np.abs(samples), axis=0))[1]
     sq = np.ldexp(samples, -e) ** 2
     se = np.std(sq, axis=0, ddof=1) / math.sqrt(n)
+    gap = np.mean(sq, axis=0) - np.ldexp(target, -2 * e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se == 0.0, 0.0, (np.mean(sq, axis=0) - np.ldexp(target, -2 * e)) / se)
+        z = np.where(gap == 0.0, 0.0, gap / se)
     return mc, np.ldexp(se, 2 * e), z
 
 

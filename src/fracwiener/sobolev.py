@@ -487,8 +487,10 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
     and the covariance; the 1F1 term is Kummer's transform of
     ``int_0^t w^{2H} e^{lam w} dw``.  Below ``x = 1`` the ``0 * inf`` form
     ``x^{-2H} gamma(a, x)`` is taken as ``x e^{-x} 1F1(1; a+1; x) / a``,
-    which is regular at ``x = 0``.  As ``x -> inf`` the square tends to the
-    stationary fOU variance ``sigma^2 H Gamma(2H) lam^{-2H}``.
+    which is regular at ``x = 0``.  From ``x = 1`` on, ``t^{2H} = x^{2H}
+    lam^{-2H}`` takes ``lam^{-H}`` out of the root, so no ``x^{-2H}``
+    underflows.  As ``x -> inf`` the square tends to the stationary fOU
+    variance ``sigma^2 H Gamma(2H) lam^{-2H}``.
     """
     h = _check_hurst(hurst)
     lam = float(lam)
@@ -499,14 +501,15 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
         return 0.0
     a = 2.0 * h + 1.0
     x = lam * t
-    if x < 1.0:
-        tail = x * math.exp(-x) * _hyp1f1(1.0, a + 1.0, x) / a
-    else:
-        tail = _gamma(a) * _gammainc(a, x) * x ** (-2.0 * h)
     # e^{-x} underflows to 0 well before 1F1(1; a+1; -x) stops being finite
     e = math.exp(-x)
     head = e * (1.0 - x / (2.0 * a) * _hyp1f1(1.0, a + 1.0, -x)) if e else 0.0
-    return float(sigma * t**h * math.sqrt(head + 0.5 * tail))
+    if x < 1.0:
+        tail = x * e * _hyp1f1(1.0, a + 1.0, x) / a
+        return float(sigma * t**h * math.sqrt(head + 0.5 * tail))
+    if e:
+        head *= x ** (2.0 * h)
+    return float(sigma * lam**-h * math.sqrt(head + 0.5 * _gamma(a) * _gammainc(a, x)))
 
 
 def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:

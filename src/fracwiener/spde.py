@@ -47,12 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Truncated spectral realization of an order-2m operator on (0, L)."""
+    """Truncated spectral realization of an order-2m operator on (0, L).
+
+    Eigenvalues ``(k pi / L)^(2m)``, sine modes, weights ``eigenvalues^alpha``.
+    """
 
     length: float
     m: int
     truncation: int
-    shift: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
@@ -62,18 +64,15 @@ class SpectralModel:
             raise ValueError("operator half-order m must be an integer >= 1")
         if self.truncation < 1:
             raise ValueError("need at least one mode")
-        if self.shift < 0:
-            raise ValueError("spectral shift must be nonnegative")
         if self.p < 1:
             raise ValueError("integrability exponent p must be >= 1")
         with np.errstate(over="ignore", under="ignore"):
             bottom, top = (np.array([1.0, self.truncation]) * math.pi / self.length) ** self.order
-            if not (bottom > 0 and np.isfinite(top + self.shift)):
+            if not (bottom > 0 and np.isfinite(top)):
                 raise ValueError(
                     f"the spectrum (k pi / L)^(2m) leaves the floating-point range at length "
-                    f"{self.length:g}, m = {self.m}, truncation {self.truncation} and shift "
-                    f"{self.shift:g}: the bottom eigenvalue must be positive and the shifted "
-                    "top one finite"
+                    f"{self.length:g}, m = {self.m} and truncation {self.truncation}: the "
+                    "bottom eigenvalue must be positive and the top one finite"
                 )
 
     @property
@@ -103,10 +102,10 @@ class SpectralModel:
         return hurst - 1.0 / (4.0 * self.m)
 
     def fractional_weights(self, alpha: float) -> np.ndarray:
-        return (self.shift + self.eigenvalues) ** alpha
+        return self.eigenvalues**alpha
 
     def truncated(self, truncation: int) -> "SpectralModel":
-        return SpectralModel(self.length, self.m, truncation, self.shift, self.p)
+        return SpectralModel(self.length, self.m, truncation, self.p)
 
 
 def mode_norm(
@@ -120,18 +119,22 @@ def mode_norm(
     """Integrand norm of the k-th mode kernel ``s -> e^{-lam_k (t-s)}``, weighted.
 
     This is the closed form ``dh_norm_exponential`` at ``lam_k``, times the
-    fractional-power weight ``(shift+lam_k)^alpha``; its square is the mode's
-    second moment in the mild solution.
+    fractional-power weight ``lam_k^alpha``; its square is the mode's second
+    moment in the mild solution.
     """
     if not 1 <= k <= model.truncation:
         raise ValueError("mode index out of range")
     if not t > 0:
         raise ValueError("time must be positive")
-    lam = float(model.eigenvalues[k - 1])
-    return (model.shift + lam) ** alpha * dh_norm_exponential(lam, t, hurst, sigma)
+    weight = float(model.fractional_weights(alpha)[k - 1])
+    return weight * dh_norm_exponential(float(model.eigenvalues[k - 1]), t, hurst, sigma)
 
 
-def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
+# pieces of every graded step kernel: the mode kernels and the Neumann boundary kernels
+_KERNEL_PIECES = 96
+
+
+def _exp_kernel_step(lam: float, t: float) -> StepFunction:
     """Graded step discretization of ``u -> e^{-lam u}`` on (0, t], for ``lam > 0``.
 
     Geometric edges resolve the boundary layer at 0 for stiff rates; each
@@ -141,7 +144,7 @@ def _exp_kernel_step(lam: float, t: float, n_pieces: int = 96) -> StepFunction:
     lam = float(lam)
     lam_eff = max(lam, 1.0 / t)
     floor = min(t * 1e-10, 1e-8 / lam_eff)
-    edges = np.concatenate(([0.0], np.geomspace(floor, t, n_pieces)))
+    edges = np.concatenate(([0.0], np.geomspace(floor, t, _KERNEL_PIECES)))
     with np.errstate(under="ignore"):
         mass = np.exp(-lam * edges[:-1]) * -np.expm1(-lam * np.diff(edges)) / lam
     return StepFunction(edges, mass / np.diff(edges))
@@ -202,7 +205,6 @@ def existence_report(
     *,
     sigma: float = 1.0,
     doublings: int = 3,
-    n_x: int = 64,
 ) -> ExistenceReport:
     """Evaluate the kernel-field gamma norm and probe it under K-doubling.
 
@@ -212,7 +214,7 @@ def existence_report(
     p-th power of the norm; the verdict is divergence when those blocks stop decaying.
 
     The squared node norms ``sum_k a_k (2/L) sin^2(k pi x_i / L)`` on the
-    ``max(n_x, 4 K 2^doublings)`` midpoint cells come from the identity
+    ``4 K 2^doublings`` midpoint cells come from the identity
     ``sin^2 = (1 - cos)/2``: ``(sum_k a_k - sum_k a_k cos(2 k pi x_i / L)) / L``,
     whose cosine sum is one DCT-III per doubling (``_midpoint_sq_sums``),
     O(n log n) in the n cells and without an (n, K) sine matrix.  A horizon the
@@ -227,7 +229,7 @@ def existence_report(
         )
     k_max = model.truncation * 2**doublings
     base = _mode_step_norms(model.length, model.m, hurst, t0, sigma, k_max)
-    n_cells = max(n_x, 4 * k_max)
+    n_cells = 4 * k_max
     _, ws = model.spatial_quadrature(n_cells)
     # row j: the squared norms of the first K 2^j modes, one DCT per doubling
     sizes = model.truncation * 2 ** np.arange(doublings + 1)
@@ -258,17 +260,17 @@ def assemble_kernel_field(
     t0: float,
     *,
     sigma: float = 1.0,
-    n_x: int = 64,
 ) -> LpKernelField:
     """The distributed-noise kernel as an explicit pointwise-kernel field.
 
-    One step-function component per mode at every spatial node; this is
-    the slow but fully composed route whose gamma norm must agree with
-    the scaled-norm shortcut used by existence_report.
+    One step-function component per mode at each of the ``4 K`` midpoint
+    nodes; this is the slow but fully composed route whose gamma norm must
+    agree with the scaled-norm shortcut of ``existence_report`` at
+    ``doublings = 0``, which integrates on the same cells.
     """
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
-    xs, ws = model.spatial_quadrature(n_x)
+    xs, ws = model.spatial_quadrature(4 * model.truncation)
     modes = model.eigenfunctions(xs)
     base = [_exp_kernel_step(lam, t0) for lam in lams]
     kernels = tuple(
@@ -312,13 +314,12 @@ class MildSolutionEnsemble:
     """Mode coefficients of mild-solution paths on a time grid.
 
     ``coeffs[path, mode, node]`` already carries the fractional-power
-    weight recorded in ``alpha``.
+    weight of the solve.
     """
 
     model: SpectralModel
     grid: TimeGrid
     coeffs: np.ndarray
-    alpha: float
 
     @property
     def n_paths(self) -> int:
@@ -393,7 +394,7 @@ def solve_mild(
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
     for k, steps in modes:
         coeffs[:, k, 1:] = steps.T
-    return MildSolutionEnsemble(model, grid, coeffs, alpha)
+    return MildSolutionEnsemble(model, grid, coeffs)
 
 
 def mild_summary(
@@ -656,10 +657,10 @@ class BoundaryCheckRecord:
     gamma_norm: float
 
 
-def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float, n_pieces: int) -> StepFunction:
+def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float) -> StepFunction:
     """Graded step discretization of ``s -> g_N(s, x, y)`` on (0, t0]."""
     floor = min(cfg.t0 * 1e-7, 0.02 * min(x, cfg.length - x) ** 2)
-    edges = np.concatenate(([0.0], np.geomspace(floor, cfg.t0, n_pieces)))
+    edges = np.concatenate(([0.0], np.geomspace(floor, cfg.t0, _KERNEL_PIECES)))
     mids = np.sqrt(edges[1:] * np.maximum(edges[:-1], floor * 1e-3))
     vals = neumann_heat_kernel(mids, np.full_like(mids, x), y, cfg.length)
     return StepFunction(edges, vals)
@@ -671,10 +672,8 @@ def boundary_solution_check(
     n_paths: int,
     *,
     grid_steps: int = 64,
-    n_x: int = 15,
     x_nodes=None,
     seed: int = 0,
-    kernel_pieces: int = 96,
 ) -> BoundaryCheckRecord:
     """Simulate the boundary-driven solution and z-test its second moments.
 
@@ -683,13 +682,14 @@ def boundary_solution_check(
     per-point isometry target (sum over atoms of squared kernel norms), and
     the gamma norm is the spatial L^p norm of its square root:
     ``gamma_norm_lp`` of the two atoms' kernel field, without computing the
-    kernel norms again.  ``x_nodes`` overrides the default uniform interior
-    nodes, e.g. to cluster points toward a boundary.
+    kernel norms again.  ``x_nodes`` overrides the default 15 uniform
+    interior nodes, e.g. to cluster points toward a boundary.  Each kernel
+    norm is taken on ``_KERNEL_PIECES`` graded pieces.
     """
     params = FracParams.fbm(cfg.hurst, sigma)
     grid = TimeGrid(0.0, cfg.t0 / grid_steps, grid_steps)
     if x_nodes is None:
-        xs = cfg.length * np.arange(1, n_x + 1) / (n_x + 1.0)
+        xs = cfg.length * np.arange(1, 16) / 16.0
     else:
         xs = np.asarray(x_nodes, dtype=float)
         if (
@@ -709,10 +709,7 @@ def boundary_solution_check(
         dz = np.diff(comp.paths, axis=1)
         total += dz @ gmat
 
-    steps = [
-        tuple(_boundary_kernel_step(cfg, x, y, kernel_pieces) for y in (0.0, cfg.length))
-        for x in xs
-    ]
+    steps = [tuple(_boundary_kernel_step(cfg, x, y) for y in (0.0, cfg.length)) for x in xs]
     expected = np.array(
         [
             sum(integrand_norm(s, cfg.hurst, sigma, method="covariance") ** 2 for s in pair)

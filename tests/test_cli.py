@@ -131,6 +131,13 @@ alpha = 0.0, 0.1, 0.2, 0.3
 m = 1
 """
 
+# the spectral shift, the detector's cell floor and the boundary kernel's piece count
+REMOVED_KEYS = (
+    ("lambda_shift", SPDE_CFG + "lambda_shift = 1\n"),
+    ("n_x", SWEEP_CFG + "n_x = 64\n"),
+    ("kernel_pieces", BOUNDARY_CFG + "kernel_pieces = 96\n"),
+)
+
 SPECTRUM_MESSAGE = "the spectrum (k pi / L)^(2m) leaves the floating-point range at length 1e+300"
 
 WARN_CFG = """\
@@ -374,7 +381,7 @@ class TestInvalidConfigExit2:
             NORM_CFG.replace("hurst = 0.25, 0.6", "hurst ="),
             NORM_CFG.replace("config_version = 1", "config_version = 99"),
             NORM_CFG + "seed = 1\n",  # duplicate key
-            BOUNDARY_CFG + "n_x = 4\n",  # conflicts with x_nodes
+            BOUNDARY_CFG + "n_x = 4\n",  # x_nodes is the one node input
             ROS_CFG.replace("hurst = 0.75", "hurst = 0.4"),
             NORM_CFG + "t_end = inf\n",
             # non-finite numbers, in a grid and as single values
@@ -394,6 +401,8 @@ class TestInvalidConfigExit2:
             SPDE_CFG + "holder_floor = 0.9\n",
             # a horizon beyond the reach of the Neumann image sum
             BOUNDARY_CFG.replace("t0 = 1.0", "t0 = 101"),
+            # inputs that every run fixed to one value
+            *(text for _, text in REMOVED_KEYS),
         ],
     )
     def test_exit_2(self, tmp_path, text, capsys):
@@ -412,6 +421,12 @@ class TestInvalidConfigExit2:
         code, _ = _run(tmp_path, ISO_CFG + "k = 2\n")
         assert code == 2
         assert "unknown key 'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,text", REMOVED_KEYS, ids=[k for k, _ in REMOVED_KEYS])
+    def test_removed_input_is_not_a_key(self, tmp_path, key, text, capsys):
+        code, _ = _run(tmp_path, text)
+        assert code == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_image_count_is_not_a_key(self, tmp_path, capsys):
         # the horizon picks the number of Neumann images
@@ -588,6 +603,25 @@ class TestKinds:
         _, rows = _read_csv(out / "results.csv")
         assert [float(r[3]) for r in rows] == [1.0] * 4
 
+    def test_spde_distributed_paths_all_zero_fail(self, tmp_path):
+        # at t_end = 1e100 the left-point factor e^{-lam dt} is 0, so every path
+        # is 0: a zero spread against a positive target is z = -inf, not a pass
+        text = (
+            SPDE_CFG.replace("hurst = 0.5", "hurst = 0.9")
+            .replace("truncation = 4", "truncation = 8")
+            .replace("grid_steps = 512", "grid_steps = 32")
+            .replace("t_end = 1.0", "t_end = 1e100")
+            .replace("check_modes = 2", "check_modes = 5")
+        )
+        code, out = _run(tmp_path, text)
+        assert code == 1
+        header, rows = _read_csv(out / "results.csv")
+        assert len(rows) == 5
+        for r in rows:
+            assert float(r[header.index("mc_second_moment")]) == 0.0
+            assert float(r[header.index("expected_second_moment")]) > 0.0
+            assert (r[header.index("z")], r[header.index("pass")]) == ("-inf", "false")
+
     def test_spde_distributed_fitted_exponents(self, tmp_path):
         text = SPDE_CFG + "fit_holder = true\nholder_floor = 0.1\n"
         code, out = _run(tmp_path, text)
@@ -668,8 +702,7 @@ FUZZ_BASES = {
 SIZES = {
     "n_paths": (2, 400), "grid_steps": (8, 64), "truncation": (8, 32), "doublings": (1, 3),
     "n_noise_cells": (16, 128), "n_functions": (1, 4), "pieces": (1, 8), "n_draws": (1, 5),
-    "n_cells": (8, 64), "m": (1, 3), "check_modes": (1, 8), "n_x": (4, 16),
-    "kernel_pieces": (8, 96),
+    "n_cells": (8, 64), "m": (1, 3), "check_modes": (1, 8),
 }
 SCALARS = (
     "0", "-1", "-0.5", "1e-300", "1e300", "1e-100", "1e100", "nan", "inf", "-inf",

@@ -151,7 +151,8 @@ def _runner_z(vals, target):
     e = math.frexp(float(np.max(np.abs(vals))))[1]
     sq = np.ldexp(vals, -e) ** 2
     se = float(np.std(sq, ddof=1) / math.sqrt(len(vals)))
-    z = 0.0 if se == 0.0 else (float(np.mean(sq)) - math.ldexp(target, -2 * e)) / se
+    gap = float(np.mean(sq)) - math.ldexp(target, -2 * e)
+    z = 0.0 if gap == 0.0 else gap / se if se else math.copysign(math.inf, gap)
     return mc, z
 
 
@@ -181,9 +182,15 @@ class TestSecondMomentZ:
             col = tuple(map(float, _second_moment_z(vals[:, j], target[j])))
             assert (mc[j], se[j], z[j]) == pytest.approx(col, rel=1e-12, abs=1e-12)
 
-    def test_zero_samples_give_zero_z(self):
-        mc, se, z = _second_moment_z(np.zeros((50, 3)), 1.0)
-        assert not np.any(mc) and not np.any(se) and not np.any(z)
+    def test_zero_spread_passes_only_on_target(self):
+        # all-zero paths match a zero target and fail a positive one outright
+        mc, se, z = _second_moment_z(np.zeros((50, 3)), np.array([0.0, 1.0, 1e-300]))
+        assert not np.any(mc) and not np.any(se)
+        assert z.tolist() == [0.0, -math.inf, -math.inf]
+        assert tuple(_runner_z(np.zeros(50), 1.0)) == (0.0, -math.inf)
+        # equal nonzero samples: se is 0, the sign follows mc - target
+        _, _, z = _second_moment_z(np.full((20, 3), 2.0), np.array([4.0, 3.0, 5.0]))
+        assert z.tolist() == [0.0, math.inf, -math.inf]
 
     @pytest.mark.parametrize("shape", [(1,), (1, 4)])
     def test_one_sample_is_refused(self, shape):

@@ -513,6 +513,15 @@ class TestExponentialKernelNorm:
                 stationary, rel=1e-12
             )
 
+    @pytest.mark.parametrize("h", [0.7, 0.99])
+    def test_huge_rate_keeps_the_stationary_limit(self, h):
+        # at lam = 1e300, t = 1 the factor x^{-2H} of the Gamma tail underflows
+        # (to 0, or subnormal at H = 0.99); lam^{-H} H Gamma(2H)^{1/2} does not
+        stationary = np.sqrt(h * gamma(2 * h)) * 1e300**-h
+        assert stationary > 0.0
+        got = sb.dh_norm_exponential(1e300, 1.0, h)
+        assert got == pytest.approx(stationary, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("x", [1e-6, 3.2e-5, 1e-3])
     def test_small_rate_expansion(self, h, x):

@@ -76,8 +76,9 @@ class TestSpectralModel:
         assert small.order == laplace8.order
 
     def test_fractional_weights(self):
-        mod = SpectralModel(L_PI, 1, 4, shift=2.0)
-        assert np.allclose(mod.fractional_weights(0.5), np.sqrt(2.0 + np.arange(1, 5) ** 2))
+        # at L = pi the eigenvalues are k^2, so the weights at alpha = 1/2 are k
+        mod = SpectralModel(L_PI, 1, 4)
+        assert np.allclose(mod.fractional_weights(0.5), np.arange(1, 5), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,8 +86,8 @@ class TestSpectralModel:
             dict(length=0.0, m=1, truncation=4),
             dict(length=1.0, m=0, truncation=4),
             dict(length=1.0, m=1, truncation=0),
-            dict(length=1.0, m=1, truncation=4, shift=-0.1),
             dict(length=1.0, m=1, truncation=4, p=0.5),
+            dict(length=1.0, m=1.5, truncation=4),
         ],
     )
     def test_validation(self, kwargs):
@@ -194,13 +195,13 @@ class TestExistenceReport:
     def test_matches_composed_kernel_field(self):
         """existence_report (threshold-sweep, c07) against the assemble_kernel_field oracle."""
         mod = SpectralModel(L_PI, 1, 6)
-        field = assemble_kernel_field(mod, 0.4, 0.0, 1.0, n_x=256)
-        rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0, n_x=256)
+        field = assemble_kernel_field(mod, 0.4, 0.0, 1.0)
+        rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
         # weights applied to norms cached at another alpha
         existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7, doublings=0)
-        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7, n_x=256)
-        rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0, n_x=256)
+        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7)
+        rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
         cached = _mode_step_norms(mod.length, mod.m, 0.35, 1.0, 1.7, mod.truncation)
         with pytest.raises(ValueError):
@@ -212,7 +213,7 @@ class TestExistenceReport:
             existence_report(mod, 0.4, 0.0, 0.0)
 
 
-def _dense_existence(mod, hurst, alpha, t0, sigma, doublings, n_x):
+def _dense_existence(mod, hurst, alpha, t0, sigma, doublings):
     """Block masses and verdict of existence_report from a dense sine matrix.
 
     The reference sum: ``sum_k a_k phi_k(x_i)^2`` with the sine modes
@@ -222,7 +223,7 @@ def _dense_existence(mod, hurst, alpha, t0, sigma, doublings, n_x):
     big = mod.truncated(k_max)
     base = _mode_step_norms(mod.length, mod.m, hurst, t0, sigma, k_max)
     norms = big.fractional_weights(alpha) * base
-    xs, ws = mod.spatial_quadrature(max(n_x, 4 * k_max))
+    xs, ws = mod.spatial_quadrature(4 * k_max)
     modes = big.eigenfunctions(xs)
     mass = []
     for j in range(doublings + 1):
@@ -242,17 +243,14 @@ class TestExistenceReportDenseOracle:
     """The cosine-transform sums of existence_report against the sine-matrix sums."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("truncation", [8, 64])
+    # truncation 12 gives 48 2^doublings cells, a DCT length that is no power of
+    # two; the odd truncation 13 gives 52 2^doublings, with the prime factor 13
+    @pytest.mark.parametrize("truncation", [8, 12, 13, 64])
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
-    @pytest.mark.parametrize("above", [False, True])
-    def test_matches_sine_matrix(self, p, truncation, doublings, above):
+    def test_matches_sine_matrix(self, p, truncation, doublings):
         mod = SpectralModel(L_PI, 1, truncation, p=p)
-        k_max = truncation * 2**doublings
-        # 64 cells sit below 4 k_max here; the other n_x is above it and no
-        # power of two
-        n_x = 4 * k_max + 6 if above else 64
-        rep = existence_report(mod, 0.4, 0.1, 1.0, sigma=1.3, doublings=doublings, n_x=n_x)
-        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, doublings, n_x)
+        rep = existence_report(mod, 0.4, 0.1, 1.0, sigma=1.3, doublings=doublings)
+        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, doublings)
         assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
         assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
         assert rep.finite == finite
@@ -272,7 +270,7 @@ class TestExistenceReportDenseOracle:
         for h in (0.3, 0.35, 0.4, 0.45):
             for a in np.linspace(0.0, 0.3, 13):
                 rep = existence_report(mod, h, a, 1.0)
-                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, 3, 64)[2]
+                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, 3)[2]
 
 
 class TestSmoothingExponent:
@@ -587,7 +585,7 @@ class TestHolderEstimate:
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ks = np.arange(1, 9)
         coeffs = np.exp(-ks[None, :, None]) * np.sin(grid.nodes[None, None, :] + ks[None, :, None])
-        ens = MildSolutionEnsemble(SpectralModel(L_PI, 1, 8), grid, coeffs, 0.0)
+        ens = MildSolutionEnsemble(SpectralModel(L_PI, 1, 8), grid, coeffs)
         assert holder_exponent_estimate(ens) == pytest.approx(1.0, abs=0.05)
 
     def test_short_grid_rejected(self, laplace8):
@@ -597,7 +595,7 @@ class TestHolderEstimate:
 
     def test_empty_rejected(self, laplace8):
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = MildSolutionEnsemble(laplace8, grid, np.zeros((0, 8, 65)), 0.0)
+        ens = MildSolutionEnsemble(laplace8, grid, np.zeros((0, 8, 65)))
         with pytest.raises(ValueError, match="empty"):
             holder_exponent_estimate(ens)
 
@@ -749,9 +747,7 @@ class TestBoundarySolutionCheck:
         # (2/pi) ln(1/x): the kernel-power signature of the wall singularity
         cfg = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.5, p=2.0)
         xs = 2.0 ** -np.arange(3, 11)
-        rec = boundary_solution_check(
-            cfg, 1.0, 4, grid_steps=8, x_nodes=xs[::-1], kernel_pieces=192
-        )
+        rec = boundary_solution_check(cfg, 1.0, 4, grid_steps=8, x_nodes=xs[::-1])
         prof = rec.expected_profile[::-1]
         slope = np.polyfit(np.log(1.0 / xs), prof, 1)[0]
         assert slope == pytest.approx(2.0 / math.pi, rel=0.05)
@@ -759,6 +755,6 @@ class TestBoundarySolutionCheck:
 
     def test_smooth_case_profile_bounded_near_wall(self):
         xs = [2.0**-10, 2.0**-7, 2.0**-4]
-        rec = boundary_solution_check(CFG75, 1.0, 4, grid_steps=8, x_nodes=xs, kernel_pieces=192)
+        rec = boundary_solution_check(CFG75, 1.0, 4, grid_steps=8, x_nodes=xs)
         prof = rec.expected_profile
         assert prof[0] / prof[-1] < 1.15
