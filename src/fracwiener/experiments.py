@@ -304,9 +304,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run a validated config; a parameter the model rejects is a ConfigError.
 
     So is a parameter that overflows the floating-point range on its way
-    through the model.  The runner's summary is stamped with the summary
-    version, kind, seed and count of failed verdicts, and a Monte Carlo kind
-    run on fewer than 1000 paths gets a warning ahead of the runner's own.
+    through the model, and a size whose arrays do not fit in memory.  The
+    runner's summary is stamped with the summary version, kind, seed and
+    count of failed verdicts, and a Monte Carlo kind run on fewer than 1000
+    paths gets a warning ahead of the runner's own.
     Path blocks run on the ``rng.worker_threads`` pool of the caller.
     """
     try:
@@ -315,6 +316,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError([str(exc)]) from None
     except OverflowError as exc:
         raise ConfigError([f"a parameter overflowed the floating-point range: {exc}"]) from None
+    except MemoryError as exc:
+        # numpy's message names the allocation: its size, shape and dtype
+        raise ConfigError([f"an array did not fit in memory: {exc or 'no size given'}"]) from None
     n_failed = sum(not v.passed for v in res.verdicts)
     header = {"summary_version": SUMMARY_VERSION, "kind": cfg.kind, "seed": cfg.seed, "n_failed": n_failed}
     n_paths = cfg.params.get("n_paths")

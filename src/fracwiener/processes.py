@@ -32,7 +32,9 @@ checks at Monte Carlo precision:
   |y1 - y2|^{a+1} there).  F = Gbar dW has low numerical rank r, so
   F = a zeta with r standard normals zeta per path, a = sqrt(dx) Gbar V_r,
   where V_r spans the cell Gram dx Gbar^T Gbar up to _ENERGY_TOL of its
-  trace.  With Q_t = a^T diag(w k_t(u)) a (r x r) the estimator is
+  trace.  V_r comes from a sketch of Gbar itself, so the n_cells x n_cells
+  Gram is never formed, and Gbar is filled in row chunks.  With
+  Q_t = a^T diag(w k_t(u)) a (r x r) the estimator is
   z_t = C [zeta^T Q_t zeta - tr Q_t], centred exactly.
 
 Its covariance 2 C^2 tr(Q_s Q_t) is available in closed form
@@ -302,25 +304,36 @@ def _filter_weight(t: float, u: np.ndarray, beta: float) -> np.ndarray:
     return (_pos_pow(t - u, beta) - _pos_pow(-u, beta)) / beta
 
 
+# float64 elements of one row chunk of a _cell_averages temporary (128 KB): it
+# stays in cache and under glibc's default mmap threshold, so a fresh process
+# reuses heap pages instead of faulting in new ones per chunk (2048 cells, one
+# core of a 2-core box: 0.17 s, against 0.20 s at 2^17 and 0.26 s unchunked)
+_CELL_CHUNK_ELEMENTS = 1 << 14
+
+
 def _cell_averages(u: np.ndarray, x_edges: np.ndarray, x_b: float, c: float,
                    alpha: float) -> np.ndarray:
-    """Cell averages of (u - phi(x))_+^{alpha/2} sqrt(phi'(x))."""
+    """Cell averages of (u - phi(x))_+^{alpha/2} sqrt(phi'(x)), in row chunks of u."""
     nu = alpha / 2.0 + 1.0
     out = np.empty((u.size, x_edges.size - 1))
     # cells from i_lin on form the linear zone: one power per shared edge
     i_lin = int(np.searchsorted(x_edges[:-1], x_b - 1e-15))
     edges = x_edges[i_lin:]
-    pw = _pos_pow(u[:, None] - edges[None, :], nu)
-    out[:, i_lin:] = (pw[:, :-1] - pw[:, 1:]) / (nu * np.diff(edges))[None, :]
-    if i_lin:
-        # stretched zone: integrand is smooth there, 2-point Gauss per cell
-        a_, b_ = x_edges[:i_lin], x_edges[1:i_lin + 1]
-        mid, off = 0.5 * (a_ + b_), 0.5 * (b_ - a_) / np.sqrt(3.0)
-        acc = 0.0
-        for xq in (mid - off, mid + off):
-            y, j = _warp(xq, x_b, c)
-            acc = acc + _pos_pow(u[:, None] - y[None, :], alpha / 2.0) * np.sqrt(j)[None, :]
-        out[:, :i_lin] = 0.5 * acc
+    denom = nu * np.diff(edges)
+    # stretched zone: integrand is smooth there, 2-point Gauss per cell
+    a_, b_ = x_edges[:i_lin], x_edges[1:i_lin + 1]
+    mid, off = 0.5 * (a_ + b_), 0.5 * (b_ - a_) / np.sqrt(3.0)
+    gauss = [_warp(xq, x_b, c) for xq in (mid - off, mid + off)]
+    rows = max(1, _CELL_CHUNK_ELEMENTS // x_edges.size)
+    for lo in range(0, u.size, rows):
+        uc = u[lo:lo + rows, None]
+        pw = _pos_pow(uc - edges, nu)
+        out[lo:lo + rows, i_lin:] = (pw[:, :-1] - pw[:, 1:]) / denom
+        if i_lin:
+            acc = 0.0
+            for y, j in gauss:
+                acc = acc + _pos_pow(uc - y, alpha / 2.0) * np.sqrt(j)
+            out[lo:lo + rows, :i_lin] = 0.5 * acc
     return out
 
 
@@ -359,27 +372,40 @@ _SKETCH_KEY = 0x5EC0DC4A05
 _CHUNK_ELEMENTS = 1 << 23
 
 
+def _sq_norm(x: np.ndarray) -> float:
+    # squared Frobenius norm without an x-sized temporary: rows, then a pairwise sum
+    return float(np.einsum("ij,ij->i", x, x).sum())
+
+
 def _low_rank_factor(gbar: np.ndarray, dx: float):
     """Factor a (n_u x r) with a a^T = dx gbar gbar^T up to _ENERGY_TOL, and its dropped energy.
 
-    a = sqrt(dx) gbar V_r, where V_r spans the cell Gram M = dx gbar^T gbar:
-    a randomized range finder (Halko, Martinsson & Tropp 2011) whose sketch
-    width doubles from 64 until trace(M) - trace(V_r^T M V_r) is small enough.
+    a = sqrt(dx) gbar V_r, where V_r spans the top of the cell Gram
+    M = dx gbar^T gbar, which is never formed: a randomized range finder
+    (Halko, Martinsson & Tropp 2011) sketches Y = gbar^T Omega, and its width
+    doubles from 64 until trace(M) - trace(V_r^T M V_r) is small enough.  A
+    wider sketch only adds columns: they are orthonormalized against the
+    basis Q so far (two passes of block Gram-Schmidt), and B = gbar Q grows
+    by gbar times them.  The energies are the eigenvalues of
+    dx B^T B = Q^T M Q.  The dropped energy is 1 - ||a||_F^2 / trace(M),
+    exact because trace(M) = dx ||gbar||_F^2.
     """
-    m = dx * (gbar.T @ gbar)
-    n, total = m.shape[0], np.trace(m)
+    n_u, n = gbar.shape
+    total = dx * _sq_norm(gbar)
     gen = np.random.Generator(np.random.Philox(key=_SKETCH_KEY))
-    y = np.empty((n, 0))
+    q, b = np.empty((n, 0)), np.empty((n_u, 0))
     while True:
-        width = min(2 * y.shape[1] or 64, n)
-        y = np.hstack([y, m @ gen.standard_normal((n, width - y.shape[1]))])
-        q = np.linalg.qr(y)[0]
-        lam, w = np.linalg.eigh(q.T @ m @ q)
-        dropped = (total - np.cumsum(lam[::-1])) / total
-        fits = np.flatnonzero(dropped <= _ENERGY_TOL)
+        width = min(2 * q.shape[1] or 64, n)
+        y = gbar.T @ gen.standard_normal((n_u, width - q.shape[1]))
+        for _ in range(2):
+            y = np.linalg.qr(y - q @ (q.T @ y))[0]
+        q, b = np.hstack([q, y]), np.hstack([b, gbar @ y])
+        lam, w = np.linalg.eigh(dx * (b.T @ b))
+        fits = np.flatnonzero(total - np.cumsum(lam[::-1]) <= _ENERGY_TOL * total)
         if fits.size or width == n:
             r = fits[0] + 1 if fits.size else n
-            return np.sqrt(dx) * (gbar @ (q @ w[:, ::-1][:, :r])), float(dropped[r - 1])
+            a = np.sqrt(dx) * (b @ w[:, ::-1][:, :r])
+            return a, 1.0 - _sq_norm(a) / total
 
 
 class _HermiteOperator:

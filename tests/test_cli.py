@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwiener import __version__
+from fracwiener import __version__, processes
 from fracwiener.cli import build_parser, main
 from fracwiener.experiments import (
     CONFIG_VERSION,
@@ -452,6 +452,23 @@ class TestInvalidConfigExit2:
         code, _ = _run(tmp_path, ISO_CFG + "sigma = 1e300\n")
         assert code == 2
         assert "overflowed the floating-point range" in capsys.readouterr().err
+
+    def test_memory_error_is_diagnosed(self, tmp_path, monkeypatch, capsys):
+        # n_noise_cells has no upper bound; at 10^6 cells the kernel array of
+        # _cell_averages is 13.2 TiB.  The stand-in raises numpy's message
+        # without allocating anything.
+        message = "Unable to allocate 13.2 TiB for an array with shape (1818340, 1000000)"
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(processes, "_cell_averages", no_memory)
+        code, out = _run(tmp_path, ROS_CFG)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"did not fit in memory: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_fourier_norm_overflow_is_diagnosed(self, tmp_path, capsys):
         # the norm is checked for finiteness itself: no RuntimeWarning on the

@@ -443,12 +443,28 @@ class TestSimulateHermite:
         b = hermite_covariance(par, [1.0], wide)[0, 0]
         assert abs(a - b) / a < 0.03
 
+    @pytest.mark.parametrize("lead", [1.0, 10.0], ids=["linear-zone", "warped"])
+    def test_cell_average_row_chunks_agree(self, monkeypatch, lead):
+        # every entry comes from the same elementwise operations in any chunk
+        par = FracParams.rosenblatt(0.75)
+        iso = DiscreteIsonormal.for_window(1.0, 512, seed=1, lead_factor=lead)
+        u, _ = _unit_horizon_nodes(par, iso, 0.6, TimeGrid(0.0, 0.25, 4).nodes)
+        args = (u, iso.grid.nodes, -1.0, 0.6, par.alpha)
+        assert (iso.grid.nodes[0] < -1.0) == (lead > 1.0)  # a stretched zone only when warped
+        default = processes._cell_averages(*args)
+        monkeypatch.setattr(processes, "_CELL_CHUNK_ELEMENTS", 1)  # one row per chunk
+        one_row = processes._cell_averages(*args)
+        monkeypatch.setattr(processes, "_CELL_CHUNK_ELEMENTS", u.size * iso.grid.nodes.size)  # all rows
+        all_rows = processes._cell_averages(*args)
+        assert np.array_equal(one_row, default)
+        assert np.array_equal(all_rows, default)
+
     @pytest.mark.parametrize(
         "h,sigma,n_cells,lead,warp",
         [(0.75, 1.0, 4096, 10.0, 0.6), (0.9, 1.0, 2048, 20.0, 0.35), (0.75, 1.2, 1024, 10.0, 0.6)],
         ids=["c03-H0.75", "c03-H0.9", "c05"],
     )
-    def test_low_rank_factor_matches_full_gram(self, h, sigma, n_cells, lead, warp):
+    def test_low_rank_factor_matches_full_gram(self, monkeypatch, h, sigma, n_cells, lead, warp):
         """The rank-r operator of simulate_hermite_k2 (isometry) against the full pairing.
 
         The untruncated pairing is 2 C^2 omega (G o G) omega^T, G = dx gbar
@@ -458,21 +474,57 @@ class TestSimulateHermite:
         par = FracParams.rosenblatt(h, sigma)
         iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=1, lead_factor=lead)
         times = TimeGrid(0.0, 0.25, 4).nodes
-        op = processes._HermiteOperator(par, times, iso, warp)
+        op, a = _operator_and_factor(monkeypatch, par, times, iso, warp)
         assert op.dropped <= processes._ENERGY_TOL
         assert op.rank < n_cells
+        _check_against_full_gram(op, a, par, times, iso, warp)
 
-        x, x_b, c = iso.grid.nodes, -1.0, warp  # horizon t_end = 1
-        y_edges, _ = processes._warp(x, x_b, c)
-        u, w = processes._filter_nodes(times, par.beta, y_edges, x, x_b, c)
-        gbar = processes._cell_averages(u, x, x_b, c, par.alpha)
-        omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
-        gram = iso.grid.dt * (gbar @ gbar.T)
-        del gbar
-        gram *= gram
-        raw = 2.0 * (omega @ gram @ omega.T)
-        oracle = sigma**2 * raw / raw[-1, -1]
-        assert np.abs(op.covariance - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    def test_full_rank_factor_matches_full_gram(self, monkeypatch):
+        """The widest sketch, width = n_cells: the generalized family keeps every cell direction."""
+        par = FracParams.generalized(-1.2, -0.1, 2)
+        iso = DiscreteIsonormal.for_window(1.0, 256, seed=1)
+        times = TimeGrid(0.0, 0.25, 4).nodes
+        op, a = _operator_and_factor(monkeypatch, par, times, iso, 0.6)
+        assert op.rank == 256
+        assert abs(op.dropped) <= processes._ENERGY_TOL
+        _check_against_full_gram(op, a, par, times, iso, 0.6)
+
+
+def _unit_horizon_nodes(par, iso, warp, times):
+    # filter nodes and weights of the operator at horizon t_end = 1
+    y_edges, _ = processes._warp(iso.grid.nodes, -1.0, warp)
+    return processes._filter_nodes(times, par.beta, y_edges, iso.grid.nodes, -1.0, warp)
+
+
+def _operator_and_factor(monkeypatch, par, times, iso, warp):
+    # the operator, and the factor a its build computed
+    factors = []
+    factor = processes._low_rank_factor
+
+    def spy(gbar, dx):
+        factors.append(factor(gbar, dx))
+        return factors[-1]
+
+    monkeypatch.setattr(processes, "_low_rank_factor", spy)
+    op = processes._HermiteOperator(par, times, iso, warp)
+    assert len(factors) == 1 and factors[0][1] == op.dropped
+    return op, factors[0][0]
+
+
+def _check_against_full_gram(op, a, par, times, iso, warp):
+    # the dropped energy is what a misses of trace(dx gbar^T gbar), and the
+    # covariance is the untruncated pairing's to 1e-12
+    u, w = _unit_horizon_nodes(par, iso, warp, times)
+    gbar = processes._cell_averages(u, iso.grid.nodes, -1.0, warp, par.alpha)
+    dx = iso.grid.dt
+    assert abs(op.dropped - (1.0 - np.sum(a * a) / (dx * np.sum(gbar * gbar)))) <= 1e-15
+    omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
+    gram = dx * (gbar @ gbar.T)
+    del gbar
+    gram *= gram
+    raw = 2.0 * (omega @ gram @ omega.T)
+    oracle = par.sigma**2 * raw / raw[-1, -1]
+    assert np.abs(op.covariance - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestCylindrical:
