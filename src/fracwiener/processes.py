@@ -43,12 +43,17 @@ fixed; no pilot Monte Carlo run is involved.
 
 Both simulators draw their paths block by block through
 ``rng.map_path_blocks``, so they run on the pool of ``rng.worker_threads``
-when one is in effect and give the same paths at any worker count.
+when one is in effect and give the same paths at any worker count.  The
+second-chaos operator of the last geometry is kept: drivers that differ
+only in their seed or stream, such as the modes of a mild solve, share
+one build.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -205,6 +210,15 @@ def _require_zero_start(grid: TimeGrid):
 # path catches up with the O(n log n) transform near here (2 cores, BLAS on 1
 # thread, 2 workers: 1.6x faster at 256 steps, 1.1-1.3x slower at 1024, 1.75x at 2048)
 _CHOLESKY_MAX_STEPS = 1024
+# float64 normals of one row chunk of a Cholesky draw (128 KB), so a block's
+# normals never exist all at once.  A chunk this large is past the sizes where
+# OpenBLAS takes its small-matrix kernels, which round differently from its
+# blocked product (rows * steps <= 1200 for this product on x86-64).  Measured
+# on a 2-core x86-64 box with one BLAS thread: spde-holder's solve at 2
+# workers peaks at 146 MB against 148 MB at 2^16 and 169 MB unchunked, and
+# runs 5% slower than at 2^16; analytic-sweep's fBm draws leave 2-4 MB more
+# resident at 2^16 than here
+_NORMAL_CHUNK_ELEMENTS = 1 << 14
 
 
 def simulate_fbm(
@@ -239,9 +253,22 @@ def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
     except np.linalg.LinAlgError:
         raise ValueError("covariance factorization failed: grid too fine")
 
+    rows = max(1, _NORMAL_CHUNK_ELEMENTS // n)
+
     def draw(gen: np.random.Generator, b: int) -> np.ndarray:
-        z = gen.standard_normal((b, n)) @ chol.T
-        return np.concatenate([np.zeros((b, 1)), z], axis=1)
+        # the normals come in row chunks, each multiplied straight into its
+        # rows of the output: the same numbers and products as one (b, n)
+        # draw.  A short last chunk joins the one before it, so no chunk of a
+        # longer block is small enough for the one-row or small-matrix kernels
+        # of the BLAS, which round differently from its blocked product
+        out = np.empty((b, n + 1))
+        out[:, 0] = 0.0
+        lo = 0
+        while lo < b:
+            hi = b if b - lo < 2 * rows else lo + rows
+            np.matmul(gen.standard_normal((hi - lo, n)), chol.T, out=out[lo:hi, 1:])
+            lo = hi
+        return out
 
     return draw
 
@@ -408,40 +435,64 @@ def _low_rank_factor(gbar: np.ndarray, dx: float):
             return a, 1.0 - _sq_norm(a) / total
 
 
+# a mild solve asks every mode for the operator of one geometry, from every
+# worker at once; the lock makes the first ask build it and the rest wait for it
+_OPERATOR_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scale: float):
+    """The seed-free part of ``_HermiteOperator``: ``(rank, dropped, covariance, trace, stacked)``.
+
+    It depends on the noise window ``noise`` but not on the seed or stream
+    of its white noise, so operators that differ only there share one build.
+    The arrays are read-only.
+    """
+    if params.family is Family.FBM or params.chaos_order != 2:
+        raise ValueError("second-chaos simulator needs a k = 2 family")
+    times = np.array(times)
+    t_end = float(np.max(times))
+    if noise.t_end < t_end - 1e-12:
+        raise ValueError("noise window ends before the requested horizon")
+    x_edges = noise.nodes
+    x_b = -t_end
+    c = warp_scale * t_end
+    y_edges, _ = _warp(x_edges, x_b, c)
+    u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c)
+    gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
+    a, dropped = _low_rank_factor(gbar, noise.dt)
+    rank = a.shape[1]
+    omega = [w * _filter_weight(t, u, params.beta) for t in times]
+    forms = np.array([(a * om[:, None]).T @ a for om in omega])  # Q_t, one GEMM each
+    flat = forms.reshape(len(times), -1)
+    raw_cov = 2.0 * (flat @ flat.T)  # 2 tr(Q_s Q_t); every Q_t is symmetric
+    raw_end = raw_cov[np.argmax(times), np.argmax(times)]
+    if raw_end <= 0:
+        raise ValueError("degenerate kernel discretization")
+    scale = params.sigma * t_end**params.h / np.sqrt(raw_end)
+    covariance = scale**2 * raw_cov
+    forms *= scale  # calibrated to sigma^2 t_end^2H
+    trace = np.trace(forms, axis1=1, axis2=2)
+    # [Q_0 | Q_1 | ...], r x (n_t r): one GEMM gives zeta^T Q_t for every t
+    stacked = forms.transpose(1, 0, 2).reshape(rank, -1)
+    for arr in (covariance, trace, stacked):
+        arr.setflags(write=False)
+    return rank, dropped, covariance, trace, stacked
+
+
 class _HermiteOperator:
     """Rank-r quadratic forms Q_t = a^T diag(omega_t) a and their covariance."""
 
     def __init__(self, params: FracParams, times: np.ndarray, iso: DiscreteIsonormal,
                  warp_scale: float):
-        if params.family is Family.FBM or params.chaos_order != 2:
-            raise ValueError("second-chaos simulator needs a k = 2 family")
-        t_end = float(np.max(times))
-        if iso.grid.t_end < t_end - 1e-12:
-            raise ValueError("noise window ends before the requested horizon")
-        x_edges = iso.grid.nodes
-        x_b = -t_end
-        c = warp_scale * t_end
-        y_edges, _ = _warp(x_edges, x_b, c)
-        u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c)
-        gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
-        a, self.dropped = _low_rank_factor(gbar, iso.grid.dt)
-        self.rank = a.shape[1]
+        key = (params, tuple(np.asarray(times, dtype=float).tolist()), iso.grid, float(warp_scale))
+        with _OPERATOR_LOCK:
+            self.rank, self.dropped, self.covariance, self.trace, self.stacked = (
+                _operator_parts(*key)
+            )
         # zeta = V_r^T xi is white noise on r unit cells: the same keys
         # (seed, stream, block) draw r standard normals per path
         self.latent = DiscreteIsonormal(TimeGrid(0.0, 1.0, self.rank), iso.seed, iso.stream)
-        omega = [w * _filter_weight(t, u, params.beta) for t in times]
-        forms = np.array([(a * om[:, None]).T @ a for om in omega])  # Q_t, one GEMM each
-        flat = forms.reshape(len(times), -1)
-        raw_cov = 2.0 * (flat @ flat.T)  # 2 tr(Q_s Q_t); every Q_t is symmetric
-        raw_end = raw_cov[np.argmax(times), np.argmax(times)]
-        if raw_end <= 0:
-            raise ValueError("degenerate kernel discretization")
-        scale = params.sigma * t_end**params.h / np.sqrt(raw_end)
-        self.covariance = scale**2 * raw_cov
-        forms *= scale  # calibrated to sigma^2 t_end^2H
-        self.trace = np.trace(forms, axis1=1, axis2=2)
-        # [Q_0 | Q_1 | ...], r x (n_t r): one GEMM gives zeta^T Q_t for every t
-        self.stacked = forms.transpose(1, 0, 2).reshape(self.rank, -1)
 
     def sample_block(self, block: int, b: int) -> np.ndarray:
         zeta = self.latent.increment_block(block, b)
@@ -482,7 +533,8 @@ def hermite_covariance(
     distance to sigma^2 R_H measures the discretization quality alone.
     ``warp_scale`` is the one of ``simulate_hermite_k2``.
     """
-    return _HermiteOperator(params, np.asarray(times, dtype=float), iso, warp_scale).covariance
+    op = _HermiteOperator(params, np.asarray(times, dtype=float), iso, warp_scale)
+    return op.covariance.copy()  # the operator's array is the cached build's
 
 
 # ---------------------------------------------------------------------------

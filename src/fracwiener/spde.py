@@ -15,6 +15,7 @@ images.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from scipy.fft import dct
 from .grids import StepFunction, TimeGrid
 from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _second_moment_z, _stops_decaying
 from .processes import FracParams, simulate_cylindrical, simulate_driver
+from .rng import map_ordered
 from .sobolev import dh_norm_exponential, integrand_norm
 
 __all__ = [
@@ -336,8 +338,10 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     ``steps[i - 1]`` holds the weighted coefficients of mode k at node i
     >= 1 on all paths, shape ``(n_steps, n_paths)``: time-major, as the
     recursion runs (node 0 is the zero start).  Modes come in ascending
-    order.  The check runs when this is called, the draws as the modes are
-    consumed.
+    order.  The check runs when this is called, the draws once the modes
+    are consumed: one mode per task on the ``rng.worker_threads`` pool,
+    through ``rng.map_ordered``.  Close the iterator when leaving it early,
+    so that no mode is left running.
     """
     threshold = model.existence_threshold(params.h)
     if not alpha < threshold:
@@ -350,23 +354,28 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     lams = model.eigenvalues
     weights = model.fractional_weights(alpha)
 
-    def draw():
-        # one driver at a time keeps peak memory at a single component, and each
-        # array is dropped once used; mode k is component k of simulate_cylindrical
-        for k in range(model.truncation):
-            drv = simulate_driver(params, grid, n_paths, seed, k, n_noise_cells)
-            fade = math.exp(-lams[k] * grid.dt)
-            # exact one-step form of the left-point convolution, time-major
-            y = np.ascontiguousarray(np.diff(drv.paths, axis=1).T)
-            del drv
-            y *= fade
-            for i in range(1, y.shape[0]):
-                y[i] += fade * y[i - 1]
-            y *= weights[k]
-            yield k, y
-            del y
+    def mode(k: int) -> tuple[int, np.ndarray]:
+        # mode k is component k of simulate_cylindrical; its path is dropped
+        # once copied time-major, and the increments form in that copy
+        # backward from the end (node 0 is an exact zero)
+        y = np.ascontiguousarray(
+            simulate_driver(params, grid, n_paths, seed, k, n_noise_cells).paths[:, 1:].T
+        )
+        for i in range(y.shape[0] - 1, 0, -1):
+            y[i] -= y[i - 1]
+        # exact one-step form of the left-point convolution
+        fade = math.exp(-lams[k] * grid.dt)
+        y *= fade
+        for i in range(1, y.shape[0]):
+            y[i] += fade * y[i - 1]
+        y *= weights[k]
+        return k, y
 
-    return draw()
+    # each task draws its path blocks serially; at most one mode per worker
+    # exists at a time, counting one the caller holds and drops before asking
+    # for the next.  Tasks return k with the mode: numbering by enumerate
+    # would keep the previous mode alive in its reused result tuple
+    return map_ordered(mode, model.truncation)
 
 
 def solve_mild(
@@ -392,8 +401,9 @@ def solve_mild(
     """
     modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
-    for k, steps in modes:
-        coeffs[:, k, 1:] = steps.T
+    with closing(modes):
+        for k, steps in modes:
+            coeffs[:, k, 1:] = steps.T
     return MildSolutionEnsemble(model, grid, coeffs)
 
 
@@ -422,10 +432,12 @@ def mild_summary(
     modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     fold = _LagFold(model, grid, n_paths) if fit_holder else None
     terminal = np.zeros((n_paths, model.truncation))
-    for k, steps in modes:
-        terminal[:, k] = steps[-1]
-        if fold is not None:
-            fold.add(k, steps)
+    with closing(modes):
+        for k, steps in modes:
+            terminal[:, k] = steps[-1]
+            if fold is not None:
+                fold.add(k, steps)
+            del steps  # dropped before the next mode is asked for, which may start one
     return terminal, None if fold is None else fold.slope()
 
 

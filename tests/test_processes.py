@@ -24,7 +24,7 @@ from fracwiener.processes import (
     simulate_fbm,
     simulate_hermite_k2,
 )
-from fracwiener.rng import block_generator, map_path_blocks, worker_threads
+from fracwiener.rng import block_generator, map_ordered, map_path_blocks, path_blocks, worker_threads
 
 NINE_POINT = [0.25, 0.5, 1.0]
 
@@ -59,6 +59,45 @@ class TestWorkerThreads:
         with pytest.raises(RuntimeError), worker_threads(2):
             raise RuntimeError
         assert threads_used() == main
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_order_with_bounded_flight(self, workers):
+        lock, live, most = threading.Lock(), [0], [0]
+
+        def task(i):
+            with lock:
+                live[0] += 1
+                most[0] = max(most[0], live[0])
+            try:
+                # each call sees one worker, so its path blocks run serially
+                return i, rng._WORKERS.get(), threading.get_ident()
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        with worker_threads(workers):
+            out = list(map_ordered(task, 7))
+        assert [i for i, _, _ in out] == list(range(7))
+        assert {w for _, w, _ in out} == {1}
+        assert most[0] <= workers
+        main = threading.get_ident()
+        assert ({t for _, _, t in out} == {main}) == (workers == 1)
+
+    def test_single_call_keeps_the_pool_for_its_blocks(self):
+        with worker_threads(3):
+            assert list(map_ordered(lambda i: rng._WORKERS.get(), 1)) == [3]
+
+    def test_early_close_cancels_what_has_not_started(self):
+        started = []
+        before = threading.active_count()
+        with worker_threads(2):
+            it = map_ordered(lambda i: started.append(i) or i, 50)
+            assert next(it) == 0
+            it.close()
+        assert threading.active_count() == before
+        assert max(started) <= 2
 
 
 class TestCovarianceRh:
@@ -169,6 +208,25 @@ class TestSimulateFbm:
         with worker_threads(4):
             assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2).paths)
         assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).paths)
+
+    def test_chunked_cholesky_draw_matches_the_whole_block_product(self):
+        # the drawer multiplies row chunks of normals into its output; the
+        # bytes are those of one (b, n) draw times the factor, per block
+        grid = TimeGrid(0.0, 1.0 / 256, 256)
+        p = FracParams.fbm(0.4)
+        t = grid.nodes[1:]
+        chol = np.linalg.cholesky(covariance_rh(t[:, None], t[None, :], p.h))
+        rows = processes._NORMAL_CHUNK_ELEMENTS // grid.n_steps
+        for n_paths in (1, rows - 1, rows, rows + 1, 2 * rows + 1, rng.BLOCK_PATHS + 1):
+            parts = []
+            for b, sl in path_blocks(n_paths):
+                z = block_generator(3, 1, b).standard_normal((sl.stop - sl.start, 256)) @ chol.T
+                parts.append(np.concatenate([np.zeros((len(z), 1)), z], axis=1))
+            want = np.concatenate(parts)
+            for workers in (1, 2):
+                with worker_threads(workers):
+                    got = simulate_fbm(p, grid, n_paths, seed=3, stream=1).paths
+                assert np.array_equal(got, want), (n_paths, workers)
 
     def test_sigma_scales_paths_exactly(self):
         grid = TimeGrid(0.0, 1.0 / 16, 16)
@@ -506,6 +564,7 @@ def _operator_and_factor(monkeypatch, par, times, iso, warp):
         return factors[-1]
 
     monkeypatch.setattr(processes, "_low_rank_factor", spy)
+    processes._operator_parts.cache_clear()  # a cached build would not call the spy
     op = processes._HermiteOperator(par, times, iso, warp)
     assert len(factors) == 1 and factors[0][1] == op.dropped
     return op, factors[0][0]

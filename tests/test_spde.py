@@ -3,12 +3,15 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
 
-from fracwiener import spde
+from fracwiener import processes, spde
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
@@ -518,6 +521,111 @@ class TestMildSummary:
         finally:
             tracemalloc.stop()
         assert peak < full / 2
+
+
+class TestModePool:
+    """The modes of a mild solve run on the worker pool, one per task, and fold in mode order."""
+
+    @pytest.mark.parametrize(
+        "family, n_modes, n_paths",
+        [("fbm", 5, 300), ("fbm", 5, BLOCK_PATHS + 1), ("rosenblatt", 3, 300)],
+        ids=["fbm-1-block", "fbm-2-blocks", "rosenblatt"],
+    )
+    def test_same_bytes_at_any_worker_count(self, family, n_modes, n_paths):
+        # K = 5 is no multiple of 2 or 3 workers
+        mod = SpectralModel(L_PI, 1, n_modes)
+        params = FracParams.fbm(0.6) if family == "fbm" else FracParams.rosenblatt(0.7)
+        grid = TimeGrid(0.0, 1.0 / 32, 32)
+        runs = []
+        for workers in (1, 2, 3):
+            with worker_threads(workers):
+                terminal, slope = _summary(mod, params, grid, n_paths, seed=3, n_noise_cells=64)
+                coeffs = solve_mild(mod, params, grid, n_paths, seed=3, n_noise_cells=64).coeffs
+            runs.append((terminal, slope, coeffs))
+        terminal, slope, coeffs = runs[0]
+        assert np.array_equal(terminal, coeffs[:, :, -1])
+        for other_terminal, other_slope, other_coeffs in runs[1:]:
+            assert np.array_equal(other_terminal, terminal)
+            assert other_slope == slope
+            assert np.array_equal(other_coeffs, coeffs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_rosenblatt_solve_builds_the_operator_once(self, monkeypatch, workers):
+        # only the latent noise of the second-chaos operator depends on the mode's
+        # stream; 4 workers on a short switch interval press on the build lock
+        calls = []
+        factor = processes._low_rank_factor
+
+        def counted(gbar, dx):
+            calls.append(gbar.shape)
+            return factor(gbar, dx)
+
+        monkeypatch.setattr(processes, "_low_rank_factor", counted)
+        processes._operator_parts.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with worker_threads(workers):
+                _summary(SpectralModel(L_PI, 1, 4), FracParams.rosenblatt(0.7),
+                         TimeGrid(0.0, 1.0 / 16, 16), 50, seed=2, n_noise_cells=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+
+    def _driver_failing_at(self, monkeypatch, failing):
+        drawn = []
+        driver = spde.simulate_driver
+
+        def draw(params, grid, n_paths, seed, stream, n_noise_cells):
+            drawn.append(stream)
+            if stream == failing:
+                raise RuntimeError(f"mode {stream} failed")
+            return driver(params, grid, n_paths, seed, stream, n_noise_cells)
+
+        monkeypatch.setattr(spde, "simulate_driver", draw)
+        return drawn
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_mode_surfaces_and_leaves_no_thread(self, monkeypatch, workers):
+        drawn = self._driver_failing_at(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="mode 2 failed"), worker_threads(workers):
+            _summary(SpectralModel(L_PI, 1, 12), FracParams.fbm(0.6), TimeGrid(0.0, 1.0 / 16, 16),
+                     40, seed=1)
+        assert threading.active_count() == before
+        # no mode starts after the failing one is consumed, beyond those in flight
+        assert max(drawn) <= 2 + workers
+
+    def test_failing_consumer_leaves_no_thread(self, monkeypatch):
+        add = spde._LagFold.add
+
+        def add_until_mode_1(fold, k, steps):
+            if k == 1:
+                raise RuntimeError("fold failed")
+            add(fold, k, steps)
+
+        monkeypatch.setattr(spde._LagFold, "add", add_until_mode_1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fold failed") as caught, worker_threads(2):
+            _summary(SpectralModel(L_PI, 1, 12), FracParams.fbm(0.6), TimeGrid(0.0, 1.0 / 16, 16),
+                     40, seed=1)
+        # the held traceback keeps mild_summary's frame, and with it the mode
+        # iterator, alive: only closing it there stops the pool
+        assert caught.traceback
+        assert threading.active_count() == before
+
+    def test_early_stop_cancels_pending_modes(self, monkeypatch):
+        drawn = self._driver_failing_at(monkeypatch, None)
+        before = threading.active_count()
+        mod, grid = SpectralModel(L_PI, 1, 12), TimeGrid(0.0, 1.0 / 16, 16)
+        with worker_threads(2):
+            modes = spde._mode_paths(mod, FracParams.fbm(0.6), grid, 40, 0.0, 1, 64)
+            with closing(modes):
+                for k, _ in modes:
+                    if k == 1:
+                        break
+        assert threading.active_count() == before
+        assert max(drawn) <= 3
 
 
 class TestHolderEstimate:
