@@ -36,8 +36,16 @@ checks at Monte Carlo precision:
   Gram is never formed, and Gbar is filled in row chunks.  With
   Q_t = a^T diag(w k_t(u)) a (r x r) the estimator is
   z_t = C [zeta^T Q_t zeta - tr Q_t], centred exactly.
+* Q_t is sampled through its increments dQ_j = Q_{t_j} - Q_{t_{j-1}},
+  each a GEMM over the filter rows where k_{t_j} - k_{t_{j-1}} is nonzero.
+  Each dQ_j has low numerical rank (about 30 of r = 194 at 2048 cells):
+  its eigenpairs (lambda_i, v_i) are kept up to _ENERGY_TOL of its trace
+  norm sum |lambda|, so with the truncated forms Q~_t = sum_{j <= t} of
+  them
+      z_t = C [sum_{i: j(i) <= t} lambda_i (zeta . v_i)^2 - tr Q~_t],
+  one GEMM of zeta against the kept vectors per path block.
 
-Its covariance 2 C^2 tr(Q_s Q_t) is available in closed form
+Its covariance 2 C^2 tr(Q~_s Q~_t) is available in closed form
 (hermite_covariance), which is also how the calibration constant C is
 fixed; no pilot Monte Carlo run is involved.
 
@@ -394,9 +402,12 @@ def _filter_nodes(times: np.ndarray, beta: float, y_edges: np.ndarray, x_edges: 
 # full pairing to ~1e-15); the fixed sketch key keeps it free of the path seed.
 _ENERGY_TOL = 1e-13
 _SKETCH_KEY = 0x5EC0DC4A05
-# float64 elements of one zeta^T Q_t chunk in sample_block (64 MB), so long
-# time grids do not hold an (n_paths, n_t r) array per block
-_CHUNK_ELEMENTS = 1 << 23
+# float64 elements of one zeta @ basis chunk in sample_block (16 MB), so a wide
+# basis does not hold an (n_paths, m) array per block.  The generalized family
+# at 512 cells keeps m = 3937 columns: its isometry run (8000 paths, 2 workers,
+# 2-core box, one BLAS thread) peaks at 204 MB against 298 MB at 2^23, in the
+# same time
+_CHUNK_ELEMENTS = 1 << 21
 
 
 def _sq_norm(x: np.ndarray) -> float:
@@ -442,7 +453,7 @@ _OPERATOR_LOCK = threading.Lock()
 
 @lru_cache(maxsize=1)
 def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scale: float):
-    """The seed-free part of ``_HermiteOperator``: ``(rank, dropped, covariance, trace, stacked)``.
+    """The seed-free part of ``_HermiteOperator``: ``(rank, dropped, covariance, trace, basis, weights)``.
 
     It depends on the noise window ``noise`` but not on the seed or stream
     of its white noise, so operators that differ only there share one build.
@@ -461,33 +472,63 @@ def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scal
     u, w = _filter_nodes(times, params.beta, y_edges, x_edges, x_b, c)
     gbar = _cell_averages(u, x_edges, x_b, c, params.alpha)
     a, dropped = _low_rank_factor(gbar, noise.dt)
+    del gbar
     rank = a.shape[1]
-    omega = [w * _filter_weight(t, u, params.beta) for t in times]
-    forms = np.array([(a * om[:, None]).T @ a for om in omega])  # Q_t, one GEMM each
-    flat = forms.reshape(len(times), -1)
-    raw_cov = 2.0 * (flat @ flat.T)  # 2 tr(Q_s Q_t); every Q_t is symmetric
+    # increment forms dQ_j = Q_{s_j} - Q_{s_{j-1}} over the sorted distinct
+    # times s_j (Q = 0 before s_0), each from the rows where its filter
+    # difference is nonzero: one contiguous range, since u ascends
+    steps, col = np.unique(times, return_inverse=True)
+    forms = np.empty((steps.size, rank, rank))  # truncated Q_{s_j}, cumulated
+    acc = np.zeros((rank, rank))
+    # kept eigenpairs, one row each; the pages past the last row written are
+    # never touched, so this holds no more memory than the basis
+    basis_t, lams = np.empty((steps.size * rank, rank)), np.empty(steps.size * rank)
+    first = np.empty(steps.size * rank, dtype=np.intp)  # increment of each pair
+    m = 0
+    k_prev = np.zeros_like(u)
+    for j, s in enumerate(steps):
+        k = _filter_weight(s, u, params.beta)
+        dw = w * (k - k_prev)
+        k_prev = k
+        nz = np.flatnonzero(dw)
+        if nz.size:
+            rows = slice(nz[0], nz[-1] + 1)
+            lam, vec = np.linalg.eigh((a[rows] * dw[rows, None]).T @ a[rows])
+            # drop the smallest |lambda| while their sum stays within
+            # _ENERGY_TOL of the trace norm, as the factor drops energy
+            order = np.argsort(np.abs(lam))
+            mass = np.cumsum(np.abs(lam[order]))
+            keep = order[np.searchsorted(mass, _ENERGY_TOL * mass[-1], side="right"):]
+            new = slice(m, m + keep.size)
+            basis_t[new], lams[new], first[new] = vec[:, keep].T, lam[keep], j
+            acc += basis_t[new].T @ (basis_t[new] * lams[new, None])
+            m = new.stop
+        forms[j] = acc
+    flat = forms.reshape(steps.size, -1)
+    raw_cov = 2.0 * (flat @ flat.T)[np.ix_(col, col)]  # 2 tr(Q_s Q_t); every Q_t is symmetric
     raw_end = raw_cov[np.argmax(times), np.argmax(times)]
     if raw_end <= 0:
         raise ValueError("degenerate kernel discretization")
-    scale = params.sigma * t_end**params.h / np.sqrt(raw_end)
+    scale = params.sigma * t_end**params.h / np.sqrt(raw_end)  # calibrated to sigma^2 t_end^2H
     covariance = scale**2 * raw_cov
-    forms *= scale  # calibrated to sigma^2 t_end^2H
-    trace = np.trace(forms, axis1=1, axis2=2)
-    # [Q_0 | Q_1 | ...], r x (n_t r): one GEMM gives zeta^T Q_t for every t
-    stacked = forms.transpose(1, 0, 2).reshape(rank, -1)
-    for arr in (covariance, trace, stacked):
+    trace = scale * np.trace(forms, axis1=1, axis2=2)[col]
+    basis = basis_t[:m].T  # r x m, column-major
+    # weights[i, t] = C lambda_i once t reaches the increment of eigenpair i
+    weights = (scale * lams[:m, None]) * (first[:m, None] <= col)
+    for arr in (covariance, trace, basis, weights):
         arr.setflags(write=False)
-    return rank, dropped, covariance, trace, stacked
+    return rank, dropped, covariance, trace, basis, weights
 
 
 class _HermiteOperator:
-    """Rank-r quadratic forms Q_t = a^T diag(omega_t) a and their covariance."""
+    """Rank-r quadratic forms Q_t = a^T diag(omega_t) a, their increments'
+    eigenpairs and their covariance."""
 
     def __init__(self, params: FracParams, times: np.ndarray, iso: DiscreteIsonormal,
                  warp_scale: float):
         key = (params, tuple(np.asarray(times, dtype=float).tolist()), iso.grid, float(warp_scale))
         with _OPERATOR_LOCK:
-            self.rank, self.dropped, self.covariance, self.trace, self.stacked = (
+            self.rank, self.dropped, self.covariance, self.trace, self.basis, self.weights = (
                 _operator_parts(*key)
             )
         # zeta = V_r^T xi is white noise on r unit cells: the same keys
@@ -495,11 +536,16 @@ class _HermiteOperator:
         self.latent = DiscreteIsonormal(TimeGrid(0.0, 1.0, self.rank), iso.seed, iso.stream)
 
     def sample_block(self, block: int, b: int) -> np.ndarray:
+        # z_t = sum_i weights[i, t] (zeta . v_i)^2 - tr Q_t, over chunks of basis columns
         zeta = self.latent.increment_block(block, b)
-        step = max(1, _CHUNK_ELEMENTS // (b * self.rank)) * self.rank
-        quad = [(zeta @ self.stacked[:, j:j + step]).reshape(b, -1, self.rank) @ zeta[:, :, None]
-                for j in range(0, self.stacked.shape[1], step)]
-        return np.concatenate(quad, axis=1)[:, :, 0] - self.trace
+        out = np.tile(-self.trace, (b, 1))
+        step = max(1, _CHUNK_ELEMENTS // b)
+        for lo in range(0, self.basis.shape[1], step):
+            v = zeta @ self.basis[:, lo:lo + step]
+            np.square(v, out=v)
+            out += v @ self.weights[lo:lo + step]
+            del v  # the next chunk is allocated only after this one is freed
+        return out
 
 
 def simulate_hermite_k2(

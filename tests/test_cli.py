@@ -517,11 +517,16 @@ class TestInvalidConfigExit2:
 
 
 class TestDeterminism:
-    # 5000 boundary paths span two path blocks, so --threads 4 splits the draws
+    # 5000 boundary and 4500 Rosenblatt paths span two path blocks, so
+    # --threads 4 splits the draws
     @pytest.mark.parametrize(
         "text",
-        [ISO_CFG, BOUNDARY_CFG.replace("n_paths = 1000", "n_paths = 5000")],
-        ids=["isometry", "spde-boundary"],
+        [
+            ISO_CFG,
+            ROS_CFG.replace("n_paths = 2000", "n_paths = 4500"),
+            BOUNDARY_CFG.replace("n_paths = 1000", "n_paths = 5000"),
+        ],
+        ids=["isometry", "isometry-rosenblatt", "spde-boundary"],
     )
     def test_rerun_and_threads_suite(self, tmp_path, text):
         cfg = _write(tmp_path, text)

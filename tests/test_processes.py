@@ -381,8 +381,8 @@ class TestSimulateHermite:
         z = x.mean(axis=0) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
         assert np.abs(z).max() < 4.0
 
-    def test_time_chunks_agree(self, monkeypatch):
-        # one time node per chunk of the stacked forms, as on long grids
+    def test_basis_chunks_agree(self, monkeypatch):
+        # one basis column per chunk of zeta @ basis, as for wide bases
         par = FracParams.rosenblatt(0.75)
         iso = DiscreteIsonormal.for_window(1.0, 128, seed=4)
         grid = TimeGrid(0.0, 0.125, 8)
@@ -390,6 +390,39 @@ class TestSimulateHermite:
         monkeypatch.setattr(processes, "_CHUNK_ELEMENTS", 1)
         chunked = simulate_hermite_k2(par, grid, iso, 500).paths
         assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "par,n_cells,n_steps",
+        [
+            (FracParams.rosenblatt(0.75), 512, 8),
+            (FracParams.rosenblatt(0.7), 256, 256),
+            (FracParams.generalized(-1.2, -0.1, 2), 256, 8),
+        ],
+        ids=["rosenblatt-8", "rosenblatt-256", "generalized"],
+    )
+    def test_eigenbasis_sampler_matches_untruncated_forms(self, monkeypatch, par, n_cells, n_steps):
+        """sample_block against C [zeta^T Q_t zeta - tr Q_t], Q_t = a^T diag(w k_t) a untruncated.
+
+        Each increment form keeps its eigenpairs up to _ENERGY_TOL of its
+        trace norm: the |lambda| it drops sum to at most that fraction.
+        """
+        iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=3)
+        times = TimeGrid(0.0, 1.0 / n_steps, n_steps).nodes
+        op, a = _operator_and_factor(monkeypatch, par, times, iso, 0.6)
+        u, w = _unit_horizon_nodes(par, iso, 0.6, times)
+        omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
+        forms = np.array([(a * om[:, None]).T @ a for om in omega])
+        scale = par.sigma / np.sqrt(2.0 * np.sum(forms[-1] ** 2))  # t_end = 1
+        zeta = op.latent.increment_block(0, 300)
+        quad = np.einsum("pi,tij,pj->pt", zeta, forms, zeta)
+        oracle = scale * (quad - np.trace(forms, axis1=1, axis2=2))
+        assert np.abs(op.sample_block(0, 300) - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # eigenpairs kept per increment: each row of weights starts at its increment
+        kept = np.bincount(np.argmax(op.weights != 0, axis=1), minlength=times.size)
+        d_omega = np.diff(omega, axis=0, prepend=0.0)
+        for j, dom in enumerate(d_omega):
+            mags = np.sort(np.abs(np.linalg.eigvalsh((a * dom[:, None]).T @ a)))
+            assert mags[:op.rank - kept[j]].sum() <= processes._ENERGY_TOL * mags.sum()
 
     def test_family_validation(self):
         iso = DiscreteIsonormal.for_window(1.0, 64, seed=1)
