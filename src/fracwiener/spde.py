@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.fft import dct
@@ -523,9 +523,8 @@ def holder_exponent_estimate(ens: MildSolutionEnsemble) -> float:
 
 
 # a heat kernel at time u carries a factor below e^{-400} farther than
-# _KERNEL_REACH sqrt(u) from its centre: the image sum stops there, and so
-# does the first shell of neumann_boundary_integral.  The boundary Monte Carlo
-# holds a (steps x nodes x 4N+2) array, so N stops at 200 images (u <= 100 L^2)
+# _KERNEL_REACH sqrt(u) from its centre: the image sum stops there.  The
+# boundary Monte Carlo holds a (steps x nodes x 4N+2) array, so N stops at 200 images (u <= 100 L^2)
 _KERNEL_REACH = 40.0
 _MAX_IMAGES = 200
 
@@ -569,6 +568,8 @@ def neumann_heat_kernel(u, x, y: float, length: float) -> np.ndarray:
     sum takes every image within ``_KERNEL_REACH sqrt(max u)`` of the
     domain, ``ceil(20 sqrt(max u) / L)`` per side, so it is exact to
     rounding; a time beyond 100 L^2 (more than 200 images) is refused.
+    ``u`` and ``x`` broadcast (say, a node column against a block of
+    times); every value sums the images of the call's largest ``u``.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -582,13 +583,13 @@ def neumann_heat_kernel(u, x, y: float, length: float) -> np.ndarray:
     return out
 
 
-def _boundary_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x: float) -> np.ndarray:
-    g0 = neumann_heat_kernel(s, np.full_like(s, x), 0.0, cfg.length)
-    gL = neumann_heat_kernel(s, np.full_like(s, x), cfg.length, cfg.length)
+def _boundary_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x) -> np.ndarray:
+    g0 = neumann_heat_kernel(s, x, 0.0, cfg.length)
+    gL = neumann_heat_kernel(s, x, cfg.length, cfg.length)
     return g0**2 + gL**2
 
 
-def _surrogate_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x: float, d: int) -> np.ndarray:
+def _surrogate_kernel_sq(cfg: NeumannKernelConfig, s: np.ndarray, x, d: int) -> np.ndarray:
     # Gaussian-bound model with formal dimension: (s^{-d/2} e^{-|x-y|^2/(4s)})^2
     with np.errstate(under="ignore"):
         return s ** (-float(d)) * (
@@ -603,6 +604,13 @@ class NeumannIntegralRecord:
     refinement_trace: tuple
 
 
+# space shells start at c sqrt(t0), c = _SHELL_START: farther from both walls,
+# q^{1/(2H)} carries e^{-x^2/(4Hs)} (s <= t0) and the inner integral's power pH
+# carries e^{-c^2 p/4} < e^{-25}, far below the 1e-7 shell tolerance
+_SHELL_START = 10.0
+_TIME_CHUNK = 48  # time shells per kernel call in neumann_boundary_integral
+
+
 def neumann_boundary_integral(
     cfg: NeumannKernelConfig, *, surrogate_d: int | None = None
 ) -> NeumannIntegralRecord:
@@ -612,12 +620,16 @@ def neumann_boundary_integral(
     boundary (both endpoints at once, using the x <-> L-x symmetry of the
     two-atom integrand; 8-point rule, at most 34 shells, relative shell
     tolerance 1e-7); the trace of partial sums doubles as the divergence
-    detector.  The shells start at ``min(L/2, _KERNEL_REACH sqrt(t0))``:
-    farther from both walls the kernels carry a factor below ``e^{-400}``,
+    detector.  The shells start at ``min(L/2, 10 sqrt(t0))``: farther
+    from both walls the integrand carries a factor below ``e^{-25 p}``,
     and a short horizon would otherwise spend the shell budget where the
     integrand underflows.  ``surrogate_d`` switches the kernel to the
     Gaussian-bound power model with a formal dimension, which is the only
     way a 1-D setup can exhibit the supercritical regime.
+
+    A space shell evaluates its nodes and a chunk of time shells as one
+    kernel array when a node's stopping rule first asks for the chunk;
+    value and trace are bit-identical to one node and shell at a time.
     """
     if surrogate_d is not None and surrogate_d < 1:
         raise ValueError("surrogate dimension must be a positive integer")
@@ -633,21 +645,32 @@ def neumann_boundary_integral(
 
     xg, wg = np.polynomial.legendre.leggauss(8)
     sg, sw = np.polynomial.legendre.leggauss(12)
-
-    def time_integral(x: float) -> float:
-        # int_0^{t0} q(s, x)^expo ds; the integrand decays exponentially
-        # once the shell falls below the kernel scale
-        def time_shell(j: int) -> float:
-            sn, snw = _dyadic_shell(cfg.t0, j, sg, sw)
-            return float(snw @ q(sn, x) ** expo)
-
-        return _dyadic_sum(time_shell, 120, 1e-12)[0]
-
-    x_top = min(0.5 * cfg.length, _KERNEL_REACH * math.sqrt(cfg.t0))
+    max_time_shells = 120
+    shells = [_dyadic_shell(cfg.t0, j, sg, sw) for j in range(max_time_shells)]
+    sn, snw = map(np.array, zip(*shells))
+    counts = [_image_count(float(u.max()), cfg.length) for u in sn]
+    x_top = min(0.5 * cfg.length, _SHELL_START * math.sqrt(cfg.t0))
 
     def space_shell(j: int) -> float:
         xn, xw = _dyadic_shell(x_top, j, xg, wg)
-        inner = np.array([time_integral(x) for x in xn])
+        chunks = []  # q^expo as (nodes, shells, 12) arrays
+
+        def time_shell(i: int, k: int) -> float:
+            # the integrand decays exponentially once the shell falls
+            # below the kernel scale
+            c, r = divmod(k, _TIME_CHUNK)
+            if c == len(chunks):
+                lo = c * _TIME_CHUNK
+                hi = min(lo + _TIME_CHUNK, max_time_shells)
+                # a kernel call covers a run of time shells with one image count
+                cuts = [lo, *(a for a in range(lo + 1, hi) if counts[a] != counts[a - 1]), hi]
+                parts = [q(sn[a:b], xn[:, None, None]) for a, b in zip(cuts, cuts[1:])]
+                chunks.append(np.concatenate(parts, axis=1) ** expo)
+            return float(snw[k] @ chunks[c][i, r])
+
+        inner = np.array(
+            [_dyadic_sum(partial(time_shell, i), max_time_shells, 1e-12)[0] for i in range(xn.size)]
+        )
         return 2.0 * float(xw @ inner**outer_pow)
 
     value, trace = _dyadic_sum(space_shell, 34, 1e-7)
@@ -674,7 +697,7 @@ def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float) -> StepF
     floor = min(cfg.t0 * 1e-7, 0.02 * min(x, cfg.length - x) ** 2)
     edges = np.concatenate(([0.0], np.geomspace(floor, cfg.t0, _KERNEL_PIECES)))
     mids = np.sqrt(edges[1:] * np.maximum(edges[:-1], floor * 1e-3))
-    vals = neumann_heat_kernel(mids, np.full_like(mids, x), y, cfg.length)
+    vals = neumann_heat_kernel(mids, x, y, cfg.length)
     return StepFunction(edges, vals)
 
 

@@ -7,13 +7,14 @@ import sys
 import threading
 import tracemalloc
 from contextlib import closing
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fracwiener import processes, spde
 from fracwiener.grids import StepFunction, TimeGrid
-from fracwiener.integrals import gamma_norm_lp
+from fracwiener.integrals import _dyadic_shell, _dyadic_sum, gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
 from fracwiener.rng import BLOCK_PATHS, path_blocks, worker_threads
 from fracwiener.sobolev import dh_norm_exponential, integrand_norm
@@ -32,7 +33,13 @@ from fracwiener.spde import (
     semigroup_smoothing_exponent,
     solve_mild,
 )
-from fracwiener.spde import _exp_kernel_step, _image_count, _mode_step_norms
+from fracwiener.spde import (
+    _SHELL_START,
+    _exp_kernel_step,
+    _image_count,
+    _mode_step_norms,
+    _surrogate_kernel_sq,
+)
 
 L_PI = math.pi
 
@@ -748,6 +755,31 @@ class TestNeumannKernel:
             _image_count(101.0, 1.0)
 
 
+def _scalar_boundary_integral(cfg, surrogate_d=None):
+    """The integral one node and one time shell at a time: the batched rule's oracle."""
+    expo, outer_pow, length = 1.0 / (2.0 * cfg.hurst), cfg.p * cfg.hurst, cfg.length
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    sg, sw = np.polynomial.legendre.leggauss(12)
+
+    def q(s, x):
+        if surrogate_d is not None:
+            return _surrogate_kernel_sq(cfg, s, x, surrogate_d)
+        xs = np.full_like(s, x)
+        return neumann_heat_kernel(s, xs, 0.0, length) ** 2 + neumann_heat_kernel(s, xs, length, length) ** 2
+
+    def time_shell(x, j):
+        sn, snw = _dyadic_shell(cfg.t0, j, sg, sw)
+        return float(snw @ q(sn, x) ** expo)
+
+    def space_shell(j):
+        xn, xw = _dyadic_shell(min(0.5 * length, _SHELL_START * math.sqrt(cfg.t0)), j, xg, wg)
+        inner = np.array([_dyadic_sum(partial(time_shell, x), 120, 1e-12)[0] for x in xn])
+        return 2.0 * float(xw @ inner**outer_pow)
+
+    value, trace = _dyadic_sum(space_shell, 34, 1e-7)
+    return value, tuple(trace)
+
+
 class TestNeumannBoundaryIntegral:
     @pytest.mark.parametrize(
         "kwargs",
@@ -815,6 +847,32 @@ class TestNeumannBoundaryIntegral:
         assert shorter.value > 0
         for rec in (short, wide, shorter):
             assert len(rec.refinement_trace) < 34
+
+    @pytest.mark.parametrize(
+        "args, surrogate_d",
+        [
+            ((1.0, 1.0, 0.6, 2.0), None),
+            ((1.0, 1.0, 0.75, 1.5), None),
+            ((1.0, 1.0, 0.9, 2.0), None),
+            ((1.0, 1.0, 0.6, 2.0), 2),  # diverges after all 34 shells
+            ((1.0, 1.0, 0.9, 2.0), 2),
+            ((1.0, 100.0, 0.75, 1.5), None),  # 200 images per side
+            ((1.0, 1e-8, 0.75, 1.5), None),  # shells start at 10 sqrt(t0)
+        ],
+        ids=["c10-0.6", "c10-0.75", "c10-0.9", "surrogate-diverged", "surrogate-finite", "t0-100", "t0-1e-8"],
+    )
+    def test_batched_matches_scalar_rule(self, args, surrogate_d, monkeypatch):
+        # kernel values, image counts, 12-point sums and stopping rule are the
+        # scalar loop's, so value and trace agree bit for bit at any chunk size
+        cfg = NeumannKernelConfig(*args)
+        value, trace = _scalar_boundary_integral(cfg, surrogate_d)
+        if surrogate_d == 2 and args[2] == 0.6:
+            assert value == math.inf and len(trace) == 34
+        for chunk in (spde._TIME_CHUNK, 1, 120):
+            monkeypatch.setattr(spde, "_TIME_CHUNK", chunk)
+            rec = neumann_boundary_integral(cfg, surrogate_d=surrogate_d)
+            assert rec.value == value
+            assert rec.refinement_trace == trace
 
     def test_record_roundtrip(self):
         # the three fields the spde-boundary summary writes survive JSON
