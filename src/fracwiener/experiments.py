@@ -61,6 +61,17 @@ SUMMARY_VERSION = 1
 GAUSSIAN_RATIO = 3.0**0.25  # L4/L2 of a centered Gaussian
 CHAOS2_RATIO = 60.0**0.25 / 2.0**0.5  # same ratio for xi^2 - 1
 
+# the verdict rules: fixed, so a pass means the same thing in every config
+_RATIO_RTOL = 0.01  # norm-identity: ratio against the closed-form constant
+_Z_MAX = 3.0  # every Monte Carlo z-test; a sound test fails 0.27% of its rows
+_PASS_FRACTION = 0.95  # isometry: share of cells within |z| <= _Z_MAX
+_GAUSS_RTOL = 0.01  # moments: Gaussian L4/L2 ratio
+_CHAOS2_RTOL = 0.02  # moments: second-chaos L4/L2 ratio
+_COMBO_BOUND = 3.0  # moments: L4/L2 bound of a first-plus-second-chaos mix
+_SMOOTHING_TOL = 0.05  # spde-distributed: smoothing-exponent slope
+_STABILITY_RTOL = 0.01  # spde-boundary: move of the last refinement
+_MARGIN = 0.005  # threshold-sweep: indeterminate band around the threshold
+
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -202,10 +213,6 @@ def _nonempty_unit_grid(vs):
 
 def _nonempty_grid(vs):
     return None if vs else "parameter grid is empty"
-
-
-def _fraction(v):
-    return None if 0.0 < v <= 1.0 else "must lie in (0, 1]"
 
 
 @dataclass(frozen=True)
@@ -385,7 +392,7 @@ def _run_norm_identity(cfg: ExperimentConfig) -> ExperimentResult:
             ratio = dh / four
             rel = abs(ratio - target) / target
             worst = max(worst, rel)
-            ok = rel <= p["ratio_rtol"]
+            ok = rel <= _RATIO_RTOL
             rows.append((h, fid, dh, four, ratio, ok))
             verdicts.append(
                 Verdict(case, ok, f"ratio {ratio:.8g} vs constant {target:.8g} (rel dev {rel:.2e})")
@@ -393,7 +400,7 @@ def _run_norm_identity(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {
         "target_constant": targets,
         "max_rel_deviation": worst,
-        "ratio_rtol": p["ratio_rtol"],
+        "ratio_rtol": _RATIO_RTOL,
         "n_cases": len(rows),
     }
     return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
@@ -417,25 +424,25 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
         for fid in range(p["n_functions"]):
             f = _aligned_step(rng, grid, p["pieces"])
             rep = isometry_report(f, ens)
-            ok = abs(rep.z_score) <= p["z_max"]
+            ok = abs(rep.z_score) <= _Z_MAX
             zs.append(rep.z_score)
             rows.append((p["family"], h, fid, rep.dh_norm_sq, rep.mc_var, rep.z_score, ok))
-    frac = sum(abs(z) <= p["z_max"] for z in zs) / len(zs)
-    passed = frac >= p["pass_fraction"]
+    frac = sum(abs(z) <= _Z_MAX for z in zs) / len(zs)
+    passed = frac >= _PASS_FRACTION
     verdicts = [
         Verdict(
             "z-band fraction",
             passed,
-            f"{frac:.4f} of {len(zs)} cells within |z| <= {p['z_max']:g} "
-            f"(need >= {p['pass_fraction']:g})",
+            f"{frac:.4f} of {len(zs)} cells within |z| <= {_Z_MAX:g} "
+            f"(need >= {_PASS_FRACTION:g})",
         )
     ]
     summary = {
         "family": p["family"],
         "z_scores": zs,
-        "z_max": p["z_max"],
+        "z_max": _Z_MAX,
         "fraction_within": frac,
-        "pass_fraction": p["pass_fraction"],
+        "pass_fraction": _PASS_FRACTION,
         "n_cases": len(rows),
         "passed": passed,
     }
@@ -456,12 +463,11 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
 
     g_ratio = moment_ratio(first, 4, 2)
     c_ratio = moment_ratio(second, 4, 2)
-    g_ok = abs(g_ratio - GAUSSIAN_RATIO) <= p["gauss_rtol"] * GAUSSIAN_RATIO
-    c_ok = abs(c_ratio - CHAOS2_RATIO) <= p["chaos2_rtol"] * CHAOS2_RATIO
+    g_ok = abs(g_ratio - GAUSSIAN_RATIO) <= _GAUSS_RTOL * GAUSSIAN_RATIO
+    c_ok = abs(c_ratio - CHAOS2_RATIO) <= _CHAOS2_RTOL * CHAOS2_RATIO
     rows = [("gaussian", 0, g_ratio, GAUSSIAN_RATIO, g_ok), ("chaos2", 0, c_ratio, CHAOS2_RATIO, c_ok)]
 
     rng = _aux_rng(cfg.seed, 2)
-    bound = p["combo_bound"]
     combo_max = 0.0
     combo_all_ok = True
     for j in range(p["n_draws"]):
@@ -469,10 +475,10 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
         while np.abs(a).sum() < 1e-6:
             a = rng.normal(size=3)
         ratio = moment_ratio(a[0] + a[1] * first + a[2] * second, 4, 2)
-        ok = ratio <= bound
+        ok = ratio <= _COMBO_BOUND
         combo_max = max(combo_max, ratio)
         combo_all_ok = combo_all_ok and ok
-        rows.append(("combo", j, ratio, bound, ok))
+        rows.append(("combo", j, ratio, _COMBO_BOUND, ok))
 
     verdicts = [
         Verdict("gaussian moment ratio", g_ok, f"{g_ratio:.6g} vs {GAUSSIAN_RATIO:.6g}"),
@@ -480,14 +486,14 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
         Verdict(
             "mixed-combination bound",
             combo_all_ok,
-            f"max ratio {combo_max:.6g} over {p['n_draws']} draws (bound {bound:g})",
+            f"max ratio {combo_max:.6g} over {p['n_draws']} draws (bound {_COMBO_BOUND:g})",
         ),
     ]
     summary = {
         "gaussian_ratio": g_ratio,
         "chaos2_ratio": c_ratio,
         "combo_max_ratio": combo_max,
-        "combo_bound": bound,
+        "combo_bound": _COMBO_BOUND,
         "n_draws": p["n_draws"],
         "n_paths": p["n_paths"],
     }
@@ -521,10 +527,10 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     for j in range(n_check):
         target = mode_norm(model, j + 1, p["t_end"], p["hurst"], p["alpha"], p["sigma"]) ** 2
         mc, _, z = map(float, _second_moment_z(terminal[:, j], target))
-        ok = abs(z) <= p["z_max"]
+        ok = abs(z) <= _Z_MAX
         rows.append((j + 1, float(model.eigenvalues[j]), mc, target, z, ok))
         verdicts.append(
-            Verdict(f"mode {j + 1} second moment", ok, f"z = {z:.3f} (|z| <= {p['z_max']:g})")
+            Verdict(f"mode {j + 1} second moment", ok, f"z = {z:.3f} (|z| <= {_Z_MAX:g})")
         )
 
     fitted = {}
@@ -543,12 +549,12 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
         slope = semigroup_smoothing_exponent(model, p["alpha"])
         expected = -1.0 / (4.0 * p["m"]) - p["alpha"]
         fitted["smoothing"] = slope
-        ok = abs(slope - expected) <= p["smoothing_tol"]
+        ok = abs(slope - expected) <= _SMOOTHING_TOL
         verdicts.append(
             Verdict(
                 "semigroup smoothing exponent",
                 ok,
-                f"fitted slope {slope:.4f} vs {expected:.4f} (tol {p['smoothing_tol']:g})",
+                f"fitted slope {slope:.4f} vs {expected:.4f} (tol {_SMOOTHING_TOL:g})",
             )
         )
 
@@ -577,10 +583,9 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
         drift = abs(trace[-1] - trace[-2]) / abs(trace[-1])
     else:
         drift = math.inf
-    int_ok = (not rec.diverged) and drift <= p["stability_rtol"]
+    int_ok = (not rec.diverged) and drift <= _STABILITY_RTOL
     detail = (
-        f"value {rec.value:.6g}, last refinement moved {drift:.2e} "
-        f"(allow {p['stability_rtol']:g})"
+        f"value {rec.value:.6g}, last refinement moved {drift:.2e} (allow {_STABILITY_RTOL:g})"
     )
     verdicts = [Verdict("boundary-noise integral", int_ok, detail)]
 
@@ -592,7 +597,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     profiles = (check.x_nodes, check.variance_profile, check.expected_profile, check.z_profile)
     for x, mc, exp_v, z in np.column_stack(profiles).tolist():
-        ok = abs(z) <= p["z_max"]
+        ok = abs(z) <= _Z_MAX
         rows.append((x, mc, exp_v, z, ok))
         verdicts.append(Verdict(f"wall variance at x={x:g}", ok, f"z = {z:.3f}"))
 
@@ -622,7 +627,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         for a in p["alpha"]:
             rep = existence_report(model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"])
             diverged = not rep.finite
-            if abs(a - threshold) <= p["margin"]:
+            if abs(a - threshold) <= _MARGIN:
                 ok = True  # indeterminate zone around the threshold
             else:
                 ok = diverged == (a > threshold)
@@ -641,7 +646,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         verdicts.append(Verdict(f"H={h:g} sweep", ok, msg))
     summary = {
         "first_diverged_alpha": flips,
-        "margin": p["margin"],
+        "margin": _MARGIN,
         "n_cases": len(rows),
     }
     return ExperimentResult(rows=rows, summary=summary, verdicts=verdicts)
@@ -673,7 +678,6 @@ EXPERIMENTS: dict = {
             ),
             optional=(
                 _Key("sigma", _float, _positive, 1.0),
-                _Key("ratio_rtol", _float, _positive, 0.01),
                 _Key("pieces", _int, _ge(1), 6),
                 _Key("grid_steps", _int, _ge(8), 256),
                 _Key("t_end", _float, _positive, 1.0),
@@ -684,7 +688,7 @@ EXPERIMENTS: dict = {
                 ("dh_norm", "integrand norm of the draw (tail-transform route)"),
                 ("fourier_norm", "homogeneous Sobolev norm of order 1/2 - H (FFT route)"),
                 ("ratio", "dh_norm / fourier_norm"),
-                ("pass", "true when the ratio is within ratio_rtol of the constant"),
+                ("pass", f"true when the ratio is within {_RATIO_RTOL:.0%} of the constant"),
             ),
             runner=_run_norm_identity,
         ),
@@ -704,8 +708,6 @@ EXPERIMENTS: dict = {
                 _Key("grid_steps", _int, _ge(8), 256),
                 _Key("t_end", _float, _positive, 1.0),
                 _Key("pieces", _int, _ge(1), 4),
-                _Key("z_max", _float, _positive, 3.0),
-                _Key("pass_fraction", _float, _fraction, 0.95),
                 _Key("n_noise_cells", _int, _ge(16), 1024),
             ),
             columns=(
@@ -716,7 +718,7 @@ EXPERIMENTS: dict = {
                 ("mc_var", "Monte Carlo second moment of the integral"),
                 ("z", "(mc_var - dh_norm_sq) / SE, SE the empirical standard\n"
                       "error of the per-path squares"),
-                ("pass", "true when |z| <= z_max"),
+                ("pass", f"true when |z| <= {_Z_MAX:g}"),
             ),
             runner=_run_isometry,
         ),
@@ -728,16 +730,15 @@ EXPERIMENTS: dict = {
                 _Key("n_draws", _int, _ge(1), 100),
                 _Key("n_cells", _int, _ge(8), 128),
                 _Key("t_end", _float, _positive, 1.0),
-                _Key("gauss_rtol", _float, _positive, 0.01),
-                _Key("chaos2_rtol", _float, _positive, 0.02),
-                _Key("combo_bound", _float, _positive, 3.0),
             ),
             columns=(
                 ("check", "gaussian | chaos2 | combo"),
                 ("draw", "coefficient-draw index (0 for the two fixed checks)"),
                 ("ratio", "empirical L4/L2 moment ratio"),
                 ("reference", "exact target (gaussian, chaos2) or the order-2 bound (combo)"),
-                ("pass", "true when the ratio matches (fixed checks) or stays bounded"),
+                ("pass", f"true when the ratio is within {_GAUSS_RTOL:.0%} (gaussian) or "
+                         f"{_CHAOS2_RTOL:.0%} (chaos2)\nof the reference, or at most the "
+                         "reference (combo)"),
             ),
             runner=_run_moments,
         ),
@@ -759,11 +760,9 @@ EXPERIMENTS: dict = {
                 _Key("sigma", _float, _positive, 1.0),
                 _Key("p", _float, _ge(1.0), 2.0),
                 _Key("check_modes", _int, _ge(1), 4),
-                _Key("z_max", _float, _positive, 3.0),
                 _Key("fit_holder", _bool, None, False),
                 _Key("holder_floor", _float),
                 _Key("fit_smoothing", _bool, None, False),
-                _Key("smoothing_tol", _float, _positive, 0.05),
                 _Key("n_noise_cells", _int, _ge(16), 512),
             ),
             columns=(
@@ -772,7 +771,7 @@ EXPERIMENTS: dict = {
                 ("mc_second_moment", "Monte Carlo E y_k(t_end)^2"),
                 ("expected_second_moment", "exact mode norm squared"),
                 ("z", "(mc - expected) / SE"),
-                ("pass", "true when |z| <= z_max"),
+                ("pass", f"true when |z| <= {_Z_MAX:g}"),
             ),
             runner=_run_spde_distributed,
         ),
@@ -790,8 +789,6 @@ EXPERIMENTS: dict = {
             optional=(
                 _Key("sigma", _float, _positive, 1.0),
                 _Key("x_nodes", _floats, _nonempty_grid),
-                _Key("z_max", _float, _positive, 3.0),
-                _Key("stability_rtol", _float, _positive, 0.01),
             ),
             columns=(
                 ("x", "spatial node of the wall-variance check"),
@@ -799,7 +796,7 @@ EXPERIMENTS: dict = {
                 ("expected_variance", "exact variance via the integrand norm of the kernel"),
                 ("z", "(mc - expected) / SE, SE the empirical standard error\n"
                       "of the per-path squares"),
-                ("pass", "true when |z| <= z_max"),
+                ("pass", f"true when |z| <= {_Z_MAX:g}"),
             ),
             runner=_run_spde_boundary,
         ),
@@ -818,7 +815,6 @@ EXPERIMENTS: dict = {
                 _Key("p", _float, _ge(1.0), 2.0),
                 _Key("sigma", _float, _positive, 1.0),
                 _Key("doublings", _int, _ge(1), 3),
-                _Key("margin", _float, _ge(0.0), 0.005),
             ),
             columns=(
                 ("H", "Hurst parameter of the driving noise"),
@@ -827,7 +823,7 @@ EXPERIMENTS: dict = {
                 ("gamma_norm", "truncated value of the solution-norm series"),
                 ("diverged", "detector verdict for the series"),
                 ("pass", "true when the verdict matches the side of the threshold\n"
-                         "(rows within margin of the threshold pass unconditionally)"),
+                         f"(rows within {_MARGIN:g} of the threshold pass unconditionally)"),
             ),
             runner=_run_threshold_sweep,
         ),

@@ -1,11 +1,11 @@
 """Simulation of scalar and cylindrical H-fractional processes.
 
 Two simulators live here; ``simulate_driver`` picks one by family.  fBm is
-sampled exactly in law, by the Cholesky factor of its covariance up to
-_CHOLESKY_MAX_STEPS grid steps and by circulant embedding above (two paths
-per complex transform, its real and imaginary parts).  Second-chaos processes
-(Rosenblatt and the k = 2 generalized family) are built as discrete double
-Wiener integrals of a moving-average kernel
+sampled exactly in law from its increment autocovariance, by a Cholesky
+factor up to _CHOLESKY_MAX_STEPS grid steps and by circulant embedding above
+(two paths per complex transform, its real and imaginary parts).
+Second-chaos processes (Rosenblatt and the k = 2 generalized family) are
+built as discrete double Wiener integrals of a moving-average kernel
 
     K_t(y1, y2) = C * int k_t^beta(u) (u - y1)_+^{a/2} (u - y2)_+^{a/2} du,
 
@@ -241,8 +241,11 @@ def simulate_fbm(
     if params.family is not Family.FBM:
         raise ValueError("simulate_fbm needs FBM parameters")
     _require_zero_start(grid)
+    # the increment autocovariance: the first cell against the cells of lags 0 .. n
+    lags = grid.dt * np.arange(grid.n_steps + 2)
+    gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
     small = grid.n_steps <= _CHOLESKY_MAX_STEPS
-    draw = (_fbm_cholesky_drawer if small else _fbm_circulant_drawer)(params, grid)
+    draw = (_fbm_cholesky_drawer if small else _fbm_circulant_drawer)(gamma)
 
     def run(block: int, sl: slice) -> np.ndarray:
         gen = block_generator(seed, stream, block)
@@ -252,12 +255,14 @@ def simulate_fbm(
     return PathEnsemble(grid, paths, params)
 
 
-def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
-    n = grid.n_steps
-    t = grid.nodes[1:]
-    cov = params.sigma**2 * covariance_rh(t[:, None], t[None, :], params.h)
+def _fbm_cholesky_drawer(gamma: np.ndarray):
+    # the Toeplitz matrix of gamma[:n] is the covariance of the n increments.
+    # The running sum of its factor's rows is lower triangular with the same
+    # positive diagonal, so it is the unique Cholesky factor of the nodes
+    n = gamma.size - 1
+    idx = np.arange(n)
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.cumsum(np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)]), axis=0)
     except np.linalg.LinAlgError:
         raise ValueError("covariance factorization failed: grid too fine")
 
@@ -281,12 +286,9 @@ def _fbm_cholesky_drawer(params: FracParams, grid: TimeGrid):
     return draw
 
 
-def _fbm_circulant_drawer(params: FracParams, grid: TimeGrid):
-    # circulant embedding of the increment autocovariance: the first cell
-    # against the cells of lags 0 .. n
-    n = grid.n_steps
-    lags = grid.dt * np.arange(n + 2)
-    gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
+def _fbm_circulant_drawer(gamma: np.ndarray):
+    # circulant embedding of the increment autocovariance
+    n = gamma.size - 1
     circ = np.concatenate([gamma, gamma[-2:0:-1]])
     eig = np.fft.fft(circ).real
     if eig.min() < -1e-9 * eig.max():

@@ -23,7 +23,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -75,13 +75,8 @@ def map_path_blocks(fn: Callable[[int, slice], np.ndarray], n_paths: int) -> np.
     ``worker_threads`` pool in effect; assembly order is fixed by the block
     index, so the thread count does not affect the output.
     """
-    blocks: Sequence[tuple[int, slice]] = list(path_blocks(n_paths))
-    threads = _WORKERS.get()
-    if threads <= 1 or len(blocks) == 1:
-        parts = [fn(b, sl) for b, sl in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda bs: fn(*bs), blocks))
+    blocks = list(path_blocks(n_paths))
+    parts = list(map_ordered(lambda i: fn(*blocks[i]), len(blocks)))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 

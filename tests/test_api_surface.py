@@ -11,6 +11,8 @@ methods may also be reached from a ``KEPT`` name.
 import ast
 from pathlib import Path
 
+from fracwiener.experiments import EXPERIMENTS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracwiener"
 
 # names no CLI route reaches, with the live route they check or the test that pins them
@@ -173,3 +175,13 @@ def _keyword_options(modules) -> dict:
 def test_keyword_options_stay_within_bound():
     options = _keyword_options(_modules())
     assert sum(options.values()) <= MAX_KEYWORD_OPTIONS, options
+
+
+# config values: the required and optional keys of every experiment kind; a
+# new key has to raise this bound
+MAX_CONFIG_VALUES = 54
+
+
+def test_config_values_stay_within_bound():
+    counts = {name: len(exp.required) + len(exp.optional) for name, exp in EXPERIMENTS.items()}
+    assert sum(counts.values()) <= MAX_CONFIG_VALUES, counts

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwiener import __version__, processes
+from fracwiener import __version__, experiments, processes
 from fracwiener.cli import build_parser, main
 from fracwiener.experiments import (
     CONFIG_VERSION,
@@ -131,23 +131,35 @@ alpha = 0.0, 0.1, 0.2, 0.3
 m = 1
 """
 
-# the spectral shift, the detector's cell floor and the boundary kernel's piece count
+# the spectral shift, the detector's cell floor and the boundary kernel's
+# piece count; then the verdict tolerances, one fixed rule per verdict
 REMOVED_KEYS = (
     ("lambda_shift", SPDE_CFG + "lambda_shift = 1\n"),
     ("n_x", SWEEP_CFG + "n_x = 64\n"),
     ("kernel_pieces", BOUNDARY_CFG + "kernel_pieces = 96\n"),
+    ("ratio_rtol", NORM_CFG + "ratio_rtol = 1\n"),
+    ("z_max", ISO_CFG + "z_max = 100\n"),
+    ("pass_fraction", ISO_CFG + "pass_fraction = 0.01\n"),
+    ("gauss_rtol", MOMENTS_CFG + "gauss_rtol = 0.2\n"),
+    ("chaos2_rtol", MOMENTS_CFG + "chaos2_rtol = 0.3\n"),
+    ("combo_bound", MOMENTS_CFG + "combo_bound = 10\n"),
+    ("z_max", SPDE_CFG + "z_max = 100\n"),
+    ("smoothing_tol", SPDE_CFG + "smoothing_tol = 1\n"),
+    ("z_max", BOUNDARY_CFG + "z_max = 100\n"),
+    ("stability_rtol", BOUNDARY_CFG + "stability_rtol = 1\n"),
+    ("margin", SWEEP_CFG + "margin = 1\n"),
 )
 
 SPECTRUM_MESSAGE = "the spectrum (k pi / L)^(2m) leaves the floating-point range at length 1e+300"
 
+# 900 paths draw a warning; the tests widen the two ratio tolerances to
+# 0.2 and 0.3, so the warning is the only fault of the run
 WARN_CFG = """\
 config_version = 1
 kind = moments
 seed = 2
 n_paths = 900
 n_draws = 5
-gauss_rtol = 0.2
-chaos2_rtol = 0.3
 """
 
 
@@ -358,8 +370,9 @@ class TestNormIdentityRun:
         assert all(v["passed"] for v in manifest["verdicts"])
         assert manifest["started"] <= manifest["finished"]
 
-    def test_failures_exit_1_with_table(self, tmp_path, capsys):
-        code, out = _run(tmp_path, NORM_CFG + "ratio_rtol = 1e-12\n")
+    def test_failures_exit_1_with_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_RATIO_RTOL", 1e-12)
+        code, out = _run(tmp_path, NORM_CFG)
         assert code == 1
         printed = capsys.readouterr().out
         assert "FAIL" in printed
@@ -696,7 +709,9 @@ class TestFewPathsWarning:
 
 
 class TestStrictMode:
-    def test_warnings_fatal_only_under_strict(self, tmp_path, capsys):
+    def test_warnings_fatal_only_under_strict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_GAUSS_RTOL", 0.2)
+        monkeypatch.setattr(experiments, "_CHAOS2_RTOL", 0.3)
         code, _ = _run(tmp_path, WARN_CFG)
         assert code == 0
         assert "warning" in capsys.readouterr().err

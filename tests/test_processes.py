@@ -29,9 +29,23 @@ from fracwiener.rng import block_generator, map_ordered, map_path_blocks, path_b
 NINE_POINT = [0.25, 0.5, 1.0]
 
 
+def _fgn_autocovariance(params, grid):
+    # gamma(0 .. n) of the fBm increments, as simulate_fbm builds it
+    lags = grid.dt * np.arange(grid.n_steps + 2)
+    return params.sigma**2 * processes._increment_covariance(lags[:2], lags, params.h)[0]
+
+
+def _node_factor(gamma):
+    # the Cholesky drawer's factor, the running sum of the rows of the
+    # increments' factor; the chunked-draw test pins simulate_fbm to it
+    n = gamma.size - 1
+    idx = np.arange(n)
+    return np.cumsum(np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)]), axis=0)
+
+
 def _drawer_paths(drawer, params, grid, n_paths, seed, stream=0):
     # one fBm drawer on simulate_fbm's block keys, whatever the grid size
-    draw = drawer(params, grid)
+    draw = drawer(_fgn_autocovariance(params, grid))
     return map_path_blocks(
         lambda blk, sl: draw(block_generator(seed, stream, blk), sl.stop - sl.start),
         n_paths,
@@ -214,8 +228,7 @@ class TestSimulateFbm:
         # bytes are those of one (b, n) draw times the factor, per block
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         p = FracParams.fbm(0.4)
-        t = grid.nodes[1:]
-        chol = np.linalg.cholesky(covariance_rh(t[:, None], t[None, :], p.h))
+        chol = _node_factor(_fgn_autocovariance(p, grid))
         rows = processes._NORMAL_CHUNK_ELEMENTS // grid.n_steps
         for n_paths in (1, rows - 1, rows, rows + 1, 2 * rows + 1, rng.BLOCK_PATHS + 1):
             parts = []
@@ -227,6 +240,20 @@ class TestSimulateFbm:
                 with worker_threads(workers):
                     got = simulate_fbm(p, grid, n_paths, seed=3, stream=1).paths
                 assert np.array_equal(got, want), (n_paths, workers)
+
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+    def test_increment_factor_accumulates_to_the_node_factor(self, h, n):
+        # the Cholesky factor is unique, so the same normals give the same
+        # paths as a factor of the node covariance, up to rounding.  The
+        # bound is relative to the largest entry: at H = 0.9 the node
+        # covariance is ill-conditioned, and its factor's small diagonal
+        # entries deviate by up to 2e-9 of themselves at 1024 steps
+        grid = TimeGrid(0.0, 1.0 / n, n)
+        t = grid.nodes[1:]
+        want = np.linalg.cholesky(covariance_rh(t[:, None], t[None, :], h))
+        got = _node_factor(_fgn_autocovariance(FracParams.fbm(h), grid))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_sigma_scales_paths_exactly(self):
         grid = TimeGrid(0.0, 1.0 / 16, 16)
