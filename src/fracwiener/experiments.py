@@ -223,6 +223,10 @@ class _Key:
     default: object = None
 
 
+# every kind requires a seed; it is read by the rule of the kinds' own keys
+_SEED = _Key("seed", _int, _ge(0))
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -271,17 +275,8 @@ def validate_config(raw: Mapping[str, str], text_hash: str = "") -> ExperimentCo
         else:
             params[key.name] = value
 
-    seed = 0
-    if "seed" not in raw:
-        problems.append("missing required key 'seed'")
-    else:
-        try:
-            seed = _int(raw["seed"])
-            if seed < 0:
-                problems.append("key 'seed': must be >= 0")
-        except ValueError as exc:
-            problems.append(f"key 'seed': {exc}")
-
+    take(_SEED, required=True)
+    seed = params.pop("seed", 0)
     for key in exp.required:
         take(key, required=True)
         seen.add(key.name)

@@ -32,8 +32,8 @@ class TimeGrid:
             raise ValueError("grid origin must be finite")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("grid step must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("grid needs at least one step")
+        if self.n_steps < 1 or self.n_steps % 1 != 0:
+            raise ValueError("grid needs an integer number of steps >= 1")
 
     @property
     def t_end(self) -> float:

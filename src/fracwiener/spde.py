@@ -30,7 +30,6 @@ from .sobolev import dh_norm_exponential, integrand_norm
 
 __all__ = [
     "SpectralModel",
-    "MildSolutionEnsemble",
     "NeumannKernelConfig",
     "ExistenceReport",
     "NeumannIntegralRecord",
@@ -39,9 +38,7 @@ __all__ = [
     "existence_report",
     "assemble_kernel_field",
     "semigroup_smoothing_exponent",
-    "solve_mild",
     "mild_summary",
-    "holder_exponent_estimate",
     "neumann_heat_kernel",
     "neumann_boundary_integral",
     "boundary_solution_check",
@@ -62,10 +59,10 @@ class SpectralModel:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError("domain length must be positive")
-        if self.m < 1 or int(self.m) != self.m:
+        if self.m < 1 or self.m % 1 != 0:
             raise ValueError("operator half-order m must be an integer >= 1")
-        if self.truncation < 1:
-            raise ValueError("need at least one mode")
+        if self.truncation < 1 or self.truncation % 1 != 0:
+            raise ValueError("truncation must be an integer number of modes >= 1")
         if self.p < 1:
             raise ValueError("integrability exponent p must be >= 1")
         with np.errstate(over="ignore", under="ignore"):
@@ -311,27 +308,6 @@ def semigroup_smoothing_exponent(model: SpectralModel, alpha: float) -> float:
     return float(slope)
 
 
-@dataclass(frozen=True, eq=False)
-class MildSolutionEnsemble:
-    """Mode coefficients of mild-solution paths on a time grid.
-
-    ``coeffs[path, mode, node]`` already carries the fractional-power
-    weight of the solve.
-    """
-
-    model: SpectralModel
-    grid: TimeGrid
-    coeffs: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[1]
-
-
 def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     """Refuse an alpha not below ``model.existence_threshold``, then yield ``(k, steps)`` per mode.
 
@@ -378,35 +354,6 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     return map_ordered(mode, model.truncation)
 
 
-def solve_mild(
-    model: SpectralModel,
-    params: FracParams,
-    grid: TimeGrid,
-    n_paths: int,
-    alpha: float = 0.0,
-    *,
-    seed: int = 0,
-    n_noise_cells: int = 512,
-) -> MildSolutionEnsemble:
-    """Left-point mild-solution recursion, one independent driver per mode.
-
-    The discrete convolution satisfies the exact per-step recursion
-    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``, which is also the
-    semigroup decomposition property tested against it.  An ``alpha`` not
-    below ``model.existence_threshold(H)`` is refused: the mode series diverges.
-
-    This stores every path, ``n_paths * K * (n_steps + 1)`` floats, for
-    callers that need them; ``mild_summary`` gives the terminal values and
-    the Hölder slope of the same draws in memory that does not grow with K.
-    """
-    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
-    coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
-    with closing(modes):
-        for k, steps in modes:
-            coeffs[:, k, 1:] = steps.T
-    return MildSolutionEnsemble(model, grid, coeffs)
-
-
 def mild_summary(
     model: SpectralModel,
     params: FracParams,
@@ -418,16 +365,19 @@ def mild_summary(
     n_noise_cells: int,
     fit_holder: bool,
 ) -> tuple[np.ndarray, float | None]:
-    """Terminal mode values and Hölder slope of ``solve_mild``'s draws, mode by mode.
+    """Mild solution by the left-point recursion, one independent driver per mode.
 
-    Returns ``(terminal, slope)``: ``terminal[path, mode]`` equals
-    ``solve_mild(...).coeffs[:, :, -1]`` and, when ``fit_holder``, ``slope``
-    equals ``holder_exponent_estimate`` of that ensemble (else it is None);
-    both are bit-identical to that route for the same arguments.  Each
-    mode's path is folded into the fit as it is drawn, so no
-    ``(n_paths, K, n_nodes)`` array is built: for p = 2 the fit keeps one
-    ``(n_starts, n_paths)`` sum per lag, for p != 2 the second half of
-    each mode's path.  Every argument is required.
+    The discrete convolution satisfies the exact per-step recursion
+    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``; an ``alpha`` not below
+    ``model.existence_threshold(H)`` is refused, since the mode series
+    diverges.  Returns ``(terminal, slope)``: ``terminal[path, mode]`` is
+    the weighted mode value at the last node and, when ``fit_holder``,
+    ``slope`` is that of log E||Y_{t+h} - Y_t||_{L^p} against log h over
+    the dyadic lags of ``_LagFold`` (else it is None).  Each mode's path
+    is folded into the fit as it is drawn, so no ``(n_paths, K, n_nodes)``
+    array is built: for p = 2 the fit keeps one ``(n_starts, n_paths)`` sum
+    per lag, for p != 2 the second half of each mode's path.  Every
+    argument is required.
     """
     modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     fold = _LagFold(model, grid, n_paths) if fit_holder else None
@@ -499,23 +449,6 @@ class _LagFold:
                 means.append(float(np.mean(norms)))
         slope = np.polyfit(np.log(np.array(self.lags) * self.dt), np.log(means), 1)[0]
         return float(slope)
-
-
-def holder_exponent_estimate(ens: MildSolutionEnsemble) -> float:
-    """Slope of log E||Y_{t+h} - Y_t||_{L^p} against log h over dyadic lags.
-
-    ``p`` is the ensemble model's.  The lags are 1, 2, .., 32 steps, up to
-    a quarter of the grid, with the increment statistics averaged over the
-    start points in the second half of the window.  The fit is the one
-    ``mild_summary`` folds mode by mode (``_LagFold``), fed here from the
-    stored ``ens.coeffs``.
-    """
-    if ens.n_paths == 0 or ens.coeffs.size == 0:
-        raise ValueError("ensemble is empty")
-    fold = _LagFold(ens.model, ens.grid, ens.n_paths)
-    for k in range(ens.n_modes):
-        fold.add(k, ens.coeffs[:, k, 1:].T)
-    return fold.slope()
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +660,12 @@ def boundary_solution_check(
         xs = cfg.length * np.arange(1, 16) / 16.0
     else:
         xs = np.asarray(x_nodes, dtype=float)
-        if (
-            xs.ndim != 1
-            or np.any(xs <= 0)
-            or np.any(xs >= cfg.length)
-            or np.any(np.diff(xs) <= 0)
+        # positive conditions, so that a NaN node fails them
+        if not (
+            xs.ndim == 1
+            and np.all(xs > 0)
+            and np.all(xs < cfg.length)
+            and np.all(np.diff(xs) > 0)
         ):
             raise ValueError("x_nodes must increase strictly inside the domain")
     cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed)

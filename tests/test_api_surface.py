@@ -23,11 +23,6 @@ KEPT = {
     "sobolev_norm_gagliardo": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
     "dh_norm_smooth": "oracle of the dh_norm_exponential closed form (mode_norm) for H > 1/2",
     "assemble_kernel_field": "oracle of existence_report (test_spde)",
-    "solve_mild": "mild-solution paths for callers that need them (c09), and the stored-ensemble "
-                  "oracle of mild_summary in spde-distributed (test_spde)",
-    "MildSolutionEnsemble": "the paths solve_mild returns",
-    "holder_exponent_estimate": "the Hoelder fit of a stored ensemble, through the fold of "
-                                "mild_summary; its oracle route (test_spde)",
     "hermite_covariance": "oracle of simulate_hermite_k2 in isometry (test_processes)",
     "affine_norm_pair": "paper object pinned by c11",
     "restricted_norm": "paper object pinned by c11",
@@ -149,7 +144,7 @@ def test_no_function_takes_a_thread_count():
 
 # public keyword options: the defaulted parameters of the __all__ functions and
 # of the public methods of __all__ classes; a new option has to raise this bound
-MAX_KEYWORD_OPTIONS = 31
+MAX_KEYWORD_OPTIONS = 28
 
 
 def _keyword_options(modules) -> dict:

@@ -243,11 +243,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unsupported config_version"):
             validate_config(self._raw(config_version=str(CONFIG_VERSION + 1)))
 
-    def test_seed_required_and_nonnegative(self):
-        with pytest.raises(ConfigError, match="'seed'"):
-            validate_config(self._raw(seed=None))
-        with pytest.raises(ConfigError, match="seed"):
-            validate_config(self._raw(seed="-1"))
+    @pytest.mark.parametrize(
+        "seed, problem",
+        [
+            (None, "missing required key 'seed'"),
+            ("-1", "key 'seed': must be >= 0"),
+            ("1.5", "key 'seed': expected an integer, got '1.5'"),
+        ],
+        ids=["missing", "negative", "fractional"],
+    )
+    def test_seed_required_and_nonnegative(self, seed, problem):
+        # the seed's problem comes before those of the kind's own keys
+        with pytest.raises(ConfigError) as err:
+            validate_config(self._raw(seed=seed, hurst=None))
+        assert err.value.problems == [problem, "missing required key 'hurst'"]
 
     @pytest.mark.parametrize(
         "key, raw",

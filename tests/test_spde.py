@@ -19,19 +19,16 @@ from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
 from fracwiener.rng import BLOCK_PATHS, path_blocks, worker_threads
 from fracwiener.sobolev import dh_norm_exponential, integrand_norm
 from fracwiener.spde import (
-    MildSolutionEnsemble,
     NeumannKernelConfig,
     SpectralModel,
     assemble_kernel_field,
     boundary_solution_check,
     existence_report,
-    holder_exponent_estimate,
     mild_summary,
     mode_norm,
     neumann_boundary_integral,
     neumann_heat_kernel,
     semigroup_smoothing_exponent,
-    solve_mild,
 )
 from fracwiener.spde import (
     _SHELL_START,
@@ -98,6 +95,7 @@ class TestSpectralModel:
             dict(length=1.0, m=1, truncation=0),
             dict(length=1.0, m=1, truncation=4, p=0.5),
             dict(length=1.0, m=1.5, truncation=4),
+            dict(length=1.0, m=1, truncation=2.5),
         ],
     )
     def test_validation(self, kwargs):
@@ -316,25 +314,43 @@ class TestSmoothingExponent:
 GRID512 = TimeGrid(0.0, 1.0 / 512, 512)
 
 
-class TestSolveMild:
+def _node_paths(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512):
+    """``coeffs[path, mode, node]`` of the mild solve: the ``_mode_paths`` draws, stacked."""
+    coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
+    modes = spde._mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
+    with closing(modes):
+        for k, steps in modes:
+            coeffs[:, k, 1:] = steps.T
+    return coeffs
+
+
+def _fold_slope(model, grid, coeffs):
+    """The Hölder slope of stacked node paths, fed through the fold of ``mild_summary``."""
+    fold = spde._LagFold(model, grid, coeffs.shape[0])
+    for k in range(coeffs.shape[1]):
+        fold.add(k, coeffs[:, k, 1:].T)
+    return fold.slope()
+
+
+class TestModePaths:
     def test_refuses_supercritical_alpha(self):
         mod = SpectralModel(L_PI, 1, 16)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with pytest.raises(ValueError, match="existence threshold"):
-            solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.2)
+            _node_paths(mod, FracParams.fbm(0.4), grid, 10, alpha=0.2)
 
     def test_admits_alpha_just_below_threshold(self):
         # the closed form H - 1/(4m) = 0.15 admits 0.145; the K-doubling
         # detector cannot tell this alpha from a divergent one
         mod = SpectralModel(L_PI, 1, 16)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 10, alpha=0.145)
-        assert np.all(np.isfinite(ens.coeffs))
+        coeffs = _node_paths(mod, FracParams.fbm(0.4), grid, 10, alpha=0.145)
+        assert np.all(np.isfinite(coeffs))
 
     def test_single_mode_variance_anchor(self):
         mod = SpectralModel(L_PI, 1, 1)
-        ens = solve_mild(mod, FracParams.fbm(0.5), GRID512, 20000, seed=11)
-        y_sq = ens.coeffs[:, 0, -1] ** 2
+        coeffs = _node_paths(mod, FracParams.fbm(0.5), GRID512, 20000, seed=11)
+        y_sq = coeffs[:, 0, -1] ** 2
         want = (1.0 - math.exp(-2.0)) / 2.0
         se = np.std(y_sq, ddof=1) / math.sqrt(y_sq.size)
         assert abs(np.mean(y_sq) - want) < 3.0 * se
@@ -353,22 +369,21 @@ class TestSolveMild:
         assert abs(coarse / exact - 1.0) < 0.01
 
     def test_parseval_second_moment(self, laplace8):
-        ens = solve_mild(laplace8, FracParams.fbm(0.5), GRID512, 4096, seed=12)
-        total = np.sum(ens.coeffs[:, :, -1] ** 2, axis=1)
+        coeffs = _node_paths(laplace8, FracParams.fbm(0.5), GRID512, 4096, seed=12)
+        total = np.sum(coeffs[:, :, -1] ** 2, axis=1)
         want = sum(mode_norm(laplace8, k, 1.0, 0.5) ** 2 for k in range(1, 9))
         se = np.std(total, ddof=1) / math.sqrt(total.size)
         assert abs(np.mean(total) - want) < 3.0 * se
 
     def test_parseval_fractional_driver(self, laplace8):
-        ens = solve_mild(laplace8, FracParams.fbm(0.75), GRID512, 4096, seed=13)
-        total = np.sum(ens.coeffs[:, :, -1] ** 2, axis=1)
+        coeffs = _node_paths(laplace8, FracParams.fbm(0.75), GRID512, 4096, seed=13)
+        total = np.sum(coeffs[:, :, -1] ** 2, axis=1)
         want = sum(mode_norm(laplace8, k, 1.0, 0.75) ** 2 for k in range(1, 9))
         se = np.std(total, ddof=1) / math.sqrt(total.size)
         assert abs(np.mean(total) - want) < 3.0 * se
 
     def test_modes_uncorrelated(self, laplace8):
-        ens = solve_mild(laplace8, FracParams.fbm(0.75), GRID512, 4096, seed=13)
-        c = ens.coeffs[:, :, -1]
+        c = _node_paths(laplace8, FracParams.fbm(0.75), GRID512, 4096, seed=13)[:, :, -1]
         rho = np.corrcoef(c.T)[np.triu_indices(8, 1)]
         assert np.abs(rho).max() < 4.0 / math.sqrt(c.shape[0])
 
@@ -378,19 +393,19 @@ class TestSolveMild:
         grid = TimeGrid(0.0, 1.0 / 16, 16)
         n = BLOCK_PATHS + 1
         assert len(list(path_blocks(n))) >= 2
-        a = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=3)
+        a = _node_paths(mod, FracParams.fbm(0.6), grid, n, seed=3)
         with worker_threads(4):
-            b = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=3)
-        c = solve_mild(mod, FracParams.fbm(0.6), grid, n, seed=4)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert not np.array_equal(a.coeffs, c.coeffs)
+            b = _node_paths(mod, FracParams.fbm(0.6), grid, n, seed=3)
+        c = _node_paths(mod, FracParams.fbm(0.6), grid, n, seed=4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_fractional_weights_applied_exactly(self):
         mod = SpectralModel(L_PI, 1, 16)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        plain = solve_mild(mod, FracParams.fbm(0.6), grid, 50, seed=9)
-        lifted = solve_mild(mod, FracParams.fbm(0.6), grid, 50, seed=9, alpha=0.25)
-        ratio = lifted.coeffs[:, :, 1:] / plain.coeffs[:, :, 1:]
+        plain = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=9)
+        lifted = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=9, alpha=0.25)
+        ratio = lifted[:, :, 1:] / plain[:, :, 1:]
         assert np.allclose(ratio, mod.eigenvalues[None, :, None] ** 0.25, rtol=1e-12)
 
     def test_semigroup_decomposition_pathwise(self):
@@ -399,7 +414,7 @@ class TestSolveMild:
         # is component k of the cylindrical driver
         mod = SpectralModel(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = solve_mild(mod, FracParams.fbm(0.7), grid, 20, seed=6)
+        coeffs = _node_paths(mod, FracParams.fbm(0.7), grid, 20, seed=6)
         cyl = simulate_cylindrical(FracParams.fbm(0.7), grid, 3, 20, seed=6)
         for k in (1, 3):
             lam = mod.eigenvalues[k - 1]
@@ -407,7 +422,7 @@ class TestSolveMild:
             assert np.array_equal(drv.paths, cyl.components[k - 1].paths)
             dz = np.diff(drv.paths, axis=1)
             fade = math.exp(-lam * grid.dt)
-            y = ens.coeffs[:, k - 1, :]
+            y = coeffs[:, k - 1, :]
             i, j = 20, 17
             fresh = np.zeros(20)
             for l in range(j):
@@ -419,27 +434,20 @@ class TestSolveMild:
         grid = TimeGrid(0.0, 0.25, 4)
         n = BLOCK_PATHS + 1
         assert len(list(path_blocks(n))) >= 2
-        ens = solve_mild(
-            mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128
-        )
-        assert ens.coeffs.shape == (n, 2, 5)
-        assert not ens.coeffs[:, :, 0].any()
-        assert np.isfinite(ens.coeffs).all()
+        coeffs = _node_paths(mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128)
+        assert coeffs.shape == (n, 2, 5)
+        assert not coeffs[:, :, 0].any()
+        assert np.isfinite(coeffs).all()
         with worker_threads(4):
-            again = solve_mild(
-                mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128
-            )
-        assert np.array_equal(ens.coeffs, again.coeffs)
-        c = ens.coeffs[:, :, -1]
+            again = _node_paths(mod, FracParams.rosenblatt(0.7), grid, n, seed=7, n_noise_cells=128)
+        assert np.array_equal(coeffs, again)
+        c = coeffs[:, :, -1]
         assert abs(np.corrcoef(c.T)[0, 1]) < 4.0 / math.sqrt(n)
 
-
-class TestEnsembleAccessors:
     def test_field_matches_parseval(self, laplace8):
         # the field sum_k c_k phi_k, built from coeffs as the spatial fits do
-        ens = solve_mild(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.05, 20), 16, seed=5)
+        c = _node_paths(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.05, 20), 16, seed=5)[:, :, -1]
         xs, ws = laplace8.spatial_quadrature(256)
-        c = ens.coeffs[:, :, -1]
         field = c @ laplace8.eigenfunctions(xs).T
         quad = (field**2) @ ws
         assert np.allclose(quad, np.sum(c**2, axis=1), rtol=1e-6)
@@ -448,11 +456,11 @@ class TestEnsembleAccessors:
         # mode k sits at coeffs[:, k - 1, :] whatever the truncation, and
         # the time axis holds every node from the zero initial condition on
         grid = TimeGrid(0.0, 0.25, 4)
-        ens = solve_mild(laplace8, FracParams.fbm(0.5), grid, 4, seed=5)
-        assert ens.coeffs.shape == (4, 8, 5)
-        assert not ens.coeffs[:, :, 0].any()
-        low = solve_mild(laplace8.truncated(3), FracParams.fbm(0.5), grid, 4, seed=5)
-        assert np.array_equal(ens.coeffs[:, :3, :], low.coeffs)
+        coeffs = _node_paths(laplace8, FracParams.fbm(0.5), grid, 4, seed=5)
+        assert coeffs.shape == (4, 8, 5)
+        assert not coeffs[:, :, 0].any()
+        low = _node_paths(laplace8.truncated(3), FracParams.fbm(0.5), grid, 4, seed=5)
+        assert np.array_equal(coeffs[:, :3, :], low)
 
 
 def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512,
@@ -462,7 +470,7 @@ def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512,
 
 
 class TestMildSummary:
-    """mild_summary folds the draws of solve_mild mode by mode; the stored route is its oracle."""
+    """mild_summary folds the ``_mode_paths`` draws mode by mode; their stack is its oracle."""
 
     @pytest.mark.parametrize("family", ["fbm", "rosenblatt"])
     @pytest.mark.parametrize("alpha", [0.0, 0.25])
@@ -471,10 +479,10 @@ class TestMildSummary:
         mod = SpectralModel(L_PI, 1, 6, p=p)
         params = FracParams.fbm(0.75) if family == "fbm" else FracParams.rosenblatt(0.75)
         grid = TimeGrid(0.0, 1.0 / 32, 32)
-        ens = solve_mild(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
+        coeffs = _node_paths(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
         terminal, slope = _summary(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
-        assert np.array_equal(terminal, ens.coeffs[:, :, -1])
-        assert slope == holder_exponent_estimate(ens)
+        assert np.array_equal(terminal, coeffs[:, :, -1])
+        assert slope == _fold_slope(mod, grid, coeffs)
 
     def test_no_fit_without_request(self):
         # a grid too short for the fit is fine when no fit is asked for
@@ -482,12 +490,16 @@ class TestMildSummary:
         terminal, slope = _summary(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8,
                                    seed=5, fit_holder=False)
         assert slope is None
-        ens = solve_mild(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
-        assert np.array_equal(terminal, ens.coeffs[:, :, -1])
+        coeffs = _node_paths(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
+        assert np.array_equal(terminal, coeffs[:, :, -1])
 
     def test_short_grid_rejected(self, laplace8):
         with pytest.raises(ValueError, match="lag"):
             _summary(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.25, 4), 4, seed=5)
+
+    def test_no_paths_rejected(self, laplace8):
+        with pytest.raises(ValueError, match="at least one path"):
+            _summary(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 1.0 / 64, 64), 0)
 
     def test_refuses_supercritical_alpha(self):
         mod = SpectralModel(L_PI, 1, 16)
@@ -547,7 +559,7 @@ class TestModePool:
         for workers in (1, 2, 3):
             with worker_threads(workers):
                 terminal, slope = _summary(mod, params, grid, n_paths, seed=3, n_noise_cells=64)
-                coeffs = solve_mild(mod, params, grid, n_paths, seed=3, n_noise_cells=64).coeffs
+                coeffs = _node_paths(mod, params, grid, n_paths, seed=3, n_noise_cells=64)
             runs.append((terminal, slope, coeffs))
         terminal, slope, coeffs = runs[0]
         assert np.array_equal(terminal, coeffs[:, :, -1])
@@ -658,10 +670,10 @@ class TestHolderEstimate:
         # on the midpoint rule, which must keep all K sine modes orthonormal
         mod = SpectralModel(L_PI, 1, k)
         grid = TimeGrid(0.0, 1.0 / 4096, 64)
-        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 200, seed=1)
-        slope = holder_exponent_estimate(ens)
-        lp = dataclasses.replace(ens, model=dataclasses.replace(mod, p=2.0 + 1e-9))
-        assert holder_exponent_estimate(lp) == pytest.approx(slope, abs=1e-8)
+        coeffs = _node_paths(mod, FracParams.fbm(0.4), grid, 200, seed=1)
+        slope = _fold_slope(mod, grid, coeffs)
+        lp = dataclasses.replace(mod, p=2.0 + 1e-9)
+        assert _fold_slope(lp, grid, coeffs) == pytest.approx(slope, abs=1e-8)
 
     @pytest.mark.parametrize(
         "p,rtol",
@@ -671,11 +683,11 @@ class TestHolderEstimate:
     def test_lag_means_match_indexed_oracle(self, monkeypatch, p, rtol):
         mod = SpectralModel(L_PI, 1, 12)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = solve_mild(mod, FracParams.fbm(0.4), grid, 300, seed=8)
+        coeffs = _node_paths(mod, FracParams.fbm(0.4), grid, 300, seed=8)
         fits = []
         polyfit = np.polyfit
         monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fits.append(y) or polyfit(x, y, deg))
-        slope = holder_exponent_estimate(dataclasses.replace(ens, model=dataclasses.replace(mod, p=p)))
+        slope = _fold_slope(dataclasses.replace(mod, p=p), grid, coeffs)
         # the fit's definition with explicitly indexed increment copies
         n, i0 = grid.n_steps, grid.n_steps // 2
         xs, wq = mod.spatial_quadrature(64)
@@ -684,7 +696,7 @@ class TestHolderEstimate:
         oracle = []
         for lag in lags:
             starts = np.arange(i0, n + 1 - lag)
-            diff = ens.coeffs[:, :, starts + lag] - ens.coeffs[:, :, starts]
+            diff = coeffs[:, :, starts + lag] - coeffs[:, :, starts]
             if p == 2.0:
                 norms = np.sqrt(np.einsum("pks,pks->ps", diff, diff))
             else:
@@ -700,19 +712,13 @@ class TestHolderEstimate:
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         ks = np.arange(1, 9)
         coeffs = np.exp(-ks[None, :, None]) * np.sin(grid.nodes[None, None, :] + ks[None, :, None])
-        ens = MildSolutionEnsemble(SpectralModel(L_PI, 1, 8), grid, coeffs)
-        assert holder_exponent_estimate(ens) == pytest.approx(1.0, abs=0.05)
+        assert _fold_slope(SpectralModel(L_PI, 1, 8), grid, coeffs) == pytest.approx(1.0, abs=0.05)
 
     def test_short_grid_rejected(self, laplace8):
-        ens = solve_mild(laplace8, FracParams.fbm(0.5), TimeGrid(0.0, 0.25, 4), 4, seed=5)
+        grid = TimeGrid(0.0, 0.25, 4)
+        coeffs = _node_paths(laplace8, FracParams.fbm(0.5), grid, 4, seed=5)
         with pytest.raises(ValueError, match="lag"):
-            holder_exponent_estimate(ens)
-
-    def test_empty_rejected(self, laplace8):
-        grid = TimeGrid(0.0, 1.0 / 64, 64)
-        ens = MildSolutionEnsemble(laplace8, grid, np.zeros((0, 8, 65)))
-        with pytest.raises(ValueError, match="empty"):
-            holder_exponent_estimate(ens)
+            _fold_slope(laplace8, grid, coeffs)
 
 
 class TestNeumannKernel:
@@ -893,6 +899,9 @@ class TestBoundarySolutionCheck:
     def test_x_nodes_validated(self):
         with pytest.raises(ValueError, match="inside the domain"):
             boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.2, 0.1])
+        # a NaN node fails every comparison, so it is refused before any draw
+        with pytest.raises(ValueError, match="inside the domain"):
+            boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.25, math.nan, 0.75])
 
     def test_pointwise_isometry_three_se(self):
         n_paths = 4000
