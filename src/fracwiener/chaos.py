@@ -56,10 +56,6 @@ class DiscreteIsonormal:
         gen = block_generator(self.seed, self.stream, block)
         return gen.standard_normal((n, self.n_cells)) * np.sqrt(self.grid.dt)
 
-    def increments(self, n_paths: int) -> np.ndarray:
-        """(n_paths, n_cells) array of scaled noise increments."""
-        return map_path_blocks(lambda b, sl: self.increment_block(b, sl.stop - sl.start), n_paths)
-
     def first_order(self, v, n_paths: int) -> np.ndarray:
         """Single Wiener integral of cell samples ``v``, shape ``(n_paths,)``."""
         w = np.asarray(v, dtype=float)

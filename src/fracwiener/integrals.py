@@ -2,8 +2,8 @@
 
 Three layers live here:
 
-* scalar elementary integrals (Stieltjes sums along ensemble paths) and
-  their isometry diagnostics;
+* scalar elementary integrals (Stieltjes sums of the integrand's cell
+  values against the ensemble's increments) and their isometry diagnostics;
 * cylindrical integrals against a finite family of driver components,
   summable exactly when the column family is Hilbert-Schmidt;
 * kernel-based gamma norms for L^p targets, plus the two finiteness
@@ -101,20 +101,19 @@ def _snap_breakpoints(f: StepFunction, grid: TimeGrid):
 def elementary_integral(f: StepFunction, ensemble: PathEnsemble) -> ElementaryIntegralResult:
     """Stieltjes sum of ``f`` against every path of the ensemble.
 
+    It weights each path increment by the integrand's value on its cell.
     Breakpoints are snapped to the nearest grid node (at most half a step,
     logged); anything further off the grid is an error.
     """
     grid = ensemble.grid
     edges, vals, moved = _snap_breakpoints(f, grid)
-    n_nodes = grid.n_steps + 1
-    weights = np.zeros(n_nodes)
+    cells = np.zeros(grid.n_steps)
     if vals.size:
-        np.add.at(weights, edges[1:], vals)
-        np.subtract.at(weights, edges[:-1], vals)
+        cells[edges[0]:edges[-1]] = np.repeat(vals, np.diff(edges))
         snapped = StepFunction(grid.t0 + grid.dt * edges, vals)
     else:
         snapped = StepFunction.empty()
-    samples = ensemble.paths @ weights
+    samples = ensemble.increments @ cells
     return ElementaryIntegralResult(
         samples=samples,
         f=snapped,

@@ -40,18 +40,19 @@ checks at Monte Carlo precision:
   each a GEMM over the filter rows where k_{t_j} - k_{t_{j-1}} is nonzero.
   Each dQ_j has low numerical rank (about 30 of r = 194 at 2048 cells):
   its eigenpairs (lambda_i, v_i) are kept up to _ENERGY_TOL of its trace
-  norm sum |lambda|, so with the truncated forms Q~_t = sum_{j <= t} of
-  them
-      z_t = C [sum_{i: j(i) <= t} lambda_i (zeta . v_i)^2 - tr Q~_t],
-  one GEMM of zeta against the kept vectors per path block.
+  norm sum |lambda| (the truncated dQ~_j sum to Q~_t), and z's increment is
+      z_{t_j} - z_{t_{j-1}} = C sum_{i: j(i) = j} lambda_i [(zeta . v_i)^2 - 1],
+  centred exactly, since E (zeta . v_i)^2 = 1: one GEMM of zeta against the
+  kept vectors per path block.
 
 Its covariance 2 C^2 tr(Q~_s Q~_t) is available in closed form
 (hermite_covariance), which is also how the calibration constant C is
 fixed; no pilot Monte Carlo run is involved.
 
-Both simulators draw their paths block by block through
-``rng.map_path_blocks``, so they run on the pool of ``rng.worker_threads``
-when one is in effect and give the same paths at any worker count.  The
+Both simulators return the increments over the grid cells, whose running
+sum is ``PathEnsemble.paths``.  They draw block by block through
+``rng.map_path_blocks``, on the pool of ``rng.worker_threads`` when one is
+in effect, and give the same increments at any worker count.  The
 second-chaos operator of the last geometry is kept: drivers that differ
 only in their seed or stream, such as the modes of a mild solve, share
 one build.
@@ -174,13 +175,22 @@ def _increment_covariance(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
+    """Driver paths on a grid from 0, held as their changes over its cells."""
+
     grid: TimeGrid
-    paths: np.ndarray  # (n_paths, n_nodes), column 0 identically zero
+    increments: np.ndarray  # (n_paths, n_steps)
     params: FracParams
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.increments.shape[0]
+
+    @property
+    def paths(self) -> np.ndarray:
+        """(n_paths, n_steps + 1) node values, the running sum from 0; a new array per access."""
+        out = np.zeros((self.n_paths, self.increments.shape[1] + 1))
+        np.cumsum(self.increments, axis=1, out=out[:, 1:])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +246,8 @@ def simulate_fbm(
     seed: int,
     stream: int = 0,
 ) -> PathEnsemble:
-    """Exact Gaussian sampling of fBm at the grid nodes; the grid size picks
-    Cholesky (up to _CHOLESKY_MAX_STEPS steps) or circulant embedding."""
+    """Exact Gaussian sampling of fBm increments over the grid cells; the grid
+    size picks Cholesky (up to _CHOLESKY_MAX_STEPS steps) or circulant embedding."""
     if params.family is not Family.FBM:
         raise ValueError("simulate_fbm needs FBM parameters")
     _require_zero_start(grid)
@@ -251,18 +261,15 @@ def simulate_fbm(
         gen = block_generator(seed, stream, block)
         return draw(gen, sl.stop - sl.start)
 
-    paths = map_path_blocks(run, n_paths)
-    return PathEnsemble(grid, paths, params)
+    return PathEnsemble(grid, map_path_blocks(run, n_paths), params)
 
 
 def _fbm_cholesky_drawer(gamma: np.ndarray):
-    # the Toeplitz matrix of gamma[:n] is the covariance of the n increments.
-    # The running sum of its factor's rows is lower triangular with the same
-    # positive diagonal, so it is the unique Cholesky factor of the nodes
+    # the Toeplitz matrix of gamma[:n] is the covariance of the n increments
     n = gamma.size - 1
     idx = np.arange(n)
     try:
-        chol = np.cumsum(np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)]), axis=0)
+        chol = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)])
     except np.linalg.LinAlgError:
         raise ValueError("covariance factorization failed: grid too fine")
 
@@ -274,12 +281,11 @@ def _fbm_cholesky_drawer(gamma: np.ndarray):
         # draw.  A short last chunk joins the one before it, so no chunk of a
         # longer block is small enough for the one-row or small-matrix kernels
         # of the BLAS, which round differently from its blocked product
-        out = np.empty((b, n + 1))
-        out[:, 0] = 0.0
+        out = np.empty((b, n))
         lo = 0
         while lo < b:
             hi = b if b - lo < 2 * rows else lo + rows
-            np.matmul(gen.standard_normal((hi - lo, n)), chol.T, out=out[lo:hi, 1:])
+            np.matmul(gen.standard_normal((hi - lo, n)), chol.T, out=out[lo:hi])
             lo = hi
         return out
 
@@ -303,11 +309,7 @@ def _fbm_circulant_drawer(gamma: np.ndarray):
         # vanishes because eig_j = eig_{m-j}
         h = (b + 1) // 2
         fgn = np.fft.fft(gen.standard_normal((h, 2 * m)).view(np.complex128) * scale, axis=1)
-        out = np.empty((b, n + 1))
-        out[:, 0] = 0.0
-        np.cumsum(fgn.real[:, :n], axis=1, out=out[:h, 1:])
-        np.cumsum(fgn.imag[:b - h, :n], axis=1, out=out[h:, 1:])
-        return out
+        return np.concatenate([fgn.real[:, :n], fgn.imag[:b - h, :n]])
 
     return draw
 
@@ -455,7 +457,7 @@ _OPERATOR_LOCK = threading.Lock()
 
 @lru_cache(maxsize=1)
 def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scale: float):
-    """The seed-free part of ``_HermiteOperator``: ``(rank, dropped, covariance, trace, basis, weights)``.
+    """The seed-free part of ``_HermiteOperator``: ``(rank, dropped, covariance, basis, weights)``.
 
     It depends on the noise window ``noise`` but not on the seed or stream
     of its white noise, so operators that differ only there share one build.
@@ -513,32 +515,32 @@ def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scal
         raise ValueError("degenerate kernel discretization")
     scale = params.sigma * t_end**params.h / np.sqrt(raw_end)  # calibrated to sigma^2 t_end^2H
     covariance = scale**2 * raw_cov
-    trace = scale * np.trace(forms, axis1=1, axis2=2)[col]
     basis = basis_t[:m].T  # r x m, column-major
-    # weights[i, t] = C lambda_i once t reaches the increment of eigenpair i
-    weights = (scale * lams[:m, None]) * (first[:m, None] <= col)
-    for arr in (covariance, trace, basis, weights):
+    # weights[i, j - 1] = C lambda_i on the increment j of eigenpair i, 0 elsewhere
+    weights = (scale * lams[:m, None]) * (first[:m, None] == np.arange(1, steps.size))
+    for arr in (covariance, basis, weights):
         arr.setflags(write=False)
-    return rank, dropped, covariance, trace, basis, weights
+    return rank, dropped, covariance, basis, weights
 
 
 class _HermiteOperator:
     """Rank-r quadratic forms Q_t = a^T diag(omega_t) a, their increments'
-    eigenpairs and their covariance."""
+    eigenpairs and their covariance; z's increments between consecutive distinct times."""
 
     def __init__(self, params: FracParams, times: np.ndarray, iso: DiscreteIsonormal,
                  warp_scale: float):
         key = (params, tuple(np.asarray(times, dtype=float).tolist()), iso.grid, float(warp_scale))
         with _OPERATOR_LOCK:
-            self.rank, self.dropped, self.covariance, self.trace, self.basis, self.weights = (
+            self.rank, self.dropped, self.covariance, self.basis, self.weights = (
                 _operator_parts(*key)
             )
+        self.trace = self.weights.sum(axis=0)  # tr dQ~_j, as E (zeta . v_i)^2 = 1
         # zeta = V_r^T xi is white noise on r unit cells: the same keys
         # (seed, stream, block) draw r standard normals per path
         self.latent = DiscreteIsonormal(TimeGrid(0.0, 1.0, self.rank), iso.seed, iso.stream)
 
     def sample_block(self, block: int, b: int) -> np.ndarray:
-        # z_t = sum_i weights[i, t] (zeta . v_i)^2 - tr Q_t, over chunks of basis columns
+        # dz_j = sum_i weights[i, j] (zeta . v_i)^2 - tr dQ~_j, over chunks of basis columns
         zeta = self.latent.increment_block(block, b)
         out = np.tile(-self.trace, (b, 1))
         step = max(1, _CHUNK_ELEMENTS // b)
@@ -557,16 +559,15 @@ def simulate_hermite_k2(
     n_paths: int,
     warp_scale: float = 0.6,
 ) -> PathEnsemble:
-    """Second-chaos simulation at the grid nodes, calibrated to sigma^2 t^2H.
+    """Second-chaos increments over the grid cells, calibrated to sigma^2 t^2H.
 
     ``warp_scale`` is the e-folding length of the coordinate warp in units
     of the horizon.
     """
     _require_zero_start(grid)
     op = _HermiteOperator(params, grid.nodes, iso, warp_scale)
-    paths = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start), n_paths)
-    paths[:, 0] = 0.0  # omega vanishes at t = 0; pin the exact zero
-    return PathEnsemble(grid, paths, params)
+    increments = map_path_blocks(lambda blk, sl: op.sample_block(blk, sl.stop - sl.start), n_paths)
+    return PathEnsemble(grid, increments, params)
 
 
 def hermite_covariance(

@@ -331,14 +331,11 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
     weights = model.fractional_weights(alpha)
 
     def mode(k: int) -> tuple[int, np.ndarray]:
-        # mode k is component k of simulate_cylindrical; its path is dropped
-        # once copied time-major, and the increments form in that copy
-        # backward from the end (node 0 is an exact zero)
+        # mode k is component k of simulate_cylindrical; its increments are
+        # dropped once copied time-major
         y = np.ascontiguousarray(
-            simulate_driver(params, grid, n_paths, seed, k, n_noise_cells).paths[:, 1:].T
+            simulate_driver(params, grid, n_paths, seed, k, n_noise_cells).increments.T
         )
-        for i in range(y.shape[0] - 1, 0, -1):
-            y[i] -= y[i - 1]
         # exact one-step form of the left-point convolution
         fade = math.exp(-lams[k] * grid.dt)
         y *= fade
@@ -675,8 +672,7 @@ def boundary_solution_check(
         gmat = neumann_heat_kernel(
             lags[:, None], np.broadcast_to(xs, (lags.size, xs.size)), atom, cfg.length
         )
-        dz = np.diff(comp.paths, axis=1)
-        total += dz @ gmat
+        total += comp.increments @ gmat
 
     steps = [tuple(_boundary_kernel_step(cfg, x, y) for y in (0.0, cfg.length)) for x in xs]
     expected = np.array(

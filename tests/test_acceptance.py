@@ -168,9 +168,10 @@ def test_c05_second_chaos_covariance():
     with worker_threads(THREADS):
         ens = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma), grid, iso, n_paths)
     worst = 0.0
+    paths = ens.paths
     for i, s in zip([1, 2, 4], [0.25, 0.5, 1.0]):
         for j, t in zip([1, 2, 4], [0.25, 0.5, 1.0]):
-            prod = ens.paths[:, i] * ens.paths[:, j]
+            prod = paths[:, i] * paths[:, j]
             exact = sigma**2 * covariance_rh(s, t, 0.75)
             se = float(np.std(prod, ddof=1)) / math.sqrt(n_paths)
             worst = max(worst, abs(float(np.mean(prod)) - exact) / se)

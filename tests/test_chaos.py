@@ -7,10 +7,15 @@ import pytest
 
 from fracwiener import TimeGrid
 from fracwiener.chaos import DiscreteIsonormal, double_wiener_integral, moment_ratio
-from fracwiener.rng import worker_threads
+from fracwiener.rng import map_path_blocks, worker_threads
 
 CHAOS2_RATIO = 60.0**0.25 / 2.0**0.5  # (E(xi^2-1)^4)^(1/4) / (E(xi^2-1)^2)^(1/2)
 GAUSS_RATIO = 3.0**0.25
+
+
+def _increments(iso, n_paths):
+    # the noise of n_paths paths, block by block on the pool's keys
+    return map_path_blocks(lambda b, sl: iso.increment_block(b, sl.stop - sl.start), n_paths)
 
 
 class TestDiscreteIsonormal:
@@ -25,15 +30,15 @@ class TestDiscreteIsonormal:
     def test_deterministic_and_stream_separated(self):
         iso = DiscreteIsonormal.for_window(1.0, 32, seed=11)
         again = DiscreteIsonormal.for_window(1.0, 32, seed=11)
-        assert np.array_equal(iso.increments(500), again.increments(500))
+        assert np.array_equal(_increments(iso, 500), _increments(again, 500))
         other = DiscreteIsonormal.for_window(1.0, 32, seed=11, stream=1)
-        assert not np.array_equal(iso.increments(500), other.increments(500))
+        assert not np.array_equal(_increments(iso, 500), _increments(other, 500))
 
     def test_thread_count_does_not_change_draws(self):
         iso = DiscreteIsonormal.for_window(1.0, 16, seed=2)
-        a = iso.increments(10_000)
+        a = _increments(iso, 10_000)
         with worker_threads(7):
-            b = iso.increments(10_000)
+            b = _increments(iso, 10_000)
         assert np.array_equal(a, b)
 
     def test_inner_product_covariance(self):

@@ -143,6 +143,7 @@ REMOVED_KEYS = (
     ("gauss_rtol", MOMENTS_CFG + "gauss_rtol = 0.2\n"),
     ("chaos2_rtol", MOMENTS_CFG + "chaos2_rtol = 0.3\n"),
     ("combo_bound", MOMENTS_CFG + "combo_bound = 10\n"),
+    ("t_end", MOMENTS_CFG + "t_end = 1\n"),
     ("z_max", SPDE_CFG + "z_max = 100\n"),
     ("smoothing_tol", SPDE_CFG + "smoothing_tol = 1\n"),
     ("z_max", BOUNDARY_CFG + "z_max = 100\n"),
@@ -285,6 +286,11 @@ class TestValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="grid is empty"):
             validate_config(self._raw(hurst=""))
+
+    @pytest.mark.parametrize("raw", ["0.3,,0.6,", "0.3, 0.6,", ","])
+    def test_empty_grid_element_rejected(self, raw):
+        with pytest.raises(ConfigError, match="expected a number, got ''"):
+            validate_config(self._raw(hurst=raw))
 
     def test_bad_number_message(self):
         with pytest.raises(ConfigError, match="expected an integer"):
@@ -602,6 +608,17 @@ class TestKinds:
         assert code == 2
         assert "alpha and beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [ISO_CFG + "alpha = 0.7\nbeta = -5\n", ROS_CFG + "alpha = -1.25\n"],
+        ids=["fbm", "rosenblatt"],
+    )
+    def test_isometry_alpha_beta_need_the_generalized_family(self, tmp_path, capsys, text):
+        # the two keys have no effect on the other families
+        code, _ = _run(tmp_path, text)
+        assert code == 2
+        assert "alpha and beta apply to the generalized family only" in capsys.readouterr().err
+
     def test_moments(self, tmp_path):
         code, out = _run(tmp_path, MOMENTS_CFG)
         assert code == 0
@@ -775,8 +792,9 @@ def fuzz_configs(draw):
         if key.coerce is _int:
             raw[key.name] = str(draw(st.integers(*SIZES[key.name])))
     scalars = [k for k in keys if k.coerce is not _int]
-    for key in draw(st.lists(st.sampled_from(scalars), max_size=3, unique=True)):
-        raw[key.name] = draw(_scalar(key))
+    if scalars:  # moments has integer keys only
+        for key in draw(st.lists(st.sampled_from(scalars), max_size=3, unique=True)):
+            raw[key.name] = draw(_scalar(key))
     return "".join(f"{k} = {v}\n" for k, v in raw.items())
 
 

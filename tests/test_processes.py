@@ -35,15 +35,21 @@ def _fgn_autocovariance(params, grid):
     return params.sigma**2 * processes._increment_covariance(lags[:2], lags, params.h)[0]
 
 
-def _node_factor(gamma):
-    # the Cholesky drawer's factor, the running sum of the rows of the
-    # increments' factor; the chunked-draw test pins simulate_fbm to it
+def _increment_factor(gamma):
+    # the Cholesky drawer's factor, of the increments' Toeplitz matrix; the
+    # chunked-draw test pins simulate_fbm to it
     n = gamma.size - 1
     idx = np.arange(n)
-    return np.cumsum(np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)]), axis=0)
+    return np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)])
 
 
-def _drawer_paths(drawer, params, grid, n_paths, seed, stream=0):
+def _node_factor(gamma):
+    # the running sum of the increment factor's rows: the factor of the node
+    # values that PathEnsemble.paths takes as the running sum of increments
+    return np.cumsum(_increment_factor(gamma), axis=0)
+
+
+def _drawer_increments(drawer, params, grid, n_paths, seed, stream=0):
     # one fBm drawer on simulate_fbm's block keys, whatever the grid size
     draw = drawer(_fgn_autocovariance(params, grid))
     return map_path_blocks(
@@ -217,35 +223,35 @@ class TestSimulateFbm:
         monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
         grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
         p = FracParams.fbm(0.6)
-        a = simulate_fbm(p, grid, 15, seed=5, stream=2).paths
-        assert np.array_equal(a, _drawer_paths(getattr(processes, drawer), p, grid, 15, 5, 2))
+        a = simulate_fbm(p, grid, 15, seed=5, stream=2).increments
+        assert np.array_equal(a, _drawer_increments(getattr(processes, drawer), p, grid, 15, 5, 2))
         with worker_threads(4):
-            assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2).paths)
-        assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).paths)
+            assert np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=2).increments)
+        assert not np.array_equal(a, simulate_fbm(p, grid, 15, seed=5, stream=3).increments)
 
     def test_chunked_cholesky_draw_matches_the_whole_block_product(self):
         # the drawer multiplies row chunks of normals into its output; the
         # bytes are those of one (b, n) draw times the factor, per block
         grid = TimeGrid(0.0, 1.0 / 256, 256)
         p = FracParams.fbm(0.4)
-        chol = _node_factor(_fgn_autocovariance(p, grid))
+        chol = _increment_factor(_fgn_autocovariance(p, grid))
         rows = processes._NORMAL_CHUNK_ELEMENTS // grid.n_steps
         for n_paths in (1, rows - 1, rows, rows + 1, 2 * rows + 1, rng.BLOCK_PATHS + 1):
-            parts = []
-            for b, sl in path_blocks(n_paths):
-                z = block_generator(3, 1, b).standard_normal((sl.stop - sl.start, 256)) @ chol.T
-                parts.append(np.concatenate([np.zeros((len(z), 1)), z], axis=1))
-            want = np.concatenate(parts)
+            want = np.concatenate([
+                block_generator(3, 1, b).standard_normal((sl.stop - sl.start, 256)) @ chol.T
+                for b, sl in path_blocks(n_paths)
+            ])
             for workers in (1, 2):
                 with worker_threads(workers):
-                    got = simulate_fbm(p, grid, n_paths, seed=3, stream=1).paths
+                    got = simulate_fbm(p, grid, n_paths, seed=3, stream=1).increments
                 assert np.array_equal(got, want), (n_paths, workers)
 
     @pytest.mark.parametrize("n", [16, 256, 1024])
     @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
     def test_increment_factor_accumulates_to_the_node_factor(self, h, n):
-        # the Cholesky factor is unique, so the same normals give the same
-        # paths as a factor of the node covariance, up to rounding.  The
+        # the Cholesky factor is unique, so the running sum of the drawn
+        # increments, which PathEnsemble.paths takes, gives the same paths as
+        # a factor of the node covariance, up to rounding.  The
         # bound is relative to the largest entry: at H = 0.9 the node
         # covariance is ill-conditioned, and its factor's small diagonal
         # entries deviate by up to 2e-9 of themselves at 1024 steps
@@ -265,7 +271,7 @@ class TestSimulateFbm:
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
             ens = simulate_fbm(FracParams.fbm(0.5), grid, 30_000, seed=3)
-        inc = np.diff(ens.paths, axis=1)
+        inc = ens.increments
         v = np.var(inc, ddof=1)
         se = v * np.sqrt(2.0 / inc.size)
         assert abs(v - grid.dt) < 4 * se + 1e-12
@@ -282,9 +288,9 @@ class TestSimulateFbm:
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         h = 0.3
         with worker_threads(4):
-            ens = simulate_fbm(FracParams.fbm(h), grid, 40_000, seed=9)
+            paths = simulate_fbm(FracParams.fbm(h), grid, 40_000, seed=9).paths
         for i, j in [(8, 24), (16, 64), (0, 40)]:
-            d = ens.paths[:, j] - ens.paths[:, i]
+            d = paths[:, j] - paths[:, i]
             m = np.mean(d * d)
             se = np.std(d * d, ddof=1) / np.sqrt(len(d))
             target = (grid.dt * (j - i)) ** (2 * h)
@@ -293,11 +299,11 @@ class TestSimulateFbm:
     def test_stationary_increments(self):
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         with worker_threads(4):
-            ens = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41)
+            paths = simulate_fbm(FracParams.fbm(0.75), grid, 50_000, seed=41).paths
         lag = 8
         target = (lag * grid.dt) ** 1.5
         for start in (0, 8, 20, 32, 48):
-            d = ens.paths[:, start + lag] - ens.paths[:, start]
+            d = paths[:, start + lag] - paths[:, start]
             v = np.var(d, ddof=1)
             se = v * np.sqrt(2.0 / (len(d) - 1))
             assert abs(v - target) < 3 * se
@@ -307,9 +313,9 @@ class TestSimulateFbm:
         # log-log slope of RMS increments against dyadic lags up to n/4
         grid = TimeGrid(0.0, 1.0 / 128, 128)
         with worker_threads(4):
-            ens = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13)
+            paths = simulate_fbm(FracParams.fbm(h), grid, 20_000, seed=13).paths
         lags = [2**j for j in range(6)]
-        rms = [np.sqrt(np.mean((ens.paths[:, lag:] - ens.paths[:, :-lag]) ** 2)) for lag in lags]
+        rms = [np.sqrt(np.mean((paths[:, lag:] - paths[:, :-lag]) ** 2)) for lag in lags]
         slope = np.polyfit(np.log(np.array(lags) * grid.dt), np.log(rms), 1)[0]
         assert slope == pytest.approx(h, abs=0.03)
 
@@ -333,9 +339,11 @@ class TestSimulateFbm:
         p = FracParams.fbm(0.75)
         with worker_threads(4):
             chol = simulate_fbm(p, grid, 50_000, seed=1)
-            circ = _drawer_paths(processes._fbm_circulant_drawer, p, grid, 50_000, 2)
+            circ = np.cumsum(
+                _drawer_increments(processes._fbm_circulant_drawer, p, grid, 50_000, 2), axis=1
+            )
         t = grid.nodes[1:]
-        emp = np.var(circ[:, 1:], axis=0, ddof=1)
+        emp = np.var(circ, axis=0, ddof=1)
         rel = emp / t**1.5
         band = 4 * np.sqrt(2.0 / (circ.shape[0] - 1))
         assert np.all(np.abs(rel - 1.0) < band)
@@ -345,9 +353,9 @@ class TestSimulateFbm:
         # one block of 4000 paths: path i is the real part of transform i,
         # path i + 2000 its imaginary part
         grid = TimeGrid(0.0, 1.0 / 32, 32)
-        paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(0.3), grid, 4000, 6)
-        h = paths.shape[0] // 2
-        re, im = paths[:h, 1:], paths[h:, 1:]
+        inc = _drawer_increments(processes._fbm_circulant_drawer, FracParams.fbm(0.3), grid, 4000, 6)
+        h = inc.shape[0] // 2
+        re, im = np.cumsum(inc[:h], axis=1), np.cumsum(inc[h:], axis=1)
         corr = np.mean(re * im, axis=0) / np.sqrt(np.mean(re**2, axis=0) * np.mean(im**2, axis=0))
         assert np.all(np.abs(corr) < 4.0 / np.sqrt(h))
 
@@ -355,25 +363,25 @@ class TestSimulateFbm:
         # the fGn Toeplitz matrix as the mixed second difference of R_H
         grid = TimeGrid(0.0, 1.0 / 16, 16)
         h = 0.3
-        paths = _drawer_paths(processes._fbm_circulant_drawer, FracParams.fbm(h), grid, 20_001, 12)
+        inc = _drawer_increments(processes._fbm_circulant_drawer, FracParams.fbm(h), grid, 20_001, 12)
         t = grid.nodes
         r = covariance_rh(t[:, None], t[None, :], h)
         target = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
-        inc = np.diff(paths, axis=1)
         prod = inc[:, :, None] * inc[:, None, :]
-        se = np.std(prod, axis=0, ddof=1) / np.sqrt(paths.shape[0])
+        se = np.std(prod, axis=0, ddof=1) / np.sqrt(inc.shape[0])
         z = (np.mean(prod, axis=0) - target) / se
         assert np.abs(z).max() < 4.5
 
 
 def _nine_point_z(ens, h, sigma=1.0):
     zmax = 0.0
+    paths = ens.paths
     for s in NINE_POINT:
         for t in NINE_POINT:
             i, snap = ens.grid.nearest_node(s)
             j, _ = ens.grid.nearest_node(t)
             assert snap < 1e-12
-            prod = ens.paths[:, i] * ens.paths[:, j]
+            prod = paths[:, i] * paths[:, j]
             se = np.std(prod, ddof=1) / np.sqrt(len(prod))
             z = (np.mean(prod) - sigma**2 * covariance_rh(s, t, h)) / se
             zmax = max(zmax, abs(z))
@@ -428,7 +436,8 @@ class TestSimulateHermite:
         ids=["rosenblatt-8", "rosenblatt-256", "generalized"],
     )
     def test_eigenbasis_sampler_matches_untruncated_forms(self, monkeypatch, par, n_cells, n_steps):
-        """sample_block against C [zeta^T Q_t zeta - tr Q_t], Q_t = a^T diag(w k_t) a untruncated.
+        """sample_block against the time differences of C [zeta^T Q_t zeta - tr Q_t],
+        Q_t = a^T diag(w k_t) a untruncated.
 
         Each increment form keeps its eigenpairs up to _ENERGY_TOL of its
         trace norm: the |lambda| it drops sum to at most that fraction.
@@ -442,11 +451,11 @@ class TestSimulateHermite:
         scale = par.sigma / np.sqrt(2.0 * np.sum(forms[-1] ** 2))  # t_end = 1
         zeta = op.latent.increment_block(0, 300)
         quad = np.einsum("pi,tij,pj->pt", zeta, forms, zeta)
-        oracle = scale * (quad - np.trace(forms, axis1=1, axis2=2))
+        oracle = np.diff(scale * (quad - np.trace(forms, axis1=1, axis2=2)), axis=1)
         assert np.abs(op.sample_block(0, 300) - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        # eigenpairs kept per increment: each row of weights starts at its increment
-        kept = np.bincount(np.argmax(op.weights != 0, axis=1), minlength=times.size)
-        d_omega = np.diff(omega, axis=0, prepend=0.0)
+        # eigenpairs kept per increment: each row of weights is one-hot on its increment
+        kept = np.bincount(np.argmax(op.weights != 0, axis=1), minlength=times.size - 1)
+        d_omega = np.diff(omega, axis=0)
         for j, dom in enumerate(d_omega):
             mags = np.sort(np.abs(np.linalg.eigvalsh((a * dom[:, None]).T @ a)))
             assert mags[:op.rank - kept[j]].sum() <= processes._ENERGY_TOL * mags.sum()
@@ -678,7 +687,7 @@ class TestCylindrical:
         with worker_threads(4):
             cyl = simulate_cylindrical(FracParams.fbm(0.5), grid, 2, 20_000, seed=9)
         for comp in cyl.components:
-            inc = np.diff(comp.paths, axis=1)
+            inc = comp.increments
             v = np.var(inc, ddof=1)
             se = v * np.sqrt(2.0 / inc.size)
             assert abs(v - grid.dt) < 4 * se + 1e-12

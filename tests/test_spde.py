@@ -410,8 +410,8 @@ class TestModePaths:
 
     def test_semigroup_decomposition_pathwise(self):
         # restart identity: y(t_{i+j}) = e^{-lam j dt} y(t_i) + fresh convolution,
-        # with increments recovered from the identically seeded driver, which
-        # is component k of the cylindrical driver
+        # with the increments of the identically seeded driver, which is
+        # component k of the cylindrical driver
         mod = SpectralModel(L_PI, 1, 3)
         grid = TimeGrid(0.0, 1.0 / 64, 64)
         coeffs = _node_paths(mod, FracParams.fbm(0.7), grid, 20, seed=6)
@@ -419,8 +419,8 @@ class TestModePaths:
         for k in (1, 3):
             lam = mod.eigenvalues[k - 1]
             drv = simulate_fbm(FracParams.fbm(0.7), grid, 20, 6, stream=k - 1)
-            assert np.array_equal(drv.paths, cyl.components[k - 1].paths)
-            dz = np.diff(drv.paths, axis=1)
+            dz = drv.increments
+            assert np.array_equal(dz, cyl.components[k - 1].increments)
             fade = math.exp(-lam * grid.dt)
             y = coeffs[:, k - 1, :]
             i, j = 20, 17
