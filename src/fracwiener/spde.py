@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.fft import dct
 
 from .grids import StepFunction, TimeGrid
 from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _second_moment_z, _stops_decaying
 from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .rng import map_ordered
-from .sobolev import dh_norm_exponential, integrand_norm
+from .sobolev import _check_hurst, dh_norm_exponential
 
 __all__ = [
     "SpectralModel",
@@ -131,22 +130,77 @@ def mode_norm(
 
 # pieces of every graded step kernel: the mode kernels and the Neumann boundary kernels
 _KERNEL_PIECES = 96
+# mode kernels per _graded_norms call in _mode_step_norms: its (chunk, 96)
+# temporaries stay small heap blocks, whatever the truncation
+_NORM_CHUNK = 64
+
+
+def _graded_edges(floor, t: float) -> np.ndarray:
+    """Edges ``{0} U geomspace(floor, t, _KERNEL_PIECES)`` of a graded step kernel on (0, t].
+
+    Every graded kernel lives on this partition, and ``_graded_norms`` relies
+    on its geometric spacing.  An array of floors gives one row of edges each.
+    """
+    floor = np.asarray(floor, dtype=float)
+    rest = np.geomspace(floor, t, _KERNEL_PIECES, axis=-1)
+    return np.concatenate((np.zeros(floor.shape + (1,)), rest), axis=-1)
+
+
+def _graded_norms(floors, t: float, values: np.ndarray, hurst: float) -> np.ndarray:
+    """Unit-scale covariance-route norms of step kernels on ``_graded_edges(floors, t)``.
+
+    ``values``, shape ``(n_kernels, _KERNEL_PIECES)``, holds the values
+    ``v_0 .. v_{n-1}`` of each kernel.  With ``d_k = v_{k-1} - v_k`` the drop
+    of the step at edge ``e_k > 0`` (``v_n = 0``), the squared norm is
+    ``sum_{k,l} d_k d_l R_H(e_k, e_l)``.  On a geometric partition with ratio rho,
+    ``|e_k - e_l|^{2H} = P_max(k,l) (1 - G_|k-l|)`` with ``P_k = e_k^{2H}``
+    and ``G_j = 1 - (1 - rho^{-j})^{2H}``; since ``sum_{l<k} d_l = v_0 -
+    v_{k-1}``, the square is
+
+        ||s||^2 = sum_k d_k P_k (v_{k-1} + sum_{l<k} d_l G_{k-l}):
+
+    2n powers and one length-n convolution per kernel, where
+    ``integrand_norm(method="covariance")`` takes (n + 1)^2 powers.  The
+    drops of far-apart edges enter through the telescoped ``v_{k-1}``, not
+    through a sum that cancels, and ``G_j`` decays like ``2H rho^{-j}``.
+    """
+    h2 = 2.0 * _check_hurst(hurst)
+    floors = np.asarray(floors, dtype=float)
+    # pieces-major (n, kernels) layout: each lag of the convolution updates one contiguous block
+    v = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    d = v - np.concatenate((v[1:], np.zeros((1, v.shape[1]))))
+    log_ratio = (math.log(t) - np.log(floors)) / (_KERNEL_PIECES - 1)
+    with np.errstate(under="ignore"):
+        decay = np.exp(-np.arange(1, _KERNEL_PIECES)[:, None] * log_ratio)
+        gap = -np.expm1(h2 * np.log1p(-decay))
+    near = v.copy()
+    for j in range(1, _KERNEL_PIECES):
+        near[j:] += gap[j - 1] * d[:-j]
+    p = _graded_edges(floors, t)[:, 1:].T ** h2
+    return np.sqrt(np.maximum(np.sum(d * p * near, axis=0), 0.0))
+
+
+def _exp_kernel_values(lams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and cell averages of the graded steps of ``u -> e^{-lam u}`` on (0, t], per rate."""
+    lams = np.asarray(lams, dtype=float)[..., None]
+    floors = np.minimum(t * 1e-10, 1e-8 / np.maximum(lams, 1.0 / t))
+    edges = _graded_edges(floors[..., 0], t)
+    width = np.diff(edges, axis=-1)
+    with np.errstate(under="ignore"):
+        mass = np.exp(-lams * edges[..., :-1]) * -np.expm1(-lams * width) / lams
+    return edges, mass / width
 
 
 def _exp_kernel_step(lam: float, t: float) -> StepFunction:
     """Graded step discretization of ``u -> e^{-lam u}`` on (0, t], for ``lam > 0``.
 
-    Geometric edges resolve the boundary layer at 0 for stiff rates; each
-    piece carries the exact cell average, so the step function is the L2
-    projection of the kernel onto its own partition.
+    Geometric edges (``_graded_edges``, floor ``min(1e-10 t, 1e-8 / max(lam,
+    1/t))``) resolve the boundary layer at 0 for stiff rates; each piece
+    carries the exact cell average, so the step function is the L2
+    projection of the kernel onto its own partition.  ``_mode_step_norms``
+    takes the same cell averages for a block of rates at once.
     """
-    lam = float(lam)
-    lam_eff = max(lam, 1.0 / t)
-    floor = min(t * 1e-10, 1e-8 / lam_eff)
-    edges = np.concatenate(([0.0], np.geomspace(floor, t, _KERNEL_PIECES)))
-    with np.errstate(under="ignore"):
-        mass = np.exp(-lam * edges[:-1]) * -np.expm1(-lam * np.diff(edges)) / lam
-    return StepFunction(edges, mass / np.diff(edges))
+    return StepFunction(*_exp_kernel_values(lam, t))
 
 
 @dataclass(frozen=True)
@@ -154,7 +208,7 @@ class ExistenceReport:
     """Verdict of the K-doubling detector on the distributed-noise mode series."""
 
     gamma_norm_lp_value: float
-    per_mode_tail: tuple
+    per_mode_tail: tuple  # block-mass increments of the unit-scale (sigma = 1) series
     finite: bool
 
 
@@ -163,35 +217,38 @@ def _midpoint_sq_sums(coef: np.ndarray, length: float, n_cells: int) -> np.ndarr
 
     With ``sin^2 = (1 - cos)/2`` the sum is ``(sum_k coef_k - C_i) / L`` with
     ``C_i = sum_k coef_k cos(2 k pi x_i / L)``.  At the midpoints
-    ``x_i = (i + 1/2) L / n`` that cosine sum is half the unnormalised
-    DCT-III of the length-n vector holding ``coef_k`` at index 2k (Makhoul
-    1980), so no (n, K) sine matrix is built; the index fits while 2K < n.
-    Leading axes of ``coef`` are batch axes.  Rounding can leave a sum whose
-    exact value is 0 slightly negative, so the result is clipped at 0.
+    ``x_i = (i + 1/2) L / n`` that cosine sum is ``Re(n ifft(c)_i)`` for the
+    K + 1 phased coefficients ``c_k = coef_k e^{i pi k / n}`` (``c_0 = 0``),
+    which ``np.fft.ifft`` pads to length n, so no (n, K) sine matrix is built;
+    the index fits while K < n.  Leading axes of ``coef`` are batch axes.
+    Rounding can leave a sum whose exact value is 0 slightly negative, so
+    the result is clipped at 0.
     """
     coef = np.asarray(coef, dtype=float)
     n_modes = coef.shape[-1]
-    if not 2 * n_modes < n_cells:
-        raise ValueError("need more than 2K midpoint cells")
-    spread = np.zeros(coef.shape[:-1] + (n_cells,))
-    spread[..., 2 : 2 * n_modes + 1 : 2] = coef
-    cos_sum = dct(spread, type=3, axis=-1) / 2.0
+    if not n_modes < n_cells:
+        raise ValueError("need more than K midpoint cells")
+    phased = np.concatenate((np.zeros(coef.shape[:-1] + (1,)), coef), axis=-1)
+    phased = phased * np.exp(1j * math.pi * np.arange(n_modes + 1) / n_cells)
+    cos_sum = n_cells * np.fft.ifft(phased, n=n_cells, axis=-1).real
     return np.maximum(coef.sum(axis=-1, keepdims=True) - cos_sum, 0.0) / length
 
 
 @lru_cache(maxsize=32)
-def _mode_step_norms(
-    length: float, m: int, hurst: float, t0: float, sigma: float, n_modes: int
-) -> np.ndarray:
-    """Covariance-route norms of the first ``n_modes`` mode kernels, unweighted.
+def _mode_step_norms(length: float, m: int, hurst: float, t0: float, n_modes: int) -> np.ndarray:
+    """Unit-scale norms of the first ``n_modes`` graded mode kernels, unweighted.
 
-    They depend only on the geometry, H, t0 and sigma, so they are cached
-    per H and shared by every alpha; the caller applies the fractional
-    weights.  The array is read-only.
+    Each is the covariance-route norm of ``_exp_kernel_step(lam_k, t0)``,
+    taken by ``_graded_norms`` for ``_NORM_CHUNK`` modes at a time.  They
+    depend only on the geometry, H and t0, so they are cached per H and
+    shared by every alpha and sigma; the caller applies the fractional
+    weights and the scale.  The array is read-only.
     """
     lams = SpectralModel(length, m, n_modes).eigenvalues
-    kernels = (_exp_kernel_step(lam, t0) for lam in lams)
-    out = np.array([integrand_norm(f, hurst, sigma, method="covariance") for f in kernels])
+    out = np.empty(n_modes)
+    for lo in range(0, n_modes, _NORM_CHUNK):
+        edges, values = _exp_kernel_values(lams[lo : lo + _NORM_CHUNK], t0)
+        out[lo : lo + _NORM_CHUNK] = _graded_norms(edges[:, 1], t0, values, hurst)
     out.setflags(write=False)
     return out
 
@@ -212,13 +269,18 @@ def existence_report(
     modes, so doubling the truncation adds a block of nonnegative mass to the
     p-th power of the norm; the verdict is divergence when those blocks stop decaying.
 
-    The squared node norms ``sum_k a_k (2/L) sin^2(k pi x_i / L)`` on the
-    ``4 K 2^doublings`` midpoint cells come from the identity
-    ``sin^2 = (1 - cos)/2``: ``(sum_k a_k - sum_k a_k cos(2 k pi x_i / L)) / L``,
-    whose cosine sum is one DCT-III per doubling (``_midpoint_sq_sums``),
-    O(n log n) in the n cells and without an (n, K) sine matrix.  A horizon the
-    truncation cannot resolve (``lambda_K t0 < 1``) is refused: there the K-doubling
-    blocks do not yet show the decay of the series, and the verdict is wrong.
+    The mode norms are the unit-scale graded-kernel norms of
+    ``_mode_step_norms`` (2n powers and one convolution per mode, cached per
+    H), times the fractional weights.  The squared node norms
+    ``sum_k a_k (2/L) sin^2(k pi x_i / L)`` on the ``4 K 2^doublings``
+    midpoint cells come from the identity ``sin^2 = (1 - cos)/2``:
+    ``(sum_k a_k - sum_k a_k cos(2 k pi x_i / L)) / L``, whose cosine sum is
+    one inverse FFT per doubling (``_midpoint_sq_sums``), O(n log n) in the n
+    cells and without an (n, K) sine matrix.  The block masses and the
+    verdict are those of the unit-scale series; ``sigma`` multiplies the
+    gamma norm once, at the end.  A horizon the truncation cannot resolve
+    (``lambda_K t0 < 1``) is refused: there the K-doubling blocks do not yet
+    show the decay of the series, and the verdict is wrong.
     """
     if not model.eigenvalues[-1] * t0 >= 1.0:
         raise ValueError(
@@ -227,10 +289,10 @@ def existence_report(
             f"truncation {model.truncation}: raise t0 or the truncation, or shorten the domain"
         )
     k_max = model.truncation * 2**doublings
-    base = _mode_step_norms(model.length, model.m, hurst, t0, sigma, k_max)
+    base = _mode_step_norms(model.length, model.m, hurst, t0, k_max)
     n_cells = 4 * k_max
     _, ws = model.spatial_quadrature(n_cells)
-    # row j: the squared norms of the first K 2^j modes, one DCT per doubling
+    # row j: the squared norms of the first K 2^j modes, one inverse FFT per doubling
     sizes = model.truncation * 2 ** np.arange(doublings + 1)
     # a large alpha overflows the weights or their squares; the masses are
     # checked once below instead of warning per step
@@ -245,8 +307,11 @@ def existence_report(
             f"x 2^{doublings} overflows: its block masses are not finite; lower alpha"
         )
     incs = np.diff(mass)
+    gamma = sigma * mass[0] ** (1.0 / model.p)
+    if not math.isfinite(gamma):
+        raise ValueError(f"sigma = {sigma:g} times the unit-scale gamma norm overflows")
     return ExistenceReport(
-        gamma_norm_lp_value=mass[0] ** (1.0 / model.p),
+        gamma_norm_lp_value=gamma,
         per_mode_tail=tuple(float(d) for d in incs),
         finite=not _stops_decaying(incs),
     )
@@ -622,10 +687,21 @@ class BoundaryCheckRecord:
     gamma_norm: float
 
 
+# the first midpoint of a graded boundary kernel, floor sqrt(1e-3), is a normal
+# float while its floor min(1e-7 t0, 0.02 d^2), d the node's distance to the
+# nearer wall, is at least this
+_BOUNDARY_FLOOR_MIN = math.sqrt(np.finfo(float).tiny * 1e3)
+
+
 def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float) -> StepFunction:
-    """Graded step discretization of ``s -> g_N(s, x, y)`` on (0, t0]."""
+    """Graded step discretization of ``s -> g_N(s, x, y)`` on (0, t0].
+
+    The edges are ``_graded_edges`` from the floor ``min(1e-7 t0, 0.02 d^2)``,
+    d the distance from x to the nearer wall; each piece takes the kernel at
+    its geometric midpoint, the first one at ``floor sqrt(1e-3)``.
+    """
     floor = min(cfg.t0 * 1e-7, 0.02 * min(x, cfg.length - x) ** 2)
-    edges = np.concatenate(([0.0], np.geomspace(floor, cfg.t0, _KERNEL_PIECES)))
+    edges = _graded_edges(floor, cfg.t0)
     mids = np.sqrt(edges[1:] * np.maximum(edges[:-1], floor * 1e-3))
     vals = neumann_heat_kernel(mids, x, y, cfg.length)
     return StepFunction(edges, vals)
@@ -649,7 +725,10 @@ def boundary_solution_check(
     ``gamma_norm_lp`` of the two atoms' kernel field, without computing the
     kernel norms again.  ``x_nodes`` overrides the default 15 uniform
     interior nodes, e.g. to cluster points toward a boundary.  Each kernel
-    norm is taken on ``_KERNEL_PIECES`` graded pieces.
+    is ``_boundary_kernel_step`` on ``_KERNEL_PIECES`` graded pieces, and
+    ``_graded_norms`` takes the 2 x n_nodes norms at once.  A node nearer a
+    wall than the graded kernel resolves (about 4.9e-76), or a horizon
+    below about 4.7e-146, is refused before any draw.
     """
     params = FracParams.fbm(cfg.hurst, sigma)
     grid = TimeGrid(0.0, cfg.t0 / grid_steps, grid_steps)
@@ -665,6 +744,18 @@ def boundary_solution_check(
             and np.all(np.diff(xs) > 0)
         ):
             raise ValueError("x_nodes must increase strictly inside the domain")
+    if not cfg.t0 * 1e-7 >= _BOUNDARY_FLOOR_MIN:
+        raise ValueError(
+            f"horizon t0 = {cfg.t0:g} is below {_BOUNDARY_FLOOR_MIN * 1e7:.3g}, the shortest "
+            "the graded boundary kernels resolve"
+        )
+    wall = np.minimum(xs, cfg.length - xs)
+    if not np.all(0.02 * wall**2 >= _BOUNDARY_FLOOR_MIN):
+        i = int(np.argmin(wall))
+        raise ValueError(
+            f"x_nodes: node {xs[i]:g} is {wall[i]:g} from a wall; the graded boundary "
+            f"kernels resolve wall distances down to {math.sqrt(_BOUNDARY_FLOOR_MIN / 0.02):.3g}"
+        )
     cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed)
     lags = (grid.n_steps - np.arange(grid.n_steps)) * grid.dt
     total = np.zeros((n_paths, xs.size))
@@ -674,13 +765,11 @@ def boundary_solution_check(
         )
         total += comp.increments @ gmat
 
-    steps = [tuple(_boundary_kernel_step(cfg, x, y) for y in (0.0, cfg.length)) for x in xs]
-    expected = np.array(
-        [
-            sum(integrand_norm(s, cfg.hurst, sigma, method="covariance") ** 2 for s in pair)
-            for pair in steps
-        ]
-    )
+    steps = [_boundary_kernel_step(cfg, x, y) for x in xs for y in (0.0, cfg.length)]
+    floors = [s.breakpoints[1] for s in steps]
+    norms = _graded_norms(floors, cfg.t0, np.array([s.values for s in steps]), cfg.hurst)
+    # sigma**2 raises OverflowError where sigma^2 leaves the floating-point range
+    expected = sigma**2 * np.sum(norms.reshape(-1, 2) ** 2, axis=1)
     variance, _, z = _second_moment_z(total, expected)
     # cell weights from the midpoints between nodes, extended to the walls
     w = np.diff(np.concatenate(([0.0], 0.5 * (xs[1:] + xs[:-1]), [cfg.length])))

@@ -4,6 +4,7 @@ kind end to end, exit codes, artifact formats, byte-level determinism."""
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -419,7 +420,6 @@ class TestInvalidConfigExit2:
             # finite parameters that overflow inside the model
             ISO_CFG + "sigma = 1e300\n",
             BOUNDARY_CFG + "sigma = 1e300\n",
-            SWEEP_CFG + "sigma = 1e300\n",
             NORM_CFG + "t_end = 1e300\n",
             # spectral numbers that overflow: the block masses of a huge alpha,
             # and the top eigenvalue of a tiny domain
@@ -595,6 +595,25 @@ class TestKinds:
             passes.append([r[header.index("pass")] for r in rows])
         assert passes[0] == passes[1]
         assert zs[1] == pytest.approx(zs[0], abs=1e-9)
+
+    def test_sweep_verdicts_are_scale_free(self, tmp_path):
+        # sigma multiplies the detector's gamma norm once, after the verdict
+        cols = []
+        for sigma in ("1", "1e300"):
+            (tmp_path / sigma).mkdir()
+            code, out = _run(tmp_path / sigma, SWEEP_CFG + f"sigma = {sigma}\n")
+            assert code == 0
+            header, rows = _read_csv(out / "results.csv")
+            cols.append([[r[header.index(c)] for c in ("diverged", "pass")] for r in rows])
+            gamma = [float(r[header.index("gamma_norm")]) for r in rows]
+        assert cols[0] == cols[1]
+        assert all(math.isfinite(g) and g > 1e299 for g in gamma)
+
+    def test_near_wall_node_is_diagnosed(self, tmp_path, capsys):
+        for x in ("1e-200", "1e-100"):
+            code, _ = _run(tmp_path, BOUNDARY_CFG.replace("x_nodes = 0.5", f"x_nodes = {x}, 0.5"))
+            assert code == 2
+            assert f"x_nodes: node {x}" in capsys.readouterr().err
 
     def test_isometry_rosenblatt(self, tmp_path):
         code, out = _run(tmp_path, ROS_CFG)

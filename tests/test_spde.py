@@ -32,6 +32,7 @@ from fracwiener.spde import (
 )
 from fracwiener.spde import (
     _SHELL_START,
+    _boundary_kernel_step,
     _exp_kernel_step,
     _image_count,
     _mode_step_norms,
@@ -211,7 +212,7 @@ class TestExistenceReport:
         field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7)
         rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
-        cached = _mode_step_norms(mod.length, mod.m, 0.35, 1.0, 1.7, mod.truncation)
+        cached = _mode_step_norms(mod.length, mod.m, 0.35, 1.0, mod.truncation)
         with pytest.raises(ValueError):
             cached[0] = 0.0
 
@@ -220,16 +221,99 @@ class TestExistenceReport:
         with pytest.raises(ValueError, match="positive"):
             existence_report(mod, 0.4, 0.0, 0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_sigma_scales_the_gamma_norm_only(self, sigma):
+        # the verdict and the block masses are those of the unit-scale series
+        mod = SpectralModel(L_PI, 1, 16)
+        for alpha in (0.0, 0.1, 0.2, 0.3):
+            unit = existence_report(mod, 0.4, alpha, 1.0)
+            rep = existence_report(mod, 0.4, alpha, 1.0, sigma=sigma)
+            assert rep.finite == unit.finite
+            assert rep.per_mode_tail == unit.per_mode_tail
+            assert rep.gamma_norm_lp_value == pytest.approx(
+                sigma * unit.gamma_norm_lp_value, rel=1e-15
+            )
 
-def _dense_existence(mod, hurst, alpha, t0, sigma, doublings):
-    """Block masses and verdict of existence_report from a dense sine matrix.
+    def test_scaled_gamma_norm_overflow_refused(self):
+        # the unit-scale norm is about 1.6 here, so sigma = 1.7e308 leaves the range
+        mod = SpectralModel(L_PI, 1, 16)
+        with pytest.raises(ValueError, match="sigma = 1.7e\\+308"):
+            existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7e308)
+
+
+class TestGradedNorms:
+    """``_graded_norms`` against the covariance route of ``integrand_norm`` on the same kernels."""
+
+    @pytest.mark.parametrize("t0", [1e-20, 1.0, 100.0])
+    @pytest.mark.parametrize("i, hurst", list(enumerate([0.1, 0.4, 0.5, 0.75, 0.9])))
+    def test_mode_kernels(self, i, hurst, t0):
+        # the i-th H checks the modes k = i mod 5, so the five H cover all 512
+        # modes of each geometry and horizon; every mode at every H takes 6 s
+        for m in (1, 2):
+            for length in (1.0, L_PI):
+                lams = SpectralModel(length, m, 512).eigenvalues
+                got = _mode_step_norms(length, m, hurst, t0, 512)[i::5]
+                want = [
+                    integrand_norm(_exp_kernel_step(lam, t0), hurst, method="covariance")
+                    for lam in lams[i::5]
+                ]
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def _check_boundary(cfg, xs, rel):
+        sigma = 1.3
+        rec = boundary_solution_check(cfg, sigma, 4, grid_steps=8, x_nodes=xs)
+        steps = [_boundary_kernel_step(cfg, x, y) for x in xs for y in (0.0, cfg.length)]
+        values = np.array([s.values for s in steps])
+        got = spde._graded_norms([s.breakpoints[1] for s in steps], cfg.t0, values, cfg.hurst)
+        want = np.array([integrand_norm(s, cfg.hurst, method="covariance") for s in steps])
+        assert got == pytest.approx(want, rel=rel)
+        pairs = np.sum(want.reshape(-1, 2) ** 2, axis=1)
+        assert rec.expected_profile == pytest.approx(sigma**2 * pairs, rel=rel)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.75, 0.9])
+    def test_boundary_kernels_at_default_nodes(self, hurst):
+        self._check_boundary(NeumannKernelConfig(1.0, 1.0, hurst, 2.0), np.arange(1, 16) / 16.0, 1e-12)
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.6, 0.75, 0.9])
+    def test_boundary_kernels_near_a_wall(self, hurst):
+        # floor / t0 is about 4e-16 at x = 1e-6 and t0 = 50.  There the routes
+        # differ by up to 1.1e-11 (H = 0.99), and it is the covariance route that
+        # is off: against a 50-digit mpmath evaluation of the same double sum
+        # (x = 1e-6 and 1e-3, H = 0.6 and 0.75) the graded route is within 3e-16,
+        # the covariance route 7e-15 to 6.7e-12 off (next test)
+        xs = [1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6]
+        self._check_boundary(NeumannKernelConfig(1.0, 50.0, hurst, 2.0), xs, 1e-10)
+
+    def test_near_wall_kernel_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        cfg = NeumannKernelConfig(1.0, 50.0, 0.6, 2.0)
+        step = _boundary_kernel_step(cfg, 1e-6, 0.0)
+        with mp.workdps(30):
+            e = [mp.mpf(float(x)) for x in step.breakpoints[1:]]
+            v = [mp.mpf(float(x)) for x in step.values] + [mp.mpf(0)]
+            d = [a - b for a, b in zip(v, v[1:])]
+            h2 = 2 * mp.mpf(cfg.hurst)
+            p = [x**h2 for x in e]
+            sq = mp.fsum(
+                d[k] * d[l] * (p[k] + p[l] - abs(e[k] - e[l]) ** h2)
+                for k in range(len(e))
+                for l in range(len(e))
+            ) / 2
+            want = float(mp.sqrt(sq))
+        got = spde._graded_norms([step.breakpoints[1]], cfg.t0, step.values[None], cfg.hurst)[0]
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def _dense_existence(mod, hurst, alpha, t0, doublings):
+    """Unit-scale block masses and verdict of existence_report from a dense sine matrix.
 
     The reference sum: ``sum_k a_k phi_k(x_i)^2`` with the sine modes
     evaluated at every node, the route the cosine transform replaced.
     """
     k_max = mod.truncation * 2**doublings
     big = mod.truncated(k_max)
-    base = _mode_step_norms(mod.length, mod.m, hurst, t0, sigma, k_max)
+    base = _mode_step_norms(mod.length, mod.m, hurst, t0, k_max)
     norms = big.fractional_weights(alpha) * base
     xs, ws = mod.spatial_quadrature(4 * k_max)
     modes = big.eigenfunctions(xs)
@@ -251,15 +335,16 @@ class TestExistenceReportDenseOracle:
     """The cosine-transform sums of existence_report against the sine-matrix sums."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    # truncation 12 gives 48 2^doublings cells, a DCT length that is no power of
+    # truncation 12 gives 48 2^doublings cells, a transform length that is no power of
     # two; the odd truncation 13 gives 52 2^doublings, with the prime factor 13
     @pytest.mark.parametrize("truncation", [8, 12, 13, 64])
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
     def test_matches_sine_matrix(self, p, truncation, doublings):
         mod = SpectralModel(L_PI, 1, truncation, p=p)
         rep = existence_report(mod, 0.4, 0.1, 1.0, sigma=1.3, doublings=doublings)
-        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, 1.3, doublings)
-        assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
+        mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, doublings)
+        # sigma scales the gamma norm only; the tail and verdict are unit-scale
+        assert rep.gamma_norm_lp_value == pytest.approx(1.3 * mass[0] ** (1.0 / p), rel=1e-12)
         assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
         assert rep.finite == finite
 
@@ -278,7 +363,7 @@ class TestExistenceReportDenseOracle:
         for h in (0.3, 0.35, 0.4, 0.45):
             for a in np.linspace(0.0, 0.3, 13):
                 rep = existence_report(mod, h, a, 1.0)
-                assert rep.finite == _dense_existence(mod, h, a, 1.0, 1.0, 3)[2]
+                assert rep.finite == _dense_existence(mod, h, a, 1.0, 3)[2]
 
 
 class TestSmoothingExponent:
@@ -902,6 +987,18 @@ class TestBoundarySolutionCheck:
         # a NaN node fails every comparison, so it is refused before any draw
         with pytest.raises(ValueError, match="inside the domain"):
             boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.25, math.nan, 0.75])
+        # nearer a wall the graded kernel's floor 0.02 x^2 (1e-200) or its first
+        # midpoint (1e-100) underflows
+        for x in ("1e-200", "1e-100"):
+            with pytest.raises(ValueError, match=rf"x_nodes: node {x} .* down to 4.86e-76"):
+                boundary_solution_check(CFG75, 1.0, 8, x_nodes=[float(x), 0.5])
+        # 1e-60 from a wall is resolved
+        rec = boundary_solution_check(CFG75, 1.0, 8, grid_steps=8, x_nodes=[1e-60, 0.5])
+        assert np.all(np.isfinite(rec.expected_profile)) and np.all(rec.expected_profile > 0)
+
+    def test_unresolved_horizon_refused(self):
+        with pytest.raises(ValueError, match="horizon t0 = 1e-160"):
+            boundary_solution_check(NeumannKernelConfig(1.0, 1e-160, 0.75, 2.0), 1.0, 8)
 
     def test_pointwise_isometry_three_se(self):
         n_paths = 4000
