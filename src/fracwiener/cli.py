@@ -11,7 +11,8 @@ manifest alone.
 
 Exit codes: 0 all in-config assertions passed; 1 assertion failures
 (a failure table is printed); 2 invalid config, including a parameter
-the model rejects (diagnostics on stderr).
+the model rejects or an output directory that cannot be written
+(diagnostics on stderr).
 """
 from __future__ import annotations
 
@@ -153,29 +154,34 @@ def _cmd_run(args) -> int:
     exit_code = 1 if failures or strict_failed else 0
 
     out_dir = Path(args.out or cfg.out_dir or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = [name for name, _ in EXPERIMENTS[cfg.kind].columns]
-    write_results_csv(out_dir / "results.csv", columns, result.rows)
-    _dump_json(out_dir / "summary.json", result.summary)
-    _dump_json(
-        out_dir / "manifest.json",
-        {
-            "manifest_version": SUMMARY_VERSION,
-            "kind": cfg.kind,
-            "seed": cfg.seed,
-            "config_hash": cfg.text_hash,
-            "code_version": __version__,
-            "started": _utc(started),
-            "finished": _utc(finished),
-            "duration_s": finished - started,
-            "threads": threads,
-            "strict": bool(args.strict),
-            "warnings": list(result.warnings),
-            "verdicts": [v.to_record() for v in result.verdicts],
-            "exit_code": exit_code,
-            "artifacts": ["results.csv", "summary.json", "manifest.json"],
-        },
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        columns = [name for name, _ in EXPERIMENTS[cfg.kind].columns]
+        write_results_csv(out_dir / "results.csv", columns, result.rows)
+        _dump_json(out_dir / "summary.json", result.summary)
+        _dump_json(
+            out_dir / "manifest.json",
+            {
+                "manifest_version": SUMMARY_VERSION,
+                "kind": cfg.kind,
+                "seed": cfg.seed,
+                "config_hash": cfg.text_hash,
+                "code_version": __version__,
+                "started": _utc(started),
+                "finished": _utc(finished),
+                "duration_s": finished - started,
+                "threads": threads,
+                "strict": bool(args.strict),
+                "warnings": list(result.warnings),
+                "verdicts": [v.to_record() for v in result.verdicts],
+                "exit_code": exit_code,
+                "artifacts": ["results.csv", "summary.json", "manifest.json"],
+            },
+        )
+    except OSError as exc:
+        # the run is complete; only its artifacts could not be written
+        _config_diagnostics(f"output directory {out_dir}: {exc}")
+        return 2
 
     n = len(result.verdicts)
     if failures:

@@ -14,9 +14,10 @@ several independent routes to these quantities:
   arithmetic and integrated piece by piece, in the distance to that
   edge, with adaptive quadrature,
 * ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
-  the process increment covariance (no quadrature at all); the K-doubling
-  detector's step-projected mode norms use it, cached per H, with the
-  alpha weight applied after,
+  the process increment covariance (no quadrature at all); it is the
+  route for arbitrary step functions, used by
+  ``LpKernelField.kernel_norms`` and as the tests' oracle (the K-doubling
+  detector's graded mode kernels take ``spde._graded_norms`` instead),
 * ``dh_norm_exponential``: closed form for the exponential kernel of the
   spde mode norms, with ``dh_norm_smooth`` as its quadrature oracle,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,

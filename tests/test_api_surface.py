@@ -41,7 +41,7 @@ KEPT = {
 # public methods of public classes that neither the CLI nor a KEPT name reaches
 KEPT_METHODS = {
     "StepFunction.indicator": "the README session, and the isometry anchor (test_integrals)",
-    "PathEnsemble.paths": "node values for tests, scripts/rosenblatt_covariance.py and users; "
+    "PathEnsemble.paths": "node values for tests (c05 reads them) and users; "
                           "every program route reads the increments",
     "HSOperator.hs_norm_sq": "the paper's Hilbert-Schmidt norm of the cylindrical integrand",
     "HSOperator.column_norms_sq": "the paper's Hilbert-Schmidt norm of the cylindrical integrand",

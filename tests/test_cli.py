@@ -498,6 +498,24 @@ class TestInvalidConfigExit2:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_below_a_file_is_diagnosed(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        out = tmp_path / "afile" / "sub"
+        cfg = _write(tmp_path, NORM_CFG)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"output directory {out}:" in err
+        assert "Traceback" not in err
+
+    def test_out_dir_on_a_file_is_diagnosed(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("", encoding="utf-8")
+        cfg = _write(tmp_path, NORM_CFG + f"out_dir = {target}\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"output directory {target}:" in err
+        assert "Traceback" not in err
+
     def test_fourier_norm_overflow_is_diagnosed(self, tmp_path, capsys):
         # the norm is checked for finiteness itself: no RuntimeWarning on the
         # way, and no OverflowError behind the exit code
