@@ -24,6 +24,7 @@ ACCEPTED = {
     "iso-generalized": {0},
     "iso-rosenblatt": {0},
     "norm-identity": {0},
+    "norm-identity-long": {0},
     "spde-boundary": {0},
     "spde-boundary-short": {0, 1},
     "spde-boundary-wall": {0, 1},

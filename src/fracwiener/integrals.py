@@ -25,7 +25,7 @@ from scipy.special import roots_jacobi
 
 from .grids import StepFunction, TimeGrid
 from .processes import CylindricalEnsemble, FracParams, PathEnsemble
-from .sobolev import integrand_norm
+from .sobolev import _dyadic_shell, integrand_inner, integrand_norm
 
 __all__ = [
     "ElementaryIntegralResult",
@@ -263,17 +263,13 @@ class LpKernelField:
     def kernel_norms(self) -> np.ndarray:
         """Per-node norm: l2 over components of the integrand norms.
 
-        The bilinear covariance route is exact for step functions and
-        stays cheap for the finely graded kernels met here.
+        The squared norms are ``integrand_inner(c, c)``, the bilinear
+        covariance form: exact for step functions, and cheap for the finely
+        graded kernels met here.
         """
         h, sigma = self.params.h, self.params.sigma
         return np.array(
-            [
-                math.sqrt(
-                    sum(integrand_norm(c, h, sigma, method="covariance") ** 2 for c in k)
-                )
-                for k in self.kernels
-            ]
+            [math.sqrt(sum(max(integrand_inner(c, c, h, sigma), 0.0) for c in k)) for k in self.kernels]
         )
 
 
@@ -323,13 +319,6 @@ def _series_tail(terms: Sequence[float]) -> float:
     if rho >= 1.0:
         return math.inf
     return terms[-1] * rho / (1.0 - rho)
-
-
-def _dyadic_shell(top: float, j: int, x: np.ndarray, w: np.ndarray):
-    """Gauss rule ``(x, w)`` on [-1, 1] moved to the shell [top 2^-j-1, top 2^-j]."""
-    b = top * 2.0 ** (-j)
-    a = 0.5 * b
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
 def _dyadic_sum(shell: Callable, max_shells: int, rtol: float):

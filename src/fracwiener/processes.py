@@ -253,7 +253,11 @@ def simulate_fbm(
     _require_zero_start(grid)
     # the increment autocovariance: the first cell against the cells of lags 0 .. n
     lags = grid.dt * np.arange(grid.n_steps + 2)
-    gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge lags: checked once below
+        gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError(f"the fBm increment autocovariance is not finite at grid step {grid.dt:g} "
+                         f"and H = {params.h:g}; use a time window of moderate length")
     small = grid.n_steps <= _CHOLESKY_MAX_STEPS
     draw = (_fbm_cholesky_drawer if small else _fbm_circulant_drawer)(gamma)
 

@@ -9,15 +9,15 @@ on indicators.  The same norm is, up to an explicit constant, the
 homogeneous Sobolev norm of order 1/2 - H, and this module carries
 several independent routes to these quantities:
 
-* ``integrand_norm`` with ``method="transform"``: L2 norm of the tail
-  transform, its edge sum regrouped about the next edge in plain float
-  arithmetic and integrated piece by piece, in the distance to that
-  edge, with adaptive quadrature,
-* ``integrand_norm`` with ``method="covariance"``: exact bilinear form in
-  the process increment covariance (no quadrature at all); it is the
-  route for arbitrary step functions, used by
-  ``LpKernelField.kernel_norms`` and as the tests' oracle (the K-doubling
-  detector's graded mode kernels take ``spde._graded_norms`` instead),
+* ``integrand_norm``: L2 norm of the tail transform of the unit-span copy
+  of the integrand, times ``span^H``; its edge sum is regrouped about the
+  next edge and integrated piece by piece, in the distance to that edge,
+  on the dyadic shells of ``_shell_integral``,
+* ``integrand_inner``: exact bilinear form in the process increment
+  covariance (no quadrature at all); it is the route for arbitrary step
+  functions, used by ``LpKernelField.kernel_norms`` and as the tests'
+  oracle (the K-doubling detector's graded mode kernels take
+  ``spde._graded_norms`` instead),
 * ``dh_norm_exponential``: closed form for the exponential kernel of the
   spde mode norms, with ``dh_norm_smooth`` as its quadrature oracle,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
@@ -31,11 +31,8 @@ Cross-agreement of these routes is what the test suite leans on.
 from __future__ import annotations
 
 import math
-import warnings
-from functools import partial
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as _gamma, gammainc as _gammainc, hyp1f1 as _hyp1f1
 
 from .grids import GridFunction, StepFunction
@@ -58,20 +55,30 @@ __all__ = [
     "restricted_norm",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-10, limit=400)
+# the dyadic shells of _shell_integral and the Gauss rule on each
+_SHELLS = 90
+_SHELL_RULE = np.polynomial.legendre.leggauss(16)
 
 
-def _quad(fn, a, b):
-    """Adaptive quadrature; roundoff-limited convergence reports are fine here.
+def _dyadic_shell(top: float, j, x: np.ndarray, w: np.ndarray):
+    """Gauss rule ``(x, w)`` on [-1, 1] moved to the shells [top 2^-j-1, top 2^-j], j int or array."""
+    b = top * 2.0 ** (-j)
+    a = 0.5 * b
+    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
-    The tolerances in ``_QUAD_OPTS`` are deliberately tighter than what some
-    algebraically-decaying tails admit, so the value returned at the roundoff
-    plateau is accepted silently.
+
+def _shell_integral(fn, top: float, ratio: float) -> float:
+    """``int_0^top fn(u) du`` for an integrand with a power law at ``u = 0``.
+
+    All ``_SHELLS`` dyadic shells toward 0 are evaluated as one array of
+    nodes (``fn`` takes arrays), and the shells past the last one are
+    added as the geometric series of ``ratio``, the ratio of consecutive
+    shell contributions that the integrand's leading power at 0 gives.
+    Past 2^-90 of ``top`` the lower-order powers no longer matter.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(fn, a, b, **_QUAD_OPTS)
-    return val
+    x, w = _dyadic_shell(top, np.arange(_SHELLS)[:, None], *_SHELL_RULE)
+    shells = np.sum(w * fn(x), axis=1)
+    return float(np.sum(shells) + shells[-1] * ratio / (1.0 - ratio))
 
 
 def _check_hurst(hurst: float) -> float:
@@ -152,9 +159,10 @@ def _transform_sq(f: StepFunction, hurst: float):
     transform reproduce the driver covariance.
 
     Returns ``(taus, sq_at)``: the edges, and ``sq_at(k, u)``, the square
-    at ``r = tau_k - u`` for ``0 <= u <= tau_k - tau_{k-1}`` (any ``u`` for
-    k = 0).  The sum is regrouped about its first edge: with ``f_k`` the
-    value of f left of ``tau_k`` and ``g = H - 1/2``,
+    at ``r = tau_k - u`` for ``0 < u <= tau_k - tau_{k-1}`` (any ``u > 0``
+    for k = 0), elementwise over an array ``u``.  The sum is regrouped
+    about its first edge: with ``f_k`` the value of f left of ``tau_k``
+    and ``g = H - 1/2``,
 
         sum_{i>=k} d_i (tau_i - r)^g
             = u^g (f_k + sum_{i>k} d_i expm1(g log1p((tau_i - tau_k) / u))),
@@ -162,11 +170,7 @@ def _transform_sq(f: StepFunction, hurst: float):
     which keeps its digits in the left tail, where ``f_0 = 0`` and the
     plain sum cancels (the drops sum to zero), and which puts the
     blow-up of the H < 1/2 value on the left of each edge at ``u = 0``,
-    where floats are dense.  At ``u = 0`` the edge's own term is dropped:
-    the value is the finite part ``sum_{i>k} d_i (tau_i - tau_k)^g``,
-    which is the limit for H >= 1/2.  The sum runs in plain float
-    arithmetic: ``quad`` evaluates it one point at a time, where numpy
-    overhead on a few-element array would dominate.
+    where floats are dense.
     """
     edges, rise = f.jumps()
     g = hurst - 0.5
@@ -180,55 +184,52 @@ def _transform_sq(f: StepFunction, hurst: float):
     ]
 
     def sq_at(k, u):
-        if u == 0.0:
-            return (kappa * sum(d * delta**g for delta, d in tails[k])) ** 2
         acc = lefts[k]
         for delta, d in tails[k]:
-            acc += d * math.expm1(g * math.log1p(delta / u))
+            acc += d * np.expm1(g * np.log1p(delta / u))
         return (kappa * u**g * acc) ** 2
 
     return taus, sq_at
 
 
 def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
-    """Squared L2(R) norm of the tail transform, piecewise adaptive quadrature.
+    """Squared L2(R) norm of the tail transform, piecewise on dyadic shells.
 
-    Each piece is integrated in the distance ``u`` to its right edge, so an
-    H < 1/2 blow-up there is an integrable power at ``u = 0``.
+    Each piece is integrated in the distance ``u`` to its right edge, on
+    shells toward ``u = 0``.  There the square goes like ``u^(2H-1)``
+    beside a constant and ``u^(H-1/2)`` cross terms, so consecutive shells
+    shrink by ``2^-min(2H, 1)``.  The left tail is split at the support
+    length ``span``; past it, ``s = span / u`` maps it onto (0, 1], where
+    the square decays like ``u^(2H-3)`` and the shells shrink by
+    ``2^(2H-2)``.
     """
-    if f.n_pieces == 0:
-        return 0.0
     taus, sq_at = _transform_sq(f, hurst)
-    # left tail, split at the support length: the blow-up at u = 0 stays
-    # off the mapped infinite interval, and the far part decays algebraically
+    near = 2.0 ** -min(2.0 * hurst, 1.0)
     span = taus[-1] - taus[0]
-    total = _quad(partial(sq_at, 0), 0.0, span) + _quad(partial(sq_at, 0), span, np.inf)
+    total = _shell_integral(lambda u: sq_at(0, u), span, near)
+    total += _shell_integral(lambda s: sq_at(0, span / s) * span / s**2, 1.0, 2.0 ** (2.0 * hurst - 2.0))
     for k in range(1, len(taus)):
-        total += _quad(partial(sq_at, k), 0.0, taus[k] - taus[k - 1])
+        total += _shell_integral(lambda u, k=k: sq_at(k, u), taus[k] - taus[k - 1], near)
     return total
 
 
-def integrand_norm(
-    f: StepFunction,
-    hurst: float,
-    sigma: float = 1.0,
-    method: str = "transform",
-) -> float:
+def integrand_norm(f: StepFunction, hurst: float, sigma: float = 1.0) -> float:
     """Norm of a step integrand for integration against an H-fractional driver.
 
-    ``method="transform"`` integrates the squared tail transform (this is
-    the defining route).  ``method="covariance"`` evaluates the same
-    quantity exactly as a bilinear form in the driver increment
-    covariance and serves as the independent cross-check.
+    The L2 norm of the tail transform (the defining route), taken on the
+    copy of ``f`` moved and stretched onto [0, 1] and multiplied by
+    ``span^H``: the norm is shift-invariant and self-similar, so no time
+    scale biases it and no power of a huge time overflows.
+    ``integrand_inner`` is the independent cross-check.
     """
-    if method == "transform":
-        h = _check_hurst(hurst)
-        if h == 0.5:
-            return sigma * f.l2_norm()
-        return float(sigma * np.sqrt(_transform_l2_sq(f, h)))
-    if method == "covariance":
-        return float(np.sqrt(max(integrand_inner(f, f, hurst, sigma), 0.0)))
-    raise ValueError(f"unknown method {method!r}")
+    h = _check_hurst(hurst)
+    if h == 0.5:
+        return sigma * f.l2_norm()
+    if f.n_pieces == 0:
+        return 0.0
+    lo, hi = f.support
+    unit_sq = _transform_l2_sq(f.precompose_affine(hi - lo, lo), h)
+    return float(sigma * (hi - lo) ** h * math.sqrt(unit_sq))
 
 
 def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float = 1.0) -> float:
@@ -518,8 +519,10 @@ def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
 
     For H > 1/2 evaluates ``sigma^2 H(2H-1) * 2 \int_0^t w^{2H-2}
     \int_w^t fn(v) fn(v-w) dv dw`` with a Gauss rule on the inner
-    correlation integral (256 nodes) and adaptive quadrature across the
-    singular lag weight.  ``fn`` must accept numpy arrays.
+    correlation integral (256 nodes) and ``_shell_integral`` across the
+    singular lag weight, whose shells shrink by ``2^(1-2H)``; at H = 1/2
+    it is the L2 norm, on shells that halve.  ``fn`` must accept numpy
+    arrays.
     """
     h = _check_hurst(hurst)
     if h < 0.5:
@@ -528,19 +531,19 @@ def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
     if t <= 0:
         return 0.0
     if h == 0.5:
-        val = _quad(lambda u: float(np.asarray(fn(u)) ** 2), 0.0, t)
+        val = _shell_integral(lambda u: np.asarray(fn(u)) ** 2, t, 0.5)
         return float(sigma * np.sqrt(max(val, 0.0)))
 
     nodes, weights = np.polynomial.legendre.leggauss(256)
 
-    def corr(w):
-        lo, hi = w, t
-        mid = 0.5 * (hi + lo)
-        rad = 0.5 * (hi - lo)
-        v = mid + rad * nodes
-        return rad * float(np.sum(weights * fn(v) * fn(v - w)))
+    def weighted_corr(w):
+        # the lag weight times the correlation integral, over the 256 nodes of [w, t]
+        rad = 0.5 * (t - w)[..., None]
+        v = 0.5 * (t + w)[..., None] + rad * nodes
+        corr = np.sum(rad * weights * fn(v) * fn(v - w[..., None]), axis=-1)
+        return w ** (2.0 * h - 2.0) * corr
 
-    outer = _quad(lambda w: w ** (2.0 * h - 2.0) * corr(w), 0.0, t)
+    outer = _shell_integral(weighted_corr, t, 2.0 ** (1.0 - 2.0 * h))
     val = sigma**2 * h * (2.0 * h - 1.0) * 2.0 * outer
     return float(np.sqrt(max(val, 0.0)))
 

@@ -22,10 +22,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .grids import StepFunction, TimeGrid
-from .integrals import LpKernelField, _dyadic_shell, _dyadic_sum, _second_moment_z, _stops_decaying
+from .integrals import LpKernelField, _dyadic_sum, _second_moment_z, _stops_decaying
 from .processes import FracParams, simulate_cylindrical, simulate_driver
 from .rng import map_ordered
-from .sobolev import _check_hurst, dh_norm_exponential
+from .sobolev import _check_hurst, _dyadic_shell, dh_norm_exponential
 
 __all__ = [
     "SpectralModel",
@@ -159,10 +159,10 @@ def _graded_norms(floors, t: float, values: np.ndarray, hurst: float) -> np.ndar
 
         ||s||^2 = sum_k d_k P_k (v_{k-1} + sum_{l<k} d_l G_{k-l}):
 
-    2n powers and one length-n convolution per kernel, where
-    ``integrand_norm(method="covariance")`` takes (n + 1)^2 powers.  The
-    drops of far-apart edges enter through the telescoped ``v_{k-1}``, not
-    through a sum that cancels, and ``G_j`` decays like ``2H rho^{-j}``.
+    2n powers and one length-n convolution per kernel, where the
+    covariance route ``sobolev.integrand_inner`` takes (n + 1)^2 powers.
+    The drops of far-apart edges enter through the telescoped ``v_{k-1}``,
+    not through a sum that cancels, and ``G_j`` decays like ``2H rho^{-j}``.
     """
     h2 = 2.0 * _check_hurst(hurst)
     floors = np.asarray(floors, dtype=float)

@@ -345,11 +345,13 @@ class TestListExperiments:
 
 def test_import_skips_scipy_signal():
     # scipy.signal (and the scipy.stats it pulls in) costs about 0.5 s of
-    # start-up per process; nothing in the package needs it
+    # start-up per process, scipy.integrate about 0.26 s; nothing in the
+    # package needs either
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import fracwiener.cli, sys; sys.exit('scipy.signal' in sys.modules)"
+    code = ("import fracwiener.cli, sys; sys.exit(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.integrate'))) or None)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -421,6 +423,7 @@ class TestInvalidConfigExit2:
             ISO_CFG + "sigma = 1e300\n",
             BOUNDARY_CFG + "sigma = 1e300\n",
             NORM_CFG + "t_end = 1e300\n",
+            ISO_CFG.replace("hurst = 0.3, 0.7", "hurst = 0.75") + "t_end = 1e250\n",
             # spectral numbers that overflow: the block masses of a huge alpha,
             # and the top eigenvalue of a tiny domain
             SWEEP_CFG.replace("alpha = 0.0, 0.1, 0.2, 0.3", "alpha = 0, 1, 5, 30"),
@@ -526,6 +529,19 @@ class TestInvalidConfigExit2:
         err = capsys.readouterr().err
         assert "Fourier Sobolev norm is not finite at grid step 3.90625e+297" in err
         assert "overflowed the floating-point range" not in err
+
+    @pytest.mark.parametrize("t_end, step", [("1e250", "7.8125e+247"), ("1e300", "7.8125e+297")])
+    def test_fbm_covariance_overflow_is_diagnosed(self, tmp_path, t_end, step, capsys):
+        # simulate_fbm checks its increment autocovariance: no RuntimeWarning
+        # from covariance_rh, and no nan written as a result
+        text = ISO_CFG.replace("hurst = 0.3, 0.7", "hurst = 0.75") + f"t_end = {t_end}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = _run(tmp_path, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"increment autocovariance is not finite at grid step {step} and H = 0.75" in err
+        assert not (out / "results.csv").exists()
 
     def test_zero_division_stays_loud(self, monkeypatch):
         # only ValueError and OverflowError are config faults; any other

@@ -14,10 +14,10 @@ import pytest
 
 from fracwiener import processes, spde
 from fracwiener.grids import StepFunction, TimeGrid
-from fracwiener.integrals import _dyadic_shell, _dyadic_sum, gamma_norm_lp
+from fracwiener.integrals import _dyadic_sum, gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
 from fracwiener.rng import BLOCK_PATHS, path_blocks, worker_threads
-from fracwiener.sobolev import dh_norm_exponential, integrand_norm
+from fracwiener.sobolev import _dyadic_shell, dh_norm_exponential, integrand_inner
 from fracwiener.spde import (
     NeumannKernelConfig,
     SpectralModel,
@@ -40,6 +40,11 @@ from fracwiener.spde import (
 )
 
 L_PI = math.pi
+
+
+def covariance_norm(f, hurst):
+    """The integrand norm by the covariance route, the oracle of the graded and closed-form norms."""
+    return math.sqrt(max(integrand_inner(f, f, hurst), 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -138,13 +143,13 @@ class TestModeNorm:
         # singular-kernel bilinear form on the graded step discretization
         for k in (1, 2, 4, 8):
             lam = float(k * k)
-            direct = integrand_norm(_exp_kernel_step(lam, 1.0), 0.75, method="covariance")
+            direct = covariance_norm(_exp_kernel_step(lam, 1.0), 0.75)
             assert mode_norm(laplace8, k, 1.0, 0.75) == pytest.approx(direct, rel=0.01)
 
     def test_covariance_route_at_tiny_horizon(self):
         # lam t0 ~ 1e-19: the cell masses must not cancel to 0
         lam = float(SpectralModel(1.0, 1, 1).eigenvalues[0])
-        step = integrand_norm(_exp_kernel_step(lam, 1e-20), 0.4, method="covariance")
+        step = covariance_norm(_exp_kernel_step(lam, 1e-20), 0.4)
         assert step == pytest.approx(dh_norm_exponential(lam, 1e-20, 0.4), rel=1e-6)
 
     def test_fractional_weight_is_scalar_factor(self, laplace8):
@@ -242,7 +247,7 @@ class TestExistenceReport:
 
 
 class TestGradedNorms:
-    """``_graded_norms`` against the covariance route of ``integrand_norm`` on the same kernels."""
+    """``_graded_norms`` against the covariance route ``integrand_inner`` on the same kernels."""
 
     @pytest.mark.parametrize("t0", [1e-20, 1.0, 100.0])
     @pytest.mark.parametrize("i, hurst", list(enumerate([0.1, 0.4, 0.5, 0.75, 0.9])))
@@ -254,7 +259,7 @@ class TestGradedNorms:
                 lams = SpectralModel(length, m, 512).eigenvalues
                 got = _mode_step_norms(length, m, hurst, t0, 512)[i::5]
                 want = [
-                    integrand_norm(_exp_kernel_step(lam, t0), hurst, method="covariance")
+                    covariance_norm(_exp_kernel_step(lam, t0), hurst)
                     for lam in lams[i::5]
                 ]
                 assert got == pytest.approx(want, rel=1e-12)
@@ -266,7 +271,7 @@ class TestGradedNorms:
         steps = [_boundary_kernel_step(cfg, x, y) for x in xs for y in (0.0, cfg.length)]
         values = np.array([s.values for s in steps])
         got = spde._graded_norms([s.breakpoints[1] for s in steps], cfg.t0, values, cfg.hurst)
-        want = np.array([integrand_norm(s, cfg.hurst, method="covariance") for s in steps])
+        want = np.array([covariance_norm(s, cfg.hurst) for s in steps])
         assert got == pytest.approx(want, rel=rel)
         pairs = np.sum(want.reshape(-1, 2) ** 2, axis=1)
         assert rec.expected_profile == pytest.approx(sigma**2 * pairs, rel=rel)
