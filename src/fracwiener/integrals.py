@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .grids import StepFunction, TimeGrid
 from .processes import CylindricalEnsemble, FracParams, PathEnsemble
-from .sobolev import _dyadic_shell, integrand_inner, integrand_norm
+from .sobolev import _dyadic_shell, _shell_integral, integrand_inner, integrand_norm
 
 __all__ = [
     "ElementaryIntegralResult",
@@ -355,28 +354,32 @@ def condition_singular(g: Callable, hurst: float, tau: float) -> float:
     Evaluates ``int_0^tau g(u)^2 du`` plus the double integral of
     ``(g(u)-g(v))^2 |u-v|^{2H-2}`` over ``(0,tau)^2`` on dyadic shells
     graded toward 0 (12-point rules, at most 40 shells, relative shell
-    tolerance 1e-8), with the near-diagonal kink absorbed by a Jacobi
-    rule.  ``g`` must accept numpy arrays and return operator norms.
-    Returns ``math.inf`` when the refinement diagnoses divergence.
+    tolerance 1e-8); within a shell, the lag ``w`` below each node, where
+    the integrand goes like ``g'(u)^2 w^{2H}``, runs on ``_shell_integral``.
+    ``g`` must accept numpy arrays and return operator norms.  Returns
+    ``math.inf`` when the refinement diagnoses divergence.
     """
     if not 0.0 < hurst < 0.5:
         raise ValueError("singular-regime evaluator needs hurst in (0, 1/2)")
     if not tau > 0:
         raise ValueError("horizon tau must be positive")
     xg, wg = np.polynomial.legendre.leggauss(12)
-    xj, wj = roots_jacobi(12, 0.0, 2.0 * hurst)
     cache = []
+
+    def absg(u):
+        return np.abs(np.asarray(g(u), dtype=float))
 
     def shell(j: int) -> float:
         un, uw = _dyadic_shell(tau, j, xg, wg)
-        gv = np.abs(np.asarray(g(un), dtype=float))
+        gv = absg(un)
         d = float(uw @ gv**2)
-        # same-shell diagonal: v = u - w with weight w^{2H} pulled into the rule
-        span = un - 0.5 * tau * 2.0 ** (-j)
-        wmat = span[:, None] * 0.5 * (xj[None, :] + 1.0)
-        gvm = np.abs(np.asarray(g(un[:, None] - wmat), dtype=float))
-        phi = ((gv[:, None] - gvm) / wmat) ** 2
-        inner = (0.5 * span) ** (2.0 * hurst + 1.0) * (phi @ wj)
+        # same-shell diagonal: v = u - w for w up to the shell's lower edge
+        spans = un - 0.5 * tau * 2.0 ** (-j)
+        inner = [
+            _shell_integral(lambda w, u=u, gu=gu: (gu - absg(u - w)) ** 2 * w ** (2.0 * hurst - 2.0),
+                            span, 2.0 ** -(2.0 * hurst + 1.0))
+            for u, gu, span in zip(un, gv, spans)
+        ]
         d += 2.0 * float(uw @ inner)
         for un_m, uw_m, gv_m in cache:
             gap = un_m[:, None] - un[None, :]

@@ -18,8 +18,8 @@ several independent routes to these quantities:
   functions, used by ``LpKernelField.kernel_norms`` and as the tests'
   oracle (the K-doubling detector's graded mode kernels take
   ``spde._graded_norms`` instead),
-* ``dh_norm_exponential``: closed form for the exponential kernel of the
-  spde mode norms, with ``dh_norm_smooth`` as its quadrature oracle,
+* ``dh_norm_exponential``: the spde mode norms' exponential kernel as one
+  shell integral (Euler's integral), with ``dh_norm_smooth`` as its oracle,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
 * ``sobolev_norm_fourier``: FFT of sampled data with an analytic
   high-frequency tail correction,
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc as _gammainc, hyp1f1 as _hyp1f1
 
 from .grids import GridFunction, StepFunction
 from .processes import _increment_covariance
@@ -108,7 +107,7 @@ def cosine_tail_constant(a: float) -> float:
         raise ValueError("argument must lie in (0, 2)")
     eps = 1.0 - a
     # sin(pi eps / 2) / eps written through sinc to stay finite at eps = 0
-    return float(_gamma(2.0 - a) * (np.pi / 2.0) * np.sinc(eps / 2.0) / a)
+    return float(math.gamma(2.0 - a) * (np.pi / 2.0) * np.sinc(eps / 2.0) / a)
 
 
 def transform_constant(hurst: float) -> float:
@@ -478,20 +477,20 @@ def sobolev_norm_gagliardo(f: GridFunction, s, domain: str = "window") -> float:
 
 
 def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) -> float:
-    r"""Integrand norm of ``u -> exp(-lam (t - u))`` on (0, t), in closed form.
+    r"""Integrand norm of ``u -> exp(-lam (t - u))`` on (0, t), as one shell integral.
 
-    With ``x = lam t`` and ``a = 2H + 1``,
-
-        ``||.||^2 = sigma^2 t^{2H} [e^{-x} (1 - x/(2a) 1F1(1; a+1; -x))
-        + x^{-2H} gamma(a, x) / 2]``,
-
-    from ``int_0^t e^{-lam (t-s)} dB_s = B_t - lam int_0^t e^{-lam (t-s)} B_s ds``
-    and the covariance; the 1F1 term is Kummer's transform of
-    ``int_0^t w^{2H} e^{lam w} dw``.  Below ``x = 1`` the ``0 * inf`` form
-    ``x^{-2H} gamma(a, x)`` is taken as ``x e^{-x} 1F1(1; a+1; x) / a``,
-    which is regular at ``x = 0``.  From ``x = 1`` on, ``t^{2H} = x^{2H}
-    lam^{-2H}`` takes ``lam^{-H}`` out of the root, so no ``x^{-2H}``
-    underflows.  As ``x -> inf`` the square tends to the stationary fOU
+    With ``x = lam t`` and ``a = 2H + 1``, ``int_0^t e^{-lam (t-s)} dB_s =
+    B_t - lam int_0^t e^{-lam (t-s)} B_s ds`` and the covariance give
+    ``||.||^2 = sigma^2 t^{2H} [e^{-x} (1 - x/(2a) 1F1(1; a+1; -x)) +
+    x^{-2H} gamma(a, x) / 2]``.  Euler's integral ``1F1(1; a+1; -x) = a
+    int_0^1 (1-r)^{2H} e^{-x r} dr`` (DLMF 13.4.1) and ``x^{-2H} gamma(a, x)
+    = x int_0^1 r^{2H} e^{-x r} dr`` fold the bracket into ``e^{-x} + x/2
+    int_0^1 -r^{2H} e^{-x r} expm1(2x (r - 1)) dr``, whose integrand is
+    nonnegative with the power ``2H`` at 0, so ``_shell_integral`` takes
+    it; ``x = 0`` gives ``t^H``.  From ``x = 1`` on, ``t^H`` is taken as
+    ``lam^{-H} x^H``, finite where ``t`` is huge.  Past ``x = 1e3`` both
+    exponentials are below the double range: ``x`` is capped there,
+    overflowing ``lam t`` included, and the square is the stationary fOU
     variance ``sigma^2 H Gamma(2H) lam^{-2H}``.
     """
     h = _check_hurst(hurst)
@@ -501,17 +500,14 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
         raise ValueError("decay rate must be nonnegative")
     if t <= 0:
         return 0.0
-    a = 2.0 * h + 1.0
-    x = lam * t
-    # e^{-x} underflows to 0 well before 1F1(1; a+1; -x) stops being finite
-    e = math.exp(-x)
-    head = e * (1.0 - x / (2.0 * a) * _hyp1f1(1.0, a + 1.0, -x)) if e else 0.0
-    if x < 1.0:
-        tail = x * e * _hyp1f1(1.0, a + 1.0, x) / a
-        return float(sigma * t**h * math.sqrt(head + 0.5 * tail))
-    if e:
-        head *= x ** (2.0 * h)
-    return float(sigma * lam**-h * math.sqrt(head + 0.5 * _gamma(a) * _gammainc(a, x)))
+    x = min(lam * t, 1e3)
+
+    def integrand(r):
+        return -(r ** (2.0 * h)) * np.exp(-x * r) * np.expm1(2.0 * x * (r - 1.0))
+
+    tail = x * _shell_integral(integrand, 1.0, 2.0 ** -(2.0 * h + 1.0))
+    scale = t**h if x < 1.0 else lam**-h * x**h
+    return float(sigma * scale * math.sqrt(math.exp(-x) + 0.5 * tail))
 
 
 def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:

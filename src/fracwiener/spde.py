@@ -116,9 +116,9 @@ def mode_norm(
 ) -> float:
     """Integrand norm of the k-th mode kernel ``s -> e^{-lam_k (t-s)}``, weighted.
 
-    This is the closed form ``dh_norm_exponential`` at ``lam_k``, times the
-    fractional-power weight ``lam_k^alpha``; its square is the mode's second
-    moment in the mild solution.
+    This is ``dh_norm_exponential`` at ``lam_k``, times the fractional-power
+    weight ``lam_k^alpha``; its square is the mode's second moment in the
+    mild solution.
     """
     if not 1 <= k <= model.truncation:
         raise ValueError("mode index out of range")

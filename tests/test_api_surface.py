@@ -23,7 +23,7 @@ KEPT = {
     "sobolev_norm_step": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
     "cosine_tail_constant": "constant of the sobolev_norm_step oracle",
     "sobolev_norm_gagliardo": "oracle of sobolev_norm_fourier in norm-identity (test_sobolev)",
-    "dh_norm_smooth": "oracle of the dh_norm_exponential closed form (mode_norm) for H > 1/2",
+    "dh_norm_smooth": "oracle of the dh_norm_exponential shell identity (mode_norm) for H > 1/2",
     "assemble_kernel_field": "oracle of existence_report (test_spde)",
     "hermite_covariance": "oracle of simulate_hermite_k2 in isometry (test_processes)",
     "affine_norm_pair": "paper object pinned by c11",

@@ -378,7 +378,7 @@ class TestConditionSingular:
     def test_power_profile_matches_oracle(self, key):
         h, g, tau = key
         val = condition_singular(lambda u: u**-g, h, tau)
-        assert val == pytest.approx(SINGULAR_ORACLE[key], rel=0.02)
+        assert val == pytest.approx(SINGULAR_ORACLE[key], rel=1e-4)
 
     def test_critical_power_diverges(self):
         # gamma = 1/2 at H = 0.3: the square integral blows up logarithmically

@@ -59,6 +59,51 @@ TWO_STEP_NORM = {
     0.9: 0.719581647080790578,
 }
 
+# dh_norm_exponential(x, 1, H): sqrt(e^{-x} (1 - x/(2a) 1F1(1; a+1; -x)) + x^{-2H} gamma(a, x) / 2),
+# a = 2H + 1, from mpmath's hyp1f1 and lower gammainc at 50 digits
+MODE_NORM = {
+    (0.01, 1e-12): 0.999999999999500000000000367681,
+    (0.01, 1e-3): 0.999500367529180441355967369344,
+    (0.01, 0.5): 0.825622507695206243328778791065,
+    (0.01, 1.0): 0.749419317973469539715740800224,
+    (0.01, 7.0): 0.689601715649446324139267087954,
+    (0.01, 200.0): 0.666866096155027365601359164302,
+    (0.01, 1e3): 0.656219207727874347843672382876,
+    (0.01, 1e6): 0.612419397877632795257009310007,
+    (0.1, 1e-12): 0.999999999999500000000000314404,
+    (0.1, 1e-3): 0.999500314278431523803296867573,
+    (0.1, 0.5): 0.815502289679670825015559300515,
+    (0.1, 1.0): 0.719668665753575901504575069207,
+    (0.1, 7.0): 0.557749229908125775168517649053,
+    (0.1, 200.0): 0.398880912347482491271466485354,
+    (0.1, 1e3): 0.339583245012925615704589477559,
+    (0.1, 1e6): 0.170194787154200390091059153157,
+    (0.4, 1e-12): 0.999999999999500000000000224216,
+    (0.4, 1e-3): 0.99950022413592821877155336407,
+    (0.4, 0.5): 0.798142524960980862888243379149,
+    (0.4, 1.0): 0.66706529075980702287464964036,
+    (0.4, 7.0): 0.313340868037775058979740952584,
+    (0.4, 200.0): 0.0819666785577133649694794770123,
+    (0.4, 1e3): 0.0430575520532920446687434457808,
+    (0.4, 1e6): 0.00271674787033628366266503161943,
+    (0.75, 1e-12): 0.999999999999500000000000182153,
+    (0.75, 1e-3): 0.999500182093462802326333529998,
+    (0.75, 0.5): 0.789959525866750614414348165874,
+    (0.75, 1.0): 0.641604869353143553433705709102,
+    (0.75, 7.0): 0.189405891290190852513846689739,
+    (0.75, 200.0): 0.0153295923216064782960548171621,
+    (0.75, 1e3): 0.0045846174389464856004765597778,
+    (0.75, 1e6): 2.57811984610795103013152838466e-5,
+    (0.99, 1e-12): 0.999999999999500000000000167167,
+    (0.99, 1e-3): 0.9995001671151907147594490734,
+    (0.99, 0.5): 0.787034467697022704781574061136,
+    (0.99, 1.0): 0.632421810313839562934258296233,
+    (0.99, 7.0): 0.144206817566185116206770277794,
+    (0.99, 200.0): 0.00522384039524820861800890922165,
+    (0.99, 1e3): 0.00106171901410137113545382656415,
+    (0.99, 1e6): 1.13765242034745771964205360888e-6,
+}
+
 GAMMA_THREE_QUARTER = 1.22541670246517765
 GAMMA_FIVE_QUARTER = 0.906402477055477078
 
@@ -499,13 +544,24 @@ class TestExponentialKernelNorm:
         double = quad(lambda s: np.exp(-lam * (t - s)) * inner(s), 0.0, t, **opts)[0]
         var = t ** (2 * h) - 2.0 * lam * cross + lam**2 * double
         assert sb.dh_norm_exponential(lam, t, h) == pytest.approx(np.sqrt(var), rel=1e-8)
-        # lam t = 200, and 1e150 where 1F1(1; 2H+2; -lam t) is no longer finite:
+        # lam t = 200, and 1e150 past the cap of lam t at 1e3:
         # the stationary fOU variance H Gamma(2H) lam^{-2H}
         stationary = h * gamma(2 * h) * lam ** (-2 * h)
         for x in (200.0, 1e150):
             assert sb.dh_norm_exponential(lam, x / lam, h) ** 2 == pytest.approx(
                 stationary, rel=1e-12
             )
+
+    @pytest.mark.parametrize("key", sorted(MODE_NORM))
+    def test_against_mpmath_closed_form(self, key):
+        h, x = key
+        assert sb.dh_norm_exponential(x, 1.0, h) == pytest.approx(MODE_NORM[key], rel=1e-13)
+
+    @pytest.mark.parametrize("lam, t, h", [(1e300, 1e10, 0.7), (1e10, 1e300, 0.3), (2.0, np.inf, 0.6)])
+    def test_overflowing_rate_time_keeps_the_stationary_limit(self, lam, t, h):
+        # lam t is inf in floats: the norm is still the stationary one, not nan
+        stationary = np.sqrt(h * gamma(2 * h)) * lam**-h
+        assert sb.dh_norm_exponential(lam, t, h) == pytest.approx(stationary, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("h", [0.7, 0.99])
     def test_huge_rate_keeps_the_stationary_limit(self, h):
