@@ -3,7 +3,8 @@
 Each ``configs/<name>.cfg`` runs in a fresh interpreter at ``--threads 1``
 and at ``--threads 2``, so the operator and mode-norm caches start cold each
 time.  The interpreter blocks ``scipy`` before it calls ``cli.main``, so a
-run that imports scipy anywhere, lazily included, fails.  The exit code
+run that imports scipy anywhere, lazily included, fails, and it turns every
+RuntimeWarning into an error, so a run that warns exits on it.  The exit code
 must be in the config's accepted set, and ``results.csv`` and
 ``summary.json`` must be the same bytes at both thread counts.  Outside
 the Tier-1 testpaths; run with::
@@ -20,8 +21,9 @@ import pytest
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-# the runtime needs numpy only
-LAUNCHER = ("import sys; sys.modules['scipy'] = None; "
+# the runtime needs numpy only, and a sound run raises no RuntimeWarning
+LAUNCHER = ("import sys, warnings; sys.modules['scipy'] = None; "
+            "warnings.simplefilter('error', RuntimeWarning); "
             "from fracwiener.cli import main; sys.exit(main())")
 
 # exit 1 is a failed in-config verdict; its outputs are still written
@@ -60,6 +62,7 @@ def test_config(name, tmp_path):
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode in ACCEPTED[name], proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr  # a warning turned error exits 1
         outs.append(out)
     for artifact in ("results.csv", "summary.json"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact

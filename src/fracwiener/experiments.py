@@ -65,8 +65,10 @@ CHAOS2_RATIO = 60.0**0.25 / 2.0**0.5  # same ratio for xi^2 - 1
 _RATIO_RTOL = 0.01  # norm-identity: ratio against the closed-form constant
 _Z_MAX = 3.0  # every Monte Carlo z-test; a sound test fails 0.27% of its rows
 _PASS_FRACTION = 0.95  # isometry: share of cells within |z| <= _Z_MAX
-_GAUSS_RTOL = 0.01  # moments: Gaussian L4/L2 ratio
-_CHAOS2_RTOL = 0.02  # moments: second-chaos L4/L2 ratio
+# moments: per-path SD of the L4/L2 ratio's relative error, by the delta
+# method on the limit law; a ratio passes within _Z_MAX / sqrt(n_paths) of it
+_GAUSS_SD = math.sqrt(1.0 / 6.0)  # a centered Gaussian
+_CHAOS2_SD = math.sqrt(5299.0 / 450.0)  # xi^2 - 1
 _COMBO_BOUND = 3.0  # moments: L4/L2 bound of a first-plus-second-chaos mix
 _SMOOTHING_TOL = 0.05  # spde-distributed: smoothing-exponent slope
 _STABILITY_RTOL = 0.01  # spde-boundary: move of the last refinement
@@ -345,15 +347,15 @@ def _aligned_step(rng: np.random.Generator, grid: TimeGrid, pieces: int) -> Step
     return StepFunction(grid.nodes[idx], rng.normal(size=pieces))
 
 
-def _frac_params(family: str, h: float, sigma: float, p: Mapping) -> FracParams:
+def _frac_params(family: str, h: float, p: Mapping) -> FracParams:
     fam = Family(family)
     if fam is Family.FBM:
-        return FracParams.fbm(h, sigma)
+        return FracParams.fbm(h)
     if fam is Family.ROSENBLATT:
-        return FracParams.rosenblatt(h, sigma)
+        return FracParams.rosenblatt(h)
     if p.get("alpha") is None or p.get("beta") is None:
         raise ValueError("the generalized family needs keys alpha and beta")
-    pr = FracParams.generalized(p["alpha"], p["beta"], 2, sigma)
+    pr = FracParams.generalized(p["alpha"], p["beta"], 2)
     if abs(pr.h - h) > 1e-12:
         raise ValueError(f"hurst {h:g} inconsistent with alpha + beta + 2 = {pr.h:g}")
     return pr
@@ -373,11 +375,11 @@ def _run_norm_identity(cfg: ExperimentConfig) -> ExperimentResult:
     targets = {}
     worst = 0.0
     for h in p["hurst"]:
-        target = norm_equivalence_constant(h, p["sigma"])
+        target = norm_equivalence_constant(h)
         targets[f"{h:g}"] = target
         for fid in range(p["n_functions"]):
             f = _aligned_step(rng, grid, p["pieces"])
-            dh = integrand_norm(f, h, p["sigma"])
+            dh = integrand_norm(f, h)
             four = sobolev_norm_fourier(f.to_grid(grid), 0.5 - h)
             case = f"H={h:g} f={fid}"
             if four == 0.0:
@@ -417,7 +419,7 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     zs = []
     for i, h in enumerate(p["hurst"]):
-        params = _frac_params(p["family"], h, p["sigma"], p)
+        params = _frac_params(p["family"], h, p)
         ens = simulate_driver(params, grid, p["n_paths"], cfg.seed, i, p["n_noise_cells"])
         for fid in range(p["n_functions"]):
             f = _aligned_step(rng, grid, p["pieces"])
@@ -462,8 +464,9 @@ def _run_moments(cfg: ExperimentConfig) -> ExperimentResult:
 
     g_ratio = moment_ratio(first, 4, 2)
     c_ratio = moment_ratio(second, 4, 2)
-    g_ok = abs(g_ratio - GAUSSIAN_RATIO) <= _GAUSS_RTOL * GAUSSIAN_RATIO
-    c_ok = abs(c_ratio - CHAOS2_RATIO) <= _CHAOS2_RTOL * CHAOS2_RATIO
+    band = _Z_MAX / math.sqrt(p["n_paths"])
+    g_ok = abs(g_ratio / GAUSSIAN_RATIO - 1.0) <= band * _GAUSS_SD
+    c_ok = abs(c_ratio / CHAOS2_RATIO - 1.0) <= band * _CHAOS2_SD
     rows = [("gaussian", 0, g_ratio, GAUSSIAN_RATIO, g_ok), ("chaos2", 0, c_ratio, CHAOS2_RATIO, c_ok)]
 
     rng = _aux_rng(cfg.seed, 2)
@@ -512,7 +515,7 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
             "128+ modes give a stable slope"
         )
     model = SpectralModel(p["length"], p["m"], p["truncation"], p=p["p"])
-    params = _frac_params(p["family"], p["hurst"], p["sigma"], p)
+    params = _frac_params(p["family"], p["hurst"], p)
     grid = TimeGrid(0.0, p["t_end"] / p["grid_steps"], p["grid_steps"])
     terminal, holder = mild_summary(
         model, params, grid, p["n_paths"], p["alpha"], seed=cfg.seed,
@@ -522,7 +525,7 @@ def _run_spde_distributed(cfg: ExperimentConfig) -> ExperimentResult:
     n_check = min(p["check_modes"], model.truncation)
     rows, verdicts = [], []
     for j in range(n_check):
-        target = mode_norm(model, j + 1, p["t_end"], p["hurst"], p["alpha"], p["sigma"]) ** 2
+        target = mode_norm(model, j + 1, p["t_end"], p["hurst"], p["alpha"]) ** 2
         mc, _, z = map(float, _second_moment_z(terminal[:, j], target))
         ok = abs(z) <= _Z_MAX
         rows.append((j + 1, float(model.eigenvalues[j]), mc, target, z, ok))
@@ -587,7 +590,7 @@ def _run_spde_boundary(cfg: ExperimentConfig) -> ExperimentResult:
     verdicts = [Verdict("boundary-noise integral", int_ok, detail)]
 
     check = boundary_solution_check(
-        kcfg, p["sigma"], p["n_paths"], grid_steps=p["grid_steps"], x_nodes=p["x_nodes"],
+        kcfg, p["n_paths"], grid_steps=p["grid_steps"], x_nodes=p["x_nodes"],
         seed=cfg.seed,
     )
 
@@ -622,7 +625,7 @@ def _run_threshold_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         flags = []
         all_rows_ok = True
         for a in p["alpha"]:
-            rep = existence_report(model, h, a, p["t0"], sigma=p["sigma"], doublings=p["doublings"])
+            rep = existence_report(model, h, a, p["t0"], doublings=p["doublings"])
             diverged = not rep.finite
             if abs(a - threshold) <= _MARGIN:
                 ok = True  # indeterminate zone around the threshold
@@ -674,7 +677,6 @@ EXPERIMENTS: dict = {
                 _Key("n_functions", _int, _ge(1)),
             ),
             optional=(
-                _Key("sigma", _float, _positive, 1.0),
                 _Key("pieces", _int, _ge(1), 6),
                 _Key("grid_steps", _int, _ge(8), 256),
                 _Key("t_end", _float, _positive, 1.0),
@@ -699,7 +701,6 @@ EXPERIMENTS: dict = {
                 _Key("n_functions", _int, _ge(1)),
             ),
             optional=(
-                _Key("sigma", _float, _positive, 1.0),
                 _Key("alpha", _float),
                 _Key("beta", _float),
                 _Key("grid_steps", _int, _ge(8), 256),
@@ -732,9 +733,9 @@ EXPERIMENTS: dict = {
                 ("draw", "coefficient-draw index (0 for the two fixed checks)"),
                 ("ratio", "empirical L4/L2 moment ratio"),
                 ("reference", "exact target (gaussian, chaos2) or the order-2 bound (combo)"),
-                ("pass", f"true when the ratio is within {_GAUSS_RTOL:.0%} (gaussian) or "
-                         f"{_CHAOS2_RTOL:.0%} (chaos2)\nof the reference, or at most the "
-                         "reference (combo)"),
+                ("pass", f"true when |ratio / reference - 1| <= {_Z_MAX:g} c / sqrt(n_paths), c the\n"
+                         f"per-path SD: {_GAUSS_SD:.4f} (gaussian), {_CHAOS2_SD:.4f} (chaos2); or\n"
+                         "when the ratio is at most the reference (combo)"),
             ),
             runner=_run_moments,
         ),
@@ -753,7 +754,6 @@ EXPERIMENTS: dict = {
                 _Key("alpha", _float, _ge(0.0)),
             ),
             optional=(
-                _Key("sigma", _float, _positive, 1.0),
                 _Key("p", _float, _ge(1.0), 2.0),
                 _Key("check_modes", _int, _ge(1), 4),
                 _Key("fit_holder", _bool, None, False),
@@ -783,7 +783,6 @@ EXPERIMENTS: dict = {
                 _Key("grid_steps", _int, _ge(2)),
             ),
             optional=(
-                _Key("sigma", _float, _positive, 1.0),
                 _Key("x_nodes", _floats, _nonempty_grid),
             ),
             columns=(
@@ -809,7 +808,6 @@ EXPERIMENTS: dict = {
                 _Key("truncation", _int, _ge(8), 64),
                 _Key("t0", _float, _positive, 1.0),
                 _Key("p", _float, _ge(1.0), 2.0),
-                _Key("sigma", _float, _positive, 1.0),
                 _Key("doublings", _int, _ge(1), 3),
             ),
             columns=(

@@ -182,11 +182,6 @@ class StepFunction:
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self.combine(other, np.subtract)
 
-    def l2_norm(self) -> float:
-        if self.n_pieces == 0:
-            return 0.0
-        return float(np.sqrt(np.sum(self.values**2 * np.diff(self.breakpoints))))
-
     def to_grid(self, grid: TimeGrid) -> "GridFunction":
         """Cell-value sampling at cell midpoints.
 
@@ -214,6 +209,3 @@ class GridFunction:
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr.astype(float))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid.dt * np.sum(self.samples**2)))

@@ -147,8 +147,7 @@ def isometry_report(f: StepFunction, ensemble: PathEnsemble) -> IsometryReport:
     honest even when breakpoints moved.  A zero integrand reports z = 0.
     """
     res = elementary_integral(f, ensemble)
-    p = ensemble.params
-    dh_sq = integrand_norm(res.f, p.h, p.sigma) ** 2
+    dh_sq = integrand_norm(res.f, ensemble.params.h) ** 2
     mc, se, z = map(float, _second_moment_z(res.samples, dh_sq))
     return IsometryReport(mc_var=mc, dh_norm_sq=dh_sq, z_score=z, se_var=se, n_paths=res.n_paths)
 
@@ -179,9 +178,7 @@ class HSOperator:
         return len(self.columns)
 
     def column_norms_sq(self, params: FracParams) -> np.ndarray:
-        return np.array(
-            [integrand_norm(c, params.h, params.sigma) ** 2 for c in self.columns]
-        )
+        return np.array([integrand_norm(c, params.h) ** 2 for c in self.columns])
 
     def hs_norm_sq(self, params: FracParams) -> float:
         return float(np.sum(self.column_norms_sq(params)))
@@ -208,7 +205,7 @@ def cylindrical_integral(a: HSOperator, ens: CylindricalEnsemble) -> ElementaryI
         samples = part.samples if samples is None else samples + part.samples
         moved = max(moved, part.snap_distance)
         combined = combined + part.f
-        variances.append(integrand_norm(part.f, comp.params.h, comp.params.sigma) ** 2)
+        variances.append(integrand_norm(part.f, comp.params.h) ** 2)
     return ElementaryIntegralResult(
         samples=samples,
         f=combined,
@@ -266,9 +263,9 @@ class LpKernelField:
         covariance form: exact for step functions, and cheap for the finely
         graded kernels met here.
         """
-        h, sigma = self.params.h, self.params.sigma
+        h = self.params.h
         return np.array(
-            [math.sqrt(sum(max(integrand_inner(c, c, h, sigma), 0.0) for c in k)) for k in self.kernels]
+            [math.sqrt(sum(max(integrand_inner(c, c, h), 0.0) for c in k)) for k in self.kernels]
         )
 
 

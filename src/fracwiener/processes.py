@@ -103,14 +103,11 @@ class FracParams:
 
     family: Family
     h: float
-    sigma: float = 1.0
     alpha: Optional[float] = None
     beta: Optional[float] = None
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         if self.family is Family.FBM:
             if not 0.0 < self.h < 1.0:
                 raise ValueError("H must lie in (0, 1)")
@@ -137,17 +134,17 @@ class FracParams:
             raise ValueError("H inconsistent with alpha + beta + k/2 + 1")
 
     @classmethod
-    def fbm(cls, h: float, sigma: float = 1.0) -> "FracParams":
-        return cls(Family.FBM, h, sigma)
+    def fbm(cls, h: float) -> "FracParams":
+        return cls(Family.FBM, h)
 
     @classmethod
-    def rosenblatt(cls, h: float, sigma: float = 1.0) -> "FracParams":
-        return cls(Family.ROSENBLATT, h, sigma)
+    def rosenblatt(cls, h: float) -> "FracParams":
+        return cls(Family.ROSENBLATT, h)
 
     @classmethod
-    def generalized(cls, alpha: float, beta: float, k: int, sigma: float = 1.0) -> "FracParams":
+    def generalized(cls, alpha: float, beta: float, k: int) -> "FracParams":
         h = alpha + beta + k / 2.0 + 1.0
-        return cls(Family.GENERALIZED, h, sigma, alpha=alpha, beta=beta, k=k)
+        return cls(Family.GENERALIZED, h, alpha=alpha, beta=beta, k=k)
 
     @property
     def chaos_order(self) -> int:
@@ -254,7 +251,7 @@ def simulate_fbm(
     # the increment autocovariance: the first cell against the cells of lags 0 .. n
     lags = grid.dt * np.arange(grid.n_steps + 2)
     with np.errstate(over="ignore", invalid="ignore"):  # huge lags: checked once below
-        gamma = params.sigma**2 * _increment_covariance(lags[:2], lags, params.h)[0]
+        gamma = _increment_covariance(lags[:2], lags, params.h)[0]
     if not np.all(np.isfinite(gamma)):
         raise ValueError(f"the fBm increment autocovariance is not finite at grid step {grid.dt:g} "
                          f"and H = {params.h:g}; use a time window of moderate length")
@@ -517,7 +514,7 @@ def _operator_parts(params: FracParams, times: tuple, noise: TimeGrid, warp_scal
     raw_end = raw_cov[np.argmax(times), np.argmax(times)]
     if raw_end <= 0:
         raise ValueError("degenerate kernel discretization")
-    scale = params.sigma * t_end**params.h / np.sqrt(raw_end)  # calibrated to sigma^2 t_end^2H
+    scale = t_end**params.h / np.sqrt(raw_end)  # calibrated to t_end^2H
     covariance = scale**2 * raw_cov
     basis = basis_t[:m].T  # r x m, column-major
     # weights[i, j - 1] = C lambda_i on the increment j of eigenpair i, 0 elsewhere
@@ -563,7 +560,7 @@ def simulate_hermite_k2(
     n_paths: int,
     warp_scale: float = 0.6,
 ) -> PathEnsemble:
-    """Second-chaos increments over the grid cells, calibrated to sigma^2 t^2H.
+    """Second-chaos increments over the grid cells, calibrated to t^2H.
 
     ``warp_scale`` is the e-folding length of the coordinate warp in units
     of the horizon.
@@ -583,7 +580,7 @@ def hermite_covariance(
     """Exact covariance matrix of the discrete second-chaos object.
 
     This is what the simulated ensemble converges to in Monte Carlo; its
-    distance to sigma^2 R_H measures the discretization quality alone.
+    distance to R_H measures the discretization quality alone.
     ``warp_scale`` is the one of ``simulate_hermite_k2``.
     """
     op = _HermiteOperator(params, np.asarray(times, dtype=float), iso, warp_scale)

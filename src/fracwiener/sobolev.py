@@ -1,12 +1,13 @@
 """Fractional Sobolev norms and the integrand norm for fractional processes.
 
 The central object is the norm on admissible integrands for Wiener
-integration against an H-fractional process with scale sigma.  It is
-computed from a weighted tail transform of the integrand (identity at
-H = 1/2, a fractional integral for H > 1/2, a regularized fractional
-derivative for H < 1/2) whose L2 norm reproduces the process covariance
-on indicators.  The same norm is, up to an explicit constant, the
-homogeneous Sobolev norm of order 1/2 - H, and this module carries
+integration against a unit-scale H-fractional process (E B_t^2 = t^2H);
+a driver sigma B has sigma times the integral and sigma times every
+norm.  It is computed from a weighted tail transform of the integrand
+(identity at H = 1/2, a fractional integral for H > 1/2, a regularized
+fractional derivative for H < 1/2) whose L2 norm reproduces the process
+covariance on indicators.  The same norm is, up to an explicit constant,
+the homogeneous Sobolev norm of order 1/2 - H, and this module carries
 several independent routes to these quantities:
 
 * ``integrand_norm``: L2 norm of the tail transform of the unit-span copy
@@ -122,19 +123,17 @@ def transform_constant(hurst: float) -> float:
     return math.gamma(h + 0.5) / math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h))
 
 
-def norm_equivalence_constant(hurst: float, sigma: float = 1.0) -> float:
+def norm_equivalence_constant(hurst: float) -> float:
     r"""Ratio between the integrand norm and the order-(1/2 - H) Sobolev norm.
 
-    Equals ``sigma * gamma(H + 1/2) / transform_constant(H)``, that is
-    ``sigma * sqrt(gamma(2H + 1) sin(pi H))``.  This is the constant for the
+    Equals ``gamma(H + 1/2) / transform_constant(H)``, that is
+    ``sqrt(gamma(2H + 1) sin(pi H))``.  This is the constant for the
     covariance-normalized tail transform used throughout this module (the
-    one under which indicators have norm ``sigma t^H``).  At H = 1/2 the
-    constant is exactly sigma, and the map H -> constant is smooth there.
+    one under which indicators have norm ``t^H``).  At H = 1/2 the
+    constant is exactly 1, and the map H -> constant is smooth there.
     """
     h = _check_hurst(hurst)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(sigma * math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)))
+    return float(math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ def _transform_l2_sq(f: StepFunction, hurst: float) -> float:
     return total
 
 
-def integrand_norm(f: StepFunction, hurst: float, sigma: float = 1.0) -> float:
+def integrand_norm(f: StepFunction, hurst: float) -> float:
     """Norm of a step integrand for integration against an H-fractional driver.
 
     The L2 norm of the tail transform (the defining route), taken on the
@@ -222,16 +221,14 @@ def integrand_norm(f: StepFunction, hurst: float, sigma: float = 1.0) -> float:
     ``integrand_inner`` is the independent cross-check.
     """
     h = _check_hurst(hurst)
-    if h == 0.5:
-        return sigma * f.l2_norm()
     if f.n_pieces == 0:
         return 0.0
     lo, hi = f.support
     unit_sq = _transform_l2_sq(f.precompose_affine(hi - lo, lo), h)
-    return float(sigma * (hi - lo) ** h * math.sqrt(unit_sq))
+    return float((hi - lo) ** h * math.sqrt(unit_sq))
 
 
-def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float = 1.0) -> float:
+def integrand_inner(f: StepFunction, g: StepFunction, hurst: float) -> float:
     """Exact inner product of step integrands via the increment covariance.
 
     Uses that the inner product of two indicators equals the covariance of
@@ -242,11 +239,11 @@ def integrand_inner(f: StepFunction, g: StepFunction, hurst: float, sigma: float
         return 0.0
     # increment covariances of all piece pairs
     m = _increment_covariance(f.breakpoints, g.breakpoints, h)
-    return float(sigma**2 * f.values @ m @ g.values)
+    return float(f.values @ m @ g.values)
 
 
-def singular_inner_product(f: StepFunction, g: StepFunction, hurst: float, sigma: float = 1.0) -> float:
-    r"""For H > 1/2: ``sigma^2 H(2H-1) \iint f(u) g(v) |u-v|^{2H-2} du dv``.
+def singular_inner_product(f: StepFunction, g: StepFunction, hurst: float) -> float:
+    r"""For H > 1/2: ``H(2H-1) \iint f(u) g(v) |u-v|^{2H-2} du dv``.
 
     The weight is integrated in closed form over each piece pair through
     the second antiderivative ``-|w|^{2H} / (2H(2H-1))``, so the only
@@ -275,7 +272,7 @@ def singular_inner_product(f: StepFunction, g: StepFunction, hurst: float, sigma
         + anti(fa[:, None] - ga[None, :])
     )
     rect = -mixed / (tw * (tw - 1.0))
-    return float(sigma**2 * h * (tw - 1.0) * (f.values @ rect @ g.values))
+    return float(h * (tw - 1.0) * (f.values @ rect @ g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +473,12 @@ def sobolev_norm_gagliardo(f: GridFunction, s, domain: str = "window") -> float:
 # integrand norms of smooth convolution kernels
 
 
-def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) -> float:
+def dh_norm_exponential(lam: float, t: float, hurst: float) -> float:
     r"""Integrand norm of ``u -> exp(-lam (t - u))`` on (0, t), as one shell integral.
 
     With ``x = lam t`` and ``a = 2H + 1``, ``int_0^t e^{-lam (t-s)} dB_s =
     B_t - lam int_0^t e^{-lam (t-s)} B_s ds`` and the covariance give
-    ``||.||^2 = sigma^2 t^{2H} [e^{-x} (1 - x/(2a) 1F1(1; a+1; -x)) +
+    ``||.||^2 = t^{2H} [e^{-x} (1 - x/(2a) 1F1(1; a+1; -x)) +
     x^{-2H} gamma(a, x) / 2]``.  Euler's integral ``1F1(1; a+1; -x) = a
     int_0^1 (1-r)^{2H} e^{-x r} dr`` (DLMF 13.4.1) and ``x^{-2H} gamma(a, x)
     = x int_0^1 r^{2H} e^{-x r} dr`` fold the bracket into ``e^{-x} + x/2
@@ -491,7 +488,7 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
     ``lam^{-H} x^H``, finite where ``t`` is huge.  Past ``x = 1e3`` both
     exponentials are below the double range: ``x`` is capped there,
     overflowing ``lam t`` included, and the square is the stationary fOU
-    variance ``sigma^2 H Gamma(2H) lam^{-2H}``.
+    variance ``H Gamma(2H) lam^{-2H}``.
     """
     h = _check_hurst(hurst)
     lam = float(lam)
@@ -507,13 +504,13 @@ def dh_norm_exponential(lam: float, t: float, hurst: float, sigma: float = 1.0) 
 
     tail = x * _shell_integral(integrand, 1.0, 2.0 ** -(2.0 * h + 1.0))
     scale = t**h if x < 1.0 else lam**-h * x**h
-    return float(sigma * scale * math.sqrt(math.exp(-x) + 0.5 * tail))
+    return float(scale * math.sqrt(math.exp(-x) + 0.5 * tail))
 
 
-def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
+def dh_norm_smooth(fn, t: float, hurst: float) -> float:
     r"""Integrand norm of a smooth kernel on (0, t) for H >= 1/2.
 
-    For H > 1/2 evaluates ``sigma^2 H(2H-1) * 2 \int_0^t w^{2H-2}
+    For H > 1/2 evaluates ``H(2H-1) * 2 \int_0^t w^{2H-2}
     \int_w^t fn(v) fn(v-w) dv dw`` with a Gauss rule on the inner
     correlation integral (256 nodes) and ``_shell_integral`` across the
     singular lag weight, whose shells shrink by ``2^(1-2H)``; at H = 1/2
@@ -528,7 +525,7 @@ def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
         return 0.0
     if h == 0.5:
         val = _shell_integral(lambda u: np.asarray(fn(u)) ** 2, t, 0.5)
-        return float(sigma * np.sqrt(max(val, 0.0)))
+        return float(np.sqrt(max(val, 0.0)))
 
     nodes, weights = np.polynomial.legendre.leggauss(256)
 
@@ -540,7 +537,7 @@ def dh_norm_smooth(fn, t: float, hurst: float, sigma: float = 1.0) -> float:
         return w ** (2.0 * h - 2.0) * corr
 
     outer = _shell_integral(weighted_corr, t, 2.0 ** (1.0 - 2.0 * h))
-    val = sigma**2 * h * (2.0 * h - 1.0) * 2.0 * outer
+    val = h * (2.0 * h - 1.0) * 2.0 * outer
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -112,7 +112,6 @@ def mode_norm(
     t: float,
     hurst: float,
     alpha: float = 0.0,
-    sigma: float = 1.0,
 ) -> float:
     """Integrand norm of the k-th mode kernel ``s -> e^{-lam_k (t-s)}``, weighted.
 
@@ -125,7 +124,7 @@ def mode_norm(
     if not t > 0:
         raise ValueError("time must be positive")
     weight = float(model.fractional_weights(alpha)[k - 1])
-    return weight * dh_norm_exponential(float(model.eigenvalues[k - 1]), t, hurst, sigma)
+    return weight * dh_norm_exponential(float(model.eigenvalues[k - 1]), t, hurst)
 
 
 # pieces of every graded step kernel: the mode kernels and the Neumann boundary kernels
@@ -208,7 +207,7 @@ class ExistenceReport:
     """Verdict of the K-doubling detector on the distributed-noise mode series."""
 
     gamma_norm_lp_value: float
-    per_mode_tail: tuple  # block-mass increments of the unit-scale (sigma = 1) series
+    per_mode_tail: tuple  # block-mass increments of the mode series
     finite: bool
 
 
@@ -241,8 +240,8 @@ def _mode_step_norms(length: float, m: int, hurst: float, t0: float, n_modes: in
     Each is the covariance-route norm of ``_exp_kernel_step(lam_k, t0)``,
     taken by ``_graded_norms`` for ``_NORM_CHUNK`` modes at a time.  They
     depend only on the geometry, H and t0, so they are cached per H and
-    shared by every alpha and sigma; the caller applies the fractional
-    weights and the scale.  The array is read-only.
+    shared by every alpha; the caller applies the fractional weights.  The
+    array is read-only.
     """
     lams = SpectralModel(length, m, n_modes).eigenvalues
     out = np.empty(n_modes)
@@ -259,7 +258,6 @@ def existence_report(
     alpha: float,
     t0: float,
     *,
-    sigma: float = 1.0,
     doublings: int = 3,
 ) -> ExistenceReport:
     """Evaluate the kernel-field gamma norm and probe it under K-doubling.
@@ -276,11 +274,9 @@ def existence_report(
     midpoint cells come from the identity ``sin^2 = (1 - cos)/2``:
     ``(sum_k a_k - sum_k a_k cos(2 k pi x_i / L)) / L``, whose cosine sum is
     one inverse FFT per doubling (``_midpoint_sq_sums``), O(n log n) in the n
-    cells and without an (n, K) sine matrix.  The block masses and the
-    verdict are those of the unit-scale series; ``sigma`` multiplies the
-    gamma norm once, at the end.  A horizon the truncation cannot resolve
-    (``lambda_K t0 < 1``) is refused: there the K-doubling blocks do not yet
-    show the decay of the series, and the verdict is wrong.
+    cells and without an (n, K) sine matrix.  A horizon the truncation
+    cannot resolve (``lambda_K t0 < 1``) is refused: there the K-doubling
+    blocks do not yet show the decay of the series, and the verdict is wrong.
     """
     if not model.eigenvalues[-1] * t0 >= 1.0:
         raise ValueError(
@@ -307,11 +303,8 @@ def existence_report(
             f"x 2^{doublings} overflows: its block masses are not finite; lower alpha"
         )
     incs = np.diff(mass)
-    gamma = sigma * mass[0] ** (1.0 / model.p)
-    if not math.isfinite(gamma):
-        raise ValueError(f"sigma = {sigma:g} times the unit-scale gamma norm overflows")
     return ExistenceReport(
-        gamma_norm_lp_value=gamma,
+        gamma_norm_lp_value=mass[0] ** (1.0 / model.p),
         per_mode_tail=tuple(float(d) for d in incs),
         finite=not _stops_decaying(incs),
     )
@@ -322,8 +315,6 @@ def assemble_kernel_field(
     hurst: float,
     alpha: float,
     t0: float,
-    *,
-    sigma: float = 1.0,
 ) -> LpKernelField:
     """The distributed-noise kernel as an explicit pointwise-kernel field.
 
@@ -344,7 +335,7 @@ def assemble_kernel_field(
         )
         for i in range(xs.size)
     )
-    params = FracParams.fbm(hurst, sigma=sigma)
+    params = FracParams.fbm(hurst)
     return LpKernelField(nodes=xs, weights=ws, kernels=kernels, p=model.p, params=params)
 
 
@@ -572,7 +563,8 @@ def neumann_heat_kernel(u, x, y: float, length: float) -> np.ndarray:
     shifts = 2.0 * length * np.arange(-n, n + 1)
     centers = np.concatenate((shifts + y, shifts - y))
     d = x[..., None] - centers
-    with np.errstate(under="ignore"):
+    # a far image's d^2 / 4u may overflow to inf: exp(-inf) = 0 is its weight
+    with np.errstate(under="ignore", over="ignore"):
         gauss = np.exp(-(d**2) / (4.0 * u[..., None]))
         out = gauss.sum(axis=-1) / np.sqrt(4.0 * math.pi * u)
     return out
@@ -709,7 +701,6 @@ def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float) -> StepF
 
 def boundary_solution_check(
     cfg: NeumannKernelConfig,
-    sigma: float,
     n_paths: int,
     *,
     grid_steps: int = 64,
@@ -719,7 +710,7 @@ def boundary_solution_check(
     """Simulate the boundary-driven solution and z-test its second moments.
 
     One independent fBm component per boundary atom, with the Hurst index
-    ``cfg.hurst`` and the scale ``sigma``; the expected profile is the
+    ``cfg.hurst``; the expected profile is the
     per-point isometry target (sum over atoms of squared kernel norms), and
     the gamma norm is the spatial L^p norm of its square root:
     ``gamma_norm_lp`` of the two atoms' kernel field, without computing the
@@ -730,7 +721,7 @@ def boundary_solution_check(
     wall than the graded kernel resolves (about 4.9e-76), or a horizon
     below about 4.7e-146, is refused before any draw.
     """
-    params = FracParams.fbm(cfg.hurst, sigma)
+    params = FracParams.fbm(cfg.hurst)
     grid = TimeGrid(0.0, cfg.t0 / grid_steps, grid_steps)
     if x_nodes is None:
         xs = cfg.length * np.arange(1, 16) / 16.0
@@ -768,8 +759,7 @@ def boundary_solution_check(
     steps = [_boundary_kernel_step(cfg, x, y) for x in xs for y in (0.0, cfg.length)]
     floors = [s.breakpoints[1] for s in steps]
     norms = _graded_norms(floors, cfg.t0, np.array([s.values for s in steps]), cfg.hurst)
-    # sigma**2 raises OverflowError where sigma^2 leaves the floating-point range
-    expected = sigma**2 * np.sum(norms.reshape(-1, 2) ** 2, axis=1)
+    expected = np.sum(norms.reshape(-1, 2) ** 2, axis=1)
     variance, _, z = _second_moment_z(total, expected)
     # cell weights from the midpoints between nodes, extended to the walls
     w = np.diff(np.concatenate(([0.0], 0.5 * (xs[1:] + xs[:-1]), [cfg.length])))

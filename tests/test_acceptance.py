@@ -70,11 +70,10 @@ def test_c01_norm_ratio_matches_equivalence_constant():
     grid = TimeGrid(0.0, 1.0 / 256, 256)
     worst = 0.0
     for h in HURSTS:
-        for fid in range(20):
-            sigma = 1.0 if fid < 10 else 1.7
+        const = norm_equivalence_constant(h)
+        for _ in range(20):
             f = _aligned_step(rng, grid, 6)
-            ratio = integrand_norm(f, h, sigma) / sobolev_norm_fourier(f.to_grid(grid), 0.5 - h)
-            const = norm_equivalence_constant(h, sigma)
+            ratio = integrand_norm(f, h) / sobolev_norm_fourier(f.to_grid(grid), 0.5 - h)
             worst = max(worst, abs(ratio - const) / const)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.01 and elapsed < 60.0
@@ -88,12 +87,11 @@ def test_c02_indicator_norm_closed_form():
     worst = 0.0
     for h in HURSTS:
         for t in (0.5, 1.0, 2.0):
-            for sigma in (1.0, 2.3):
-                got = integrand_norm(StepFunction.indicator(0.0, t), h, sigma)
-                want = sigma * t**h
-                worst = max(worst, abs(got - want) / want)
+            got = integrand_norm(StepFunction.indicator(0.0, t), h)
+            want = t**h
+            worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-4
-    _verdict("c02", ok, f"indicator norm vs sigma*t^H, 36 cases, worst rel {worst:.2e} (tol 1e-4)")
+    _verdict("c02", ok, f"indicator norm vs t^H, 18 cases, worst rel {worst:.2e} (tol 1e-4)")
     assert worst <= 1e-4
 
 
@@ -161,18 +159,17 @@ def test_c04_moment_ratios():
 
 
 def test_c05_second_chaos_covariance():
-    sigma = 1.2
     n_paths = 100_000
     grid = TimeGrid(0.0, 0.25, 4)
     iso = DiscreteIsonormal.for_window(1.0, 1024, ACC_SEED, stream=20)
     with worker_threads(THREADS):
-        ens = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma), grid, iso, n_paths)
+        ens = simulate_hermite_k2(FracParams.rosenblatt(0.75), grid, iso, n_paths)
     worst = 0.0
     paths = ens.paths
     for i, s in zip([1, 2, 4], [0.25, 0.5, 1.0]):
         for j, t in zip([1, 2, 4], [0.25, 0.5, 1.0]):
             prod = paths[:, i] * paths[:, j]
-            exact = sigma**2 * covariance_rh(s, t, 0.75)
+            exact = covariance_rh(s, t, 0.75)
             se = float(np.std(prod, ddof=1)) / math.sqrt(n_paths)
             worst = max(worst, abs(float(np.mean(prod)) - exact) / se)
     ok = worst <= 4.0

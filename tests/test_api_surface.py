@@ -147,7 +147,7 @@ def test_no_function_takes_a_thread_count():
 
 # public keyword options: the defaulted parameters of the __all__ functions and
 # of the public methods of __all__ classes; a new option has to raise this bound
-MAX_KEYWORD_OPTIONS = 27
+MAX_KEYWORD_OPTIONS = 15
 
 
 def _keyword_options(modules) -> dict:
@@ -177,7 +177,7 @@ def test_keyword_options_stay_within_bound():
 
 # config values: the required and optional keys of every experiment kind; a
 # new key has to raise this bound
-MAX_CONFIG_VALUES = 53
+MAX_CONFIG_VALUES = 48
 
 
 def test_config_values_stay_within_bound():

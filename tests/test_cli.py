@@ -93,7 +93,7 @@ alpha = 0.0
 check_modes = 2
 """
 
-# 64 steps bias the upper modes: modes 3 and 4 fail their z-test at sigma = 1
+# 64 steps bias the upper modes: modes 3 and 4 fail their z-test
 COARSE_SPDE_CFG = """\
 config_version = 1
 kind = spde-distributed
@@ -150,12 +150,18 @@ REMOVED_KEYS = (
     ("z_max", BOUNDARY_CFG + "z_max = 100\n"),
     ("stability_rtol", BOUNDARY_CFG + "stability_rtol = 1\n"),
     ("margin", SWEEP_CFG + "margin = 1\n"),
+    # the driver scale: every norm and second moment scales with it, no z-score or verdict
+    ("sigma", NORM_CFG + "sigma = 1\n"),
+    ("sigma", ISO_CFG + "sigma = 1\n"),
+    ("sigma", SPDE_CFG + "sigma = 1\n"),
+    ("sigma", BOUNDARY_CFG + "sigma = 1\n"),
+    ("sigma", SWEEP_CFG + "sigma = 1\n"),
 )
 
 SPECTRUM_MESSAGE = "the spectrum (k pi / L)^(2m) leaves the floating-point range at length 1e+300"
 
-# 900 paths draw a warning; the tests widen the two ratio tolerances to
-# 0.2 and 0.3, so the warning is the only fault of the run
+# 900 paths draw a warning, the only fault of the run: its ratios pass
+# their bands, which widen as the path count falls
 WARN_CFG = """\
 config_version = 1
 kind = moments
@@ -227,7 +233,7 @@ class TestValidation:
         cfg = validate_config(self._raw())
         assert cfg.kind == "norm-identity"
         assert cfg.seed == 0
-        assert cfg.params["sigma"] == 1.0
+        assert cfg.params["t_end"] == 1.0
         assert cfg.params["grid_steps"] == 256
         assert cfg.params["hurst"] == (0.3,)
 
@@ -263,11 +269,11 @@ class TestValidation:
     @pytest.mark.parametrize(
         "key, raw",
         [
-            ("sigma", "nan"),
-            ("sigma", "NaN"),
-            ("sigma", "inf"),
-            ("sigma", "-inf"),
-            ("sigma", "1e999"),  # overflows while parsing
+            ("t_end", "nan"),
+            ("t_end", "NaN"),
+            ("t_end", "inf"),
+            ("t_end", "-inf"),
+            ("t_end", "1e999"),  # overflows while parsing
             ("hurst", "0.3, nan"),
         ],
     )
@@ -278,7 +284,7 @@ class TestValidation:
     def test_large_finite_number_accepted(self):
         # validation takes any finite number; an overflow inside the model
         # is diagnosed when the config runs
-        assert validate_config(self._raw(sigma="1e300")).params["sigma"] == 1e300
+        assert validate_config(self._raw(t_end="1e300")).params["t_end"] == 1e300
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'wavelets'"):
@@ -419,8 +425,6 @@ class TestInvalidConfigExit2:
             SPDE_CFG.replace("alpha = 0.0", "alpha = inf"),
             SPDE_CFG + "p = inf\n",
             # finite parameters that overflow inside the model
-            ISO_CFG + "sigma = 1e300\n",
-            BOUNDARY_CFG + "sigma = 1e300\n",
             NORM_CFG + "t_end = 1e300\n",
             ISO_CFG.replace("hurst = 0.3, 0.7", "hurst = 0.75") + "t_end = 1e250\n",
             # spectral numbers that overflow: the block masses of a huge alpha,
@@ -478,10 +482,19 @@ class TestInvalidConfigExit2:
     def test_missing_file(self, capsys):
         assert main(["run", "no-such-file.cfg"]) == 2
 
-    def test_overflow_is_diagnosed(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, ISO_CFG + "sigma = 1e300\n")
+    def test_overflow_is_diagnosed(self, tmp_path, monkeypatch, capsys):
+        # every overflow a config can reach is refused as a ValueError first;
+        # the stand-in raises what a Python float power raises past the range
+        def overflow(cfg):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        exp = EXPERIMENTS["isometry"]
+        monkeypatch.setitem(EXPERIMENTS, "isometry", dataclasses.replace(exp, runner=overflow))
+        code, _ = _run(tmp_path, ISO_CFG)
         assert code == 2
-        assert "overflowed the floating-point range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "overflowed the floating-point range: (34, 'Numerical result out of range')" in err
+        assert "Traceback" not in err
 
     def test_memory_error_is_diagnosed(self, tmp_path, monkeypatch, capsys):
         # n_noise_cells has no upper bound; at 10^6 cells the kernel array of
@@ -614,34 +627,6 @@ class TestKinds:
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["n_cases"] == 6
 
-    @pytest.mark.parametrize(
-        "text", [ISO_CFG, COARSE_SPDE_CFG, BOUNDARY_CFG], ids=["isometry", "spde", "boundary"]
-    )
-    def test_z_is_scale_free(self, tmp_path, text):
-        # z is invariant under sigma; its fourth moments must not overflow
-        zs, passes = [], []
-        for sigma in ("1", "1e100"):
-            (tmp_path / sigma).mkdir()
-            _, out = _run(tmp_path / sigma, text + f"sigma = {sigma}\n")
-            header, rows = _read_csv(out / "results.csv")
-            zs.append([float(r[header.index("z")]) for r in rows])
-            passes.append([r[header.index("pass")] for r in rows])
-        assert passes[0] == passes[1]
-        assert zs[1] == pytest.approx(zs[0], abs=1e-9)
-
-    def test_sweep_verdicts_are_scale_free(self, tmp_path):
-        # sigma multiplies the detector's gamma norm once, after the verdict
-        cols = []
-        for sigma in ("1", "1e300"):
-            (tmp_path / sigma).mkdir()
-            code, out = _run(tmp_path / sigma, SWEEP_CFG + f"sigma = {sigma}\n")
-            assert code == 0
-            header, rows = _read_csv(out / "results.csv")
-            cols.append([[r[header.index(c)] for c in ("diverged", "pass")] for r in rows])
-            gamma = [float(r[header.index("gamma_norm")]) for r in rows]
-        assert cols[0] == cols[1]
-        assert all(math.isfinite(g) and g > 1e299 for g in gamma)
-
     def test_near_wall_node_is_diagnosed(self, tmp_path, capsys):
         for x in ("1e-200", "1e-100"):
             code, _ = _run(tmp_path, BOUNDARY_CFG.replace("x_nodes = 0.5", f"x_nodes = {x}, 0.5"))
@@ -679,6 +664,13 @@ class TestKinds:
         assert [r[0] for r in rows[:2]] == ["gaussian", "chaos2"]
         assert sum(r[0] == "combo" for r in rows) == 20
         assert max(float(r[2]) for r in rows if r[0] == "combo") <= 3.0
+
+    def test_moments_band_follows_the_path_count(self):
+        # the ratio's relative SE at 20000 paths is 0.29% (gaussian) and 2.4%
+        # (chaos2); seed 0 reads a chaos2 ratio 3.5% above the limit, within 3 SE
+        text = MOMENTS_CFG.replace("seed = 5", "seed = 0")
+        res = run_experiment(validate_config(parse_flat_config(text)))
+        assert [v.passed for v in res.verdicts] == [True, True, True]
 
     def test_spde_distributed(self, tmp_path):
         code, out = _run(tmp_path, SPDE_CFG)
@@ -752,6 +744,14 @@ class TestKinds:
         assert summary["integral_diverged"] is False
         assert summary["gamma_norm"] > 0
 
+    def test_spde_boundary_long_domain(self, tmp_path):
+        # the far Neumann images' d^2 / 4u overflows; exp(-inf) = 0 is their
+        # weight, with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = _run(tmp_path, BOUNDARY_CFG.replace("length = 1.0", "length = 1e200"))
+        assert code == 0
+
     def test_threshold_sweep(self, tmp_path):
         code, out = _run(tmp_path, SWEEP_CFG)
         assert code == 0
@@ -787,9 +787,7 @@ class TestFewPathsWarning:
 
 
 class TestStrictMode:
-    def test_warnings_fatal_only_under_strict(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "_GAUSS_RTOL", 0.2)
-        monkeypatch.setattr(experiments, "_CHAOS2_RTOL", 0.3)
+    def test_warnings_fatal_only_under_strict(self, tmp_path, capsys):
         code, _ = _run(tmp_path, WARN_CFG)
         assert code == 0
         assert "warning" in capsys.readouterr().err

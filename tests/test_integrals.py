@@ -318,7 +318,7 @@ class TestMomentEquivalence:
 
 class TestGammaNormLp:
     def test_single_node_anchor(self):
-        params = FracParams.fbm(0.6, sigma=1.3)
+        params = FracParams.fbm(0.6)
         field = LpKernelField(
             nodes=[0.0],
             weights=[1.0],
@@ -326,7 +326,7 @@ class TestGammaNormLp:
             p=2.0,
             params=params,
         )
-        assert gamma_norm_lp(field) == pytest.approx(1.3 * 0.7**0.6, rel=1e-6)
+        assert gamma_norm_lp(field) == pytest.approx(0.7**0.6, rel=1e-6)
 
     def test_constant_field_unit_measure(self):
         params = FracParams.fbm(0.4)

@@ -32,7 +32,7 @@ NINE_POINT = [0.25, 0.5, 1.0]
 def _fgn_autocovariance(params, grid):
     # gamma(0 .. n) of the fBm increments, as simulate_fbm builds it
     lags = grid.dt * np.arange(grid.n_steps + 2)
-    return params.sigma**2 * processes._increment_covariance(lags[:2], lags, params.h)[0]
+    return processes._increment_covariance(lags[:2], lags, params.h)[0]
 
 
 def _increment_factor(gamma):
@@ -166,12 +166,10 @@ class TestIncrementCovariance:
 
 class TestFracParams:
     def test_fbm(self):
-        p = FracParams.fbm(0.3, sigma=2.0)
+        p = FracParams.fbm(0.3)
         assert p.family is Family.FBM and p.chaos_order == 1
         with pytest.raises(ValueError):
             FracParams.fbm(1.0)
-        with pytest.raises(ValueError):
-            FracParams.fbm(0.5, sigma=-1.0)
 
     def test_rosenblatt(self):
         p = FracParams.rosenblatt(0.75)
@@ -260,12 +258,6 @@ class TestSimulateFbm:
         want = np.linalg.cholesky(covariance_rh(t[:, None], t[None, :], h))
         got = _node_factor(_fgn_autocovariance(FracParams.fbm(h), grid))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    def test_sigma_scales_paths_exactly(self):
-        grid = TimeGrid(0.0, 1.0 / 16, 16)
-        a = simulate_fbm(FracParams.fbm(0.6), grid, 200, seed=7).paths
-        b = simulate_fbm(FracParams.fbm(0.6, sigma=2.5), grid, 200, seed=7).paths
-        assert np.allclose(b, 2.5 * a, rtol=1e-12)
 
     def test_wiener_increment_variance(self):
         grid = TimeGrid(0.0, 1.0 / 64, 64)
@@ -373,7 +365,7 @@ class TestSimulateFbm:
         assert np.abs(z).max() < 4.5
 
 
-def _nine_point_z(ens, h, sigma=1.0):
+def _nine_point_z(ens, h):
     zmax = 0.0
     paths = ens.paths
     for s in NINE_POINT:
@@ -383,7 +375,7 @@ def _nine_point_z(ens, h, sigma=1.0):
             assert snap < 1e-12
             prod = paths[:, i] * paths[:, j]
             se = np.std(prod, ddof=1) / np.sqrt(len(prod))
-            z = (np.mean(prod) - sigma**2 * covariance_rh(s, t, h)) / se
+            z = (np.mean(prod) - covariance_rh(s, t, h)) / se
             zmax = max(zmax, abs(z))
     return zmax
 
@@ -448,7 +440,7 @@ class TestSimulateHermite:
         u, w = _unit_horizon_nodes(par, iso, 0.6, times)
         omega = np.array([w * processes._filter_weight(t, u, par.beta) for t in times])
         forms = np.array([(a * om[:, None]).T @ a for om in omega])
-        scale = par.sigma / np.sqrt(2.0 * np.sum(forms[-1] ** 2))  # t_end = 1
+        scale = 1.0 / np.sqrt(2.0 * np.sum(forms[-1] ** 2))  # t_end = 1
         zeta = op.latent.increment_block(0, 300)
         quad = np.einsum("pi,tij,pj->pt", zeta, forms, zeta)
         oracle = np.diff(scale * (quad - np.trace(forms, axis1=1, axis2=2)), axis=1)
@@ -516,19 +508,12 @@ class TestSimulateHermite:
             ens = simulate_hermite_k2(par, grid, iso, 30_000)
         assert stats.skew(ens.paths[:, -1]) > 0.5
 
-    def test_sigma_scaling(self):
-        iso = DiscreteIsonormal.for_window(1.0, 128, seed=2)
-        grid = TimeGrid(0.0, 0.5, 2)
-        a = simulate_hermite_k2(FracParams.rosenblatt(0.75), grid, iso, 300).paths
-        b = simulate_hermite_k2(FracParams.rosenblatt(0.75, sigma=3.0), grid, iso, 300).paths
-        assert np.allclose(b, 3.0 * a, rtol=1e-12)
-
     @pytest.mark.parametrize(
         "h,warp,bound",
         [(0.75, 0.6, 0.005), (0.9, 0.35, 0.005), (0.6, 0.6, 0.03)],
     )
     def test_deterministic_covariance_error(self, h, warp, bound):
-        """hermite_covariance, the exact law of simulate_hermite_k2 (isometry), against sigma^2 R_H.
+        """hermite_covariance, the exact law of simulate_hermite_k2 (isometry), against R_H.
 
         Kernel-discretization bias alone; rough at H near 1/2 where the
         near-diagonal residual decays like dx^{2H-1}.
@@ -587,18 +572,18 @@ class TestSimulateHermite:
         assert np.array_equal(all_rows, default)
 
     @pytest.mark.parametrize(
-        "h,sigma,n_cells,lead,warp",
-        [(0.75, 1.0, 4096, 10.0, 0.6), (0.9, 1.0, 2048, 20.0, 0.35), (0.75, 1.2, 1024, 10.0, 0.6)],
+        "h,n_cells,lead,warp",
+        [(0.75, 4096, 10.0, 0.6), (0.9, 2048, 20.0, 0.35), (0.75, 1024, 10.0, 0.6)],
         ids=["c03-H0.75", "c03-H0.9", "c05"],
     )
-    def test_low_rank_factor_matches_full_gram(self, monkeypatch, h, sigma, n_cells, lead, warp):
+    def test_low_rank_factor_matches_full_gram(self, monkeypatch, h, n_cells, lead, warp):
         """The rank-r operator of simulate_hermite_k2 (isometry) against the full pairing.
 
         The untruncated pairing is 2 C^2 omega (G o G) omega^T, G = dx gbar
         gbar^T, built here from the same cell averages; the operator's
         covariance is what hermite_covariance returns.
         """
-        par = FracParams.rosenblatt(h, sigma)
+        par = FracParams.rosenblatt(h)
         iso = DiscreteIsonormal.for_window(1.0, n_cells, seed=1, lead_factor=lead)
         times = TimeGrid(0.0, 0.25, 4).nodes
         op, a = _operator_and_factor(monkeypatch, par, times, iso, warp)
@@ -651,7 +636,7 @@ def _check_against_full_gram(op, a, par, times, iso, warp):
     del gbar
     gram *= gram
     raw = 2.0 * (omega @ gram @ omega.T)
-    oracle = par.sigma**2 * raw / raw[-1, -1]
+    oracle = raw / raw[-1, -1]
     assert np.abs(op.covariance - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 

@@ -130,14 +130,12 @@ class TestModeNorm:
         # lam_1 = (pi/L)^2 -> 0 turns the kernel into an indicator
         mod = SpectralModel(1e6, 1, 1)
         for h in (0.3, 0.6, 0.9):
-            assert mode_norm(mod, 1, 1.5, h, sigma=2.0) == pytest.approx(
-                2.0 * 1.5**h, rel=1e-6
-            )
+            assert mode_norm(mod, 1, 1.5, h) == pytest.approx(1.5**h, rel=1e-6)
 
     def test_vanishing_rate_is_indicator(self):
         # lam_1 ~ 1e-199: lam^{-2H} gamma(2H+1, lam t) would overflow on the way to t^{2H}
         mod = SpectralModel(1e100, 1, 4)
-        assert mode_norm(mod, 1, 2.0, 0.9, sigma=1.5) == pytest.approx(1.5 * 2.0**0.9, rel=1e-12)
+        assert mode_norm(mod, 1, 2.0, 0.9) == pytest.approx(2.0**0.9, rel=1e-12)
 
     def test_dual_method_agreement(self, laplace8):
         # singular-kernel bilinear form on the graded step discretization
@@ -213,9 +211,9 @@ class TestExistenceReport:
         rep = existence_report(mod, 0.4, 0.0, 1.0, doublings=0)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
         # weights applied to norms cached at another alpha
-        existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7, doublings=0)
-        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0, sigma=1.7)
-        rep = existence_report(mod, 0.35, 0.1, 1.0, sigma=1.7, doublings=0)
+        existence_report(mod, 0.35, 0.3, 1.0, doublings=0)
+        field = assemble_kernel_field(mod, 0.35, 0.1, 1.0)
+        rep = existence_report(mod, 0.35, 0.1, 1.0, doublings=0)
         assert gamma_norm_lp(field) == pytest.approx(rep.gamma_norm_lp_value, rel=1e-10)
         cached = _mode_step_norms(mod.length, mod.m, 0.35, 1.0, mod.truncation)
         with pytest.raises(ValueError):
@@ -225,25 +223,6 @@ class TestExistenceReport:
         mod = SpectralModel(L_PI, 1, 4)
         with pytest.raises(ValueError, match="positive"):
             existence_report(mod, 0.4, 0.0, 0.0)
-
-    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
-    def test_sigma_scales_the_gamma_norm_only(self, sigma):
-        # the verdict and the block masses are those of the unit-scale series
-        mod = SpectralModel(L_PI, 1, 16)
-        for alpha in (0.0, 0.1, 0.2, 0.3):
-            unit = existence_report(mod, 0.4, alpha, 1.0)
-            rep = existence_report(mod, 0.4, alpha, 1.0, sigma=sigma)
-            assert rep.finite == unit.finite
-            assert rep.per_mode_tail == unit.per_mode_tail
-            assert rep.gamma_norm_lp_value == pytest.approx(
-                sigma * unit.gamma_norm_lp_value, rel=1e-15
-            )
-
-    def test_scaled_gamma_norm_overflow_refused(self):
-        # the unit-scale norm is about 1.6 here, so sigma = 1.7e308 leaves the range
-        mod = SpectralModel(L_PI, 1, 16)
-        with pytest.raises(ValueError, match="sigma = 1.7e\\+308"):
-            existence_report(mod, 0.35, 0.3, 1.0, sigma=1.7e308)
 
 
 class TestGradedNorms:
@@ -266,15 +245,14 @@ class TestGradedNorms:
 
     @staticmethod
     def _check_boundary(cfg, xs, rel):
-        sigma = 1.3
-        rec = boundary_solution_check(cfg, sigma, 4, grid_steps=8, x_nodes=xs)
+        rec = boundary_solution_check(cfg, 4, grid_steps=8, x_nodes=xs)
         steps = [_boundary_kernel_step(cfg, x, y) for x in xs for y in (0.0, cfg.length)]
         values = np.array([s.values for s in steps])
         got = spde._graded_norms([s.breakpoints[1] for s in steps], cfg.t0, values, cfg.hurst)
         want = np.array([covariance_norm(s, cfg.hurst) for s in steps])
         assert got == pytest.approx(want, rel=rel)
         pairs = np.sum(want.reshape(-1, 2) ** 2, axis=1)
-        assert rec.expected_profile == pytest.approx(sigma**2 * pairs, rel=rel)
+        assert rec.expected_profile == pytest.approx(pairs, rel=rel)
 
     @pytest.mark.parametrize("hurst", [0.5, 0.75, 0.9])
     def test_boundary_kernels_at_default_nodes(self, hurst):
@@ -346,10 +324,9 @@ class TestExistenceReportDenseOracle:
     @pytest.mark.parametrize("doublings", [0, 1, 2, 3])
     def test_matches_sine_matrix(self, p, truncation, doublings):
         mod = SpectralModel(L_PI, 1, truncation, p=p)
-        rep = existence_report(mod, 0.4, 0.1, 1.0, sigma=1.3, doublings=doublings)
+        rep = existence_report(mod, 0.4, 0.1, 1.0, doublings=doublings)
         mass, incs, finite = _dense_existence(mod, 0.4, 0.1, 1.0, doublings)
-        # sigma scales the gamma norm only; the tail and verdict are unit-scale
-        assert rep.gamma_norm_lp_value == pytest.approx(1.3 * mass[0] ** (1.0 / p), rel=1e-12)
+        assert rep.gamma_norm_lp_value == pytest.approx(mass[0] ** (1.0 / p), rel=1e-12)
         assert rep.per_mode_tail == pytest.approx(tuple(incs), rel=1e-12)
         assert rep.finite == finite
 
@@ -988,32 +965,32 @@ CFG75 = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.75, p=2.0)
 class TestBoundarySolutionCheck:
     def test_x_nodes_validated(self):
         with pytest.raises(ValueError, match="inside the domain"):
-            boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.2, 0.1])
+            boundary_solution_check(CFG75, 8, x_nodes=[0.2, 0.1])
         # a NaN node fails every comparison, so it is refused before any draw
         with pytest.raises(ValueError, match="inside the domain"):
-            boundary_solution_check(CFG75, 1.0, 8, x_nodes=[0.25, math.nan, 0.75])
+            boundary_solution_check(CFG75, 8, x_nodes=[0.25, math.nan, 0.75])
         # nearer a wall the graded kernel's floor 0.02 x^2 (1e-200) or its first
         # midpoint (1e-100) underflows
         for x in ("1e-200", "1e-100"):
             with pytest.raises(ValueError, match=rf"x_nodes: node {x} .* down to 4.86e-76"):
-                boundary_solution_check(CFG75, 1.0, 8, x_nodes=[float(x), 0.5])
+                boundary_solution_check(CFG75, 8, x_nodes=[float(x), 0.5])
         # 1e-60 from a wall is resolved
-        rec = boundary_solution_check(CFG75, 1.0, 8, grid_steps=8, x_nodes=[1e-60, 0.5])
+        rec = boundary_solution_check(CFG75, 8, grid_steps=8, x_nodes=[1e-60, 0.5])
         assert np.all(np.isfinite(rec.expected_profile)) and np.all(rec.expected_profile > 0)
 
     def test_unresolved_horizon_refused(self):
         with pytest.raises(ValueError, match="horizon t0 = 1e-160"):
-            boundary_solution_check(NeumannKernelConfig(1.0, 1e-160, 0.75, 2.0), 1.0, 8)
+            boundary_solution_check(NeumannKernelConfig(1.0, 1e-160, 0.75, 2.0), 8)
 
     def test_pointwise_isometry_three_se(self):
         n_paths = 4000
-        rec = boundary_solution_check(CFG75, 1.0, n_paths, grid_steps=128, seed=51)
+        rec = boundary_solution_check(CFG75, n_paths, grid_steps=128, seed=51)
         se = rec.expected_profile * math.sqrt(2.0 / n_paths)
         z = (rec.variance_profile - rec.expected_profile) / se
         assert np.abs(z).max() < 3.0
 
     def test_profile_rises_toward_both_walls(self):
-        rec = boundary_solution_check(CFG75, 1.0, 2000, grid_steps=128, seed=52)
+        rec = boundary_solution_check(CFG75, 2000, grid_steps=128, seed=52)
         mid = rec.variance_profile.size // 2
         assert rec.variance_profile[0] > rec.variance_profile[mid]
         assert rec.variance_profile[-1] > rec.variance_profile[mid]
@@ -1024,7 +1001,7 @@ class TestBoundarySolutionCheck:
         # (2/pi) ln(1/x): the kernel-power signature of the wall singularity
         cfg = NeumannKernelConfig(length=1.0, t0=1.0, hurst=0.5, p=2.0)
         xs = 2.0 ** -np.arange(3, 11)
-        rec = boundary_solution_check(cfg, 1.0, 4, grid_steps=8, x_nodes=xs[::-1])
+        rec = boundary_solution_check(cfg, 4, grid_steps=8, x_nodes=xs[::-1])
         prof = rec.expected_profile[::-1]
         slope = np.polyfit(np.log(1.0 / xs), prof, 1)[0]
         assert slope == pytest.approx(2.0 / math.pi, rel=0.05)
@@ -1032,6 +1009,6 @@ class TestBoundarySolutionCheck:
 
     def test_smooth_case_profile_bounded_near_wall(self):
         xs = [2.0**-10, 2.0**-7, 2.0**-4]
-        rec = boundary_solution_check(CFG75, 1.0, 4, grid_steps=8, x_nodes=xs)
+        rec = boundary_solution_check(CFG75, 4, grid_steps=8, x_nodes=xs)
         prof = rec.expected_profile
         assert prof[0] / prof[-1] < 1.15
