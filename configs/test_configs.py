@@ -35,6 +35,7 @@ ACCEPTED = {
     "norm-identity": {0},
     "norm-identity-long": {0},
     "spde-boundary": {0},
+    "spde-boundary-long": {0},
     "spde-boundary-short": {0, 1},
     "spde-boundary-wall": {0, 1},
     "spde-p15": {0, 1},

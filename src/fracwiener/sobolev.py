@@ -22,8 +22,10 @@ several independent routes to these quantities:
 * ``dh_norm_exponential``: the spde mode norms' exponential kernel as one
   shell integral (Euler's integral), with ``dh_norm_smooth`` as its oracle,
 * ``sobolev_norm_step``: exact jump-pair closed form for step functions,
-* ``sobolev_norm_fourier``: FFT of sampled data with an analytic
-  high-frequency tail correction,
+* ``sobolev_norm_fourier``: FFT of sampled data, its aliasing bands folded
+  into one frequency weight, with the jumps' self term
+  sum d_i^2 x_max^{2s-1} / (pi (1 - 2s)) as the high-frequency tail (the
+  first-order cross terms vanish: the jumps lie on grid nodes),
 * ``sobolev_norm_gagliardo``: exact cell-pair double integral for
   piecewise-constant data, 0 < s < 1/2.
 
@@ -300,13 +302,6 @@ def sobolev_norm_step(f: StepFunction, s) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 # Resolution of sobolev_norm_fourier: zero-padding factor of the FFT and the
 # number of aliasing bands integrated before the analytic tail
 _FOURIER_PAD = 32
@@ -317,83 +312,58 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
     """Homogeneous Sobolev norm of sampled data via the FFT.
 
     The samples are read as a piecewise-constant function on the grid
-    cells, whose Fourier transform is available in closed form at the
-    padded FFT frequencies.  The frequency integral is taken by Simpson's
-    rule over ``2 * _FOURIER_BANDS`` aliasing bands of the FFT (reusing the
-    periodic spectrum), the first cell around zero frequency is handled
-    with an exact power-weighted rule, and the remaining high-frequency
-    tail is added analytically from the jump content of the data.  For
-    grid-aligned step data the only error left is the frequency-rule
-    resolution, controlled by ``_FOURIER_PAD``.  A sum that is not finite,
-    as when a huge grid step overflows the frequency powers, raises a
-    ``ValueError`` that names the grid step.
+    cells, whose Fourier transform at frequency x is the padded FFT times
+    ``(1 - e^{-ixh}) / (ix)``, h the grid step.  The squared FFT modulus is
+    even and periodic with period 2 lam, lam = pi / h, so the frequency
+    integral over the ``2 * _FOURIER_BANDS`` aliasing bands [k lam, (k+1) lam]
+    folds onto [0, lam] with one band-summed weight
+
+        W(x) = sum_m (2 m lam + x)^{2s-2} + ((2m+2) lam - x)^{2s-2},
+
+    taken by one composite Simpson rule, except for its term x^{2s-2}
+    (m = 0, singular at 0): Simpson's rule from 2 dx on, and an exact
+    power-weighted rule on the first two cells around zero frequency.
+
+    Beyond x_max = 2 * _FOURIER_BANDS * lam the transform is that of the
+    jumps d_i at the nodes tau_i, and the tail added is their self term
+    ``sum d_i^2 x_max^{2s-1} / (pi (1 - 2s))``.  The first-order cross
+    terms are multiples of sin(x_max |tau_i - tau_j|), which is 0 because
+    the jumps lie on grid nodes, so x_max |tau_i - tau_j| is a multiple of
+    2 pi.  For grid-aligned step data the only error left is the
+    frequency-rule resolution, controlled by ``_FOURIER_PAD``.  A sum that
+    is not finite, as when a huge grid step overflows the frequency powers,
+    raises a ``ValueError`` that names the grid step.
     """
     sv = _order(s)
     h = f.grid.dt
     v = np.asarray(f.samples)
-    n = v.size
     if not np.any(v != 0):
         return 0.0
-    n_pad = _FOURIER_PAD * _next_pow2(n + 1)
-    spec = np.fft.fft(v, n_pad)
+    # an even panel count for Simpson's rule: n_pad = 32 * 2^k > 32 n
+    n_pad = _FOURIER_PAD << v.size.bit_length()
     half = n_pad // 2
-    p_plus = np.abs(spec[: half + 1]) ** 2
-
     dx = 2.0 * np.pi / (n_pad * h)
     lam = np.pi / h
     x = dx * np.arange(half + 1)
-    osc = 2.0 - 2.0 * np.cos(x * h)  # |1 - e^{-i x h}|^2, envelope numerator
-
-    jumps = np.diff(np.concatenate(([0.0], v, [0.0])))
-
-    def band_integral(p_arr: np.ndarray) -> float:
-        # sum over aliasing bands [2m lam, (2m+1) lam] and the mirrored halves
-        total = 0.0
-        for m in range(_FOURIER_BANDS):
-            for forward in (True, False):
-                if forward:
-                    xs = 2.0 * m * lam + x
-                    ps = p_arr
-                    os_ = osc
-                else:
-                    xs = 2.0 * (m + 1) * lam - x[::-1]
-                    ps = p_arr[::-1]
-                    os_ = osc[::-1]
-                g = np.where(xs > 0, np.abs(xs) ** (2.0 * sv - 2.0), 0.0) * os_ * ps
-                if m == 0 and forward:
-                    # exact power-weighted rule on [0, 2 dx] with a quadratic
-                    # interpolant of the smooth factor phi = osc * p / x^2 -> h^2 p
-                    phi0 = h * h * ps[0]
-                    phi1 = os_[1] * ps[1] / x[1] ** 2
-                    phi2 = os_[2] * ps[2] / x[2] ** 2
-                    total += _first_cells_power(sv, dx, phi0, phi1, phi2)
-                    total += _simpson(g[2:], dx)
-                else:
-                    total += _simpson(g, dx)
-        return total / (2.0 * np.pi)
-
-    # x^{2s-2} is infinite at x = 0 (masked out) and overflows for a huge
-    # grid step; the sum is checked once below instead of warning per step,
-    # and x_max is a numpy float so that its powers cannot raise OverflowError
+    # |1 - e^{-i x h}|^2 |FFT|^2 on [0, lam]; real data, so the negative
+    # frequencies mirror the positive ones
+    p = np.abs(np.fft.fft(v, n_pad)[: half + 1]) ** 2
+    q = (2.0 - 2.0 * np.cos(x * h)) * p
+    e = 2.0 * sv - 2.0
+    # x^{2s-2} overflows for a huge grid step; the sum is checked once below
+    # instead of warning per band, and x_max is a numpy float so that its
+    # powers cannot raise OverflowError
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # real data: the negative frequencies mirror the positive ones
-        total = 2.0 * band_integral(p_plus)
-
-        # analytic tail beyond the last band; self term plus first-order
-        # oscillatory correction from the jump pairs
+        w = (2.0 * lam - x) ** e
+        for m in range(1, _FOURIER_BANDS):
+            w += (2.0 * m * lam + x) ** e
+            w += (2.0 * (m + 1) * lam - x) ** e
+        # quadratic interpolant of the smooth factor q / x^2 -> h^2 |FFT(0)|^2
+        first = _first_cells_power(sv, dx, h * h * p[0], q[1] / x[1] ** 2, q[2] / x[2] ** 2)
+        bands = first + _simpson(x[2:] ** e * q[2:], dx) + _simpson(w * q, dx)
         x_max = np.float64(2.0 * _FOURIER_BANDS * lam)
-        sum_sq = float(np.sum(jumps**2))
-        tail = sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
-        nz = np.flatnonzero(jumps)
-        if 0 < nz.size <= 512:
-            tau = f.grid.nodes[nz]
-            d = jumps[nz]
-            delta = tau[:, None] - tau[None, :]
-            iu = np.triu_indices(nz.size, k=1)
-            dd = (d[:, None] * d[None, :])[iu]
-            dl = np.abs(delta[iu])
-            tail += (2.0 / np.pi) * np.sum(dd * (-(x_max ** (2.0 * sv - 2.0)) * np.sin(x_max * dl) / dl))
-        value = total + tail
+        sum_sq = np.sum(np.diff(v, prepend=0.0, append=0.0) ** 2)
+        value = bands / np.pi + sum_sq * x_max ** (2.0 * sv - 1.0) / (np.pi * (1.0 - 2.0 * sv))
     if not np.isfinite(value):
         raise ValueError(
             f"the Fourier Sobolev norm is not finite at grid step {h:g}: its "
@@ -404,10 +374,7 @@ def sobolev_norm_fourier(f: GridFunction, s) -> float:
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
-    n = y.size - 1
-    if n % 2 == 1:
-        # composite Simpson on the even part, trapezoid on the last interval
-        return _simpson(y[:-1], dx) + 0.5 * dx * (y[-2] + y[-1])
+    """Composite Simpson rule on an even number of panels."""
     return float(dx / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
 
 

@@ -692,7 +692,11 @@ def _boundary_kernel_step(cfg: NeumannKernelConfig, x: float, y: float) -> StepF
     d the distance from x to the nearer wall; each piece takes the kernel at
     its geometric midpoint, the first one at ``floor sqrt(1e-3)``.
     """
-    floor = min(cfg.t0 * 1e-7, 0.02 * min(x, cfg.length - x) ** 2)
+    floor = cfg.t0 * 1e-7
+    d = min(x, cfg.length - x)
+    # compared as distances, since 0.02 d^2 overflows on a huge domain
+    if d < math.sqrt(floor / 0.02):
+        floor = 0.02 * d**2
     edges = _graded_edges(floor, cfg.t0)
     mids = np.sqrt(edges[1:] * np.maximum(edges[:-1], floor * 1e-3))
     vals = neumann_heat_kernel(mids, x, y, cfg.length)
@@ -741,11 +745,12 @@ def boundary_solution_check(
             "the graded boundary kernels resolve"
         )
     wall = np.minimum(xs, cfg.length - xs)
-    if not np.all(0.02 * wall**2 >= _BOUNDARY_FLOOR_MIN):
+    wall_min = math.sqrt(_BOUNDARY_FLOOR_MIN / 0.02)
+    if not np.all(wall >= wall_min):
         i = int(np.argmin(wall))
         raise ValueError(
             f"x_nodes: node {xs[i]:g} is {wall[i]:g} from a wall; the graded boundary "
-            f"kernels resolve wall distances down to {math.sqrt(_BOUNDARY_FLOOR_MIN / 0.02):.3g}"
+            f"kernels resolve wall distances down to {wall_min:.3g}"
         )
     cyl = simulate_cylindrical(params, grid, 2, n_paths, seed=seed)
     lags = (grid.n_steps - np.arange(grid.n_steps)) * grid.dt

@@ -746,11 +746,14 @@ class TestKinds:
 
     def test_spde_boundary_long_domain(self, tmp_path):
         # the far Neumann images' d^2 / 4u overflows; exp(-inf) = 0 is their
-        # weight, with no RuntimeWarning on the way
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, _ = _run(tmp_path, BOUNDARY_CFG.replace("length = 1.0", "length = 1e200"))
-        assert code == 0
+        # weight, and at the default nodes the kernel floor's 0.02 d^2 would
+        # overflow (t0 * 1e-7 is the floor); no RuntimeWarning on the way
+        text = BOUNDARY_CFG.replace("length = 1.0", "length = 1e200")
+        for cfg in (text, text.replace("x_nodes = 0.5\n", "")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _ = _run(tmp_path, cfg)
+            assert code == 0
 
     def test_threshold_sweep(self, tmp_path):
         code, out = _run(tmp_path, SWEEP_CFG)

@@ -402,15 +402,29 @@ class TestFourierNorm:
 
     @pytest.mark.parametrize("h", HURSTS)
     def test_matches_exact_step_norm(self, h):
-        """sobolev_norm_fourier (norm-identity) against the sobolev_norm_step oracle."""
+        """sobolev_norm_fourier (norm-identity) against the sobolev_norm_step oracle.
+
+        Three 6-piece functions on 256 cells, then one of 600 pieces (601
+        jumps) on 2048 cells.
+        """
         sv = 0.5 - h
         rng = np.random.default_rng(100 + int(h * 100))
-        grid = TimeGrid(0.0, 1.0 / 256, 256)
-        for _ in range(3):
-            f = _aligned_step(rng, grid)
+        coarse, fine = TimeGrid(0.0, 1.0 / 256, 256), TimeGrid(0.0, 1.0 / 2048, 2048)
+        for grid, n_edges in [(coarse, 7)] * 3 + [(fine, 601)]:
+            f = _aligned_step(rng, grid, n_edges)
             exact = sb.sobolev_norm_step(f, sv)
             approx = sb.sobolev_norm_fourier(f.to_grid(grid), sv)
             assert approx == pytest.approx(exact, rel=3e-4)
+
+    @pytest.mark.parametrize("sv", [-0.4, -0.1, 0.1, 0.4])
+    def test_shift_invariance(self, sv):
+        """The same samples on grids that start far from 0 have the same norm."""
+        samples = np.random.default_rng(7).normal(size=256)
+        norms = [
+            sb.sobolev_norm_fourier(GridFunction(TimeGrid(t0, 1e-3, 256), samples), sv)
+            for t0 in (0.0, 1e3, 1e6, 1e9, 1e12)
+        ]
+        assert norms == pytest.approx([norms[0]] * len(norms), rel=1e-13)
 
     def test_unitary_convention_anchor(self):
         """sobolev_norm_fourier (norm-identity) against the cosine tail constant.
