@@ -40,6 +40,7 @@ ACCEPTED = {
     "spde-boundary-wall": {0, 1},
     "spde-p15": {0, 1},
     "spde-rosenblatt": {0},
+    "spde-stiff-terminal": {0, 1},
     "spde-threads": {0, 1},
     "threshold-sweep": {0},
     "threshold-sweep-m2": {0},

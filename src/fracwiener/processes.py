@@ -56,6 +56,14 @@ in effect, and give the same increments at any worker count.  The
 second-chaos operator of the last geometry is kept: drivers that differ
 only in their seed or stream, such as the modes of a mild solve, share
 one build.
+
+On a Cholesky grid, ``simulate_fbm`` with a ``linear_map`` A returns A
+applied to each path's increments instead of the increments: A is folded
+into the factor and multiplied into the same normals, one product per row
+chunk, so no increment is formed.  That is how the mild solve draws the
+node values of its fBm modes, with the left-point recursion as A; its
+second-chaos modes, and fBm on circulant grids, run the recursion over the
+increments.
 """
 from __future__ import annotations
 
@@ -70,7 +78,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .chaos import DiscreteIsonormal
 from .grids import TimeGrid
-from .rng import block_generator, map_path_blocks
+from .rng import block_generator, map_ordered, map_path_blocks, path_blocks
 
 __all__ = [
     "CylindricalEnsemble",
@@ -228,12 +236,40 @@ _CHOLESKY_MAX_STEPS = 1024
 # float64 normals of one row chunk of a Cholesky draw (128 KB), so a block's
 # normals never exist all at once.  A chunk this large is past the sizes where
 # OpenBLAS takes its small-matrix kernels, which round differently from its
-# blocked product (rows * steps <= 1200 for this product on x86-64).  Measured
-# on a 2-core x86-64 box with one BLAS thread: spde-holder's solve at 2
-# workers peaks at 146 MB against 148 MB at 2^16 and 169 MB unchunked, and
-# runs 5% slower than at 2^16; analytic-sweep's fBm draws leave 2-4 MB more
-# resident at 2^16 than here
+# blocked product (rows * steps <= 1200 for this product on x86-64).  The fBm
+# modes of a mild solve take their nodes in one product per chunk
+# (simulate_fbm with a linear_map).  Measured on a 2-core x86-64 box:
+# spde-holder's solve at 2 workers and one BLAS thread peaks at 81-85 MB
+# against 85-88 MB at 2^16 and 97-100 MB unchunked, in the same time within
+# the host's noise; at OpenBLAS's default two threads the c08 solves take
+# 12.7 s against 11.3 s at 2^16 and 7.9 s unchunked (one run each)
 _NORMAL_CHUNK_ELEMENTS = 1 << 14
+
+
+def _increment_cholesky(gamma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the Toeplitz matrix of gamma[:n], the covariance of the n increments."""
+    n = gamma.size - 1
+    idx = np.arange(n)
+    try:
+        return np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)])
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance factorization failed: grid too fine")
+
+
+def _normal_chunks(gen: np.random.Generator, b: int, n: int):
+    """Yield ``(lo, hi, normals)``: rows lo..hi of a (b, n) standard normal draw from ``gen``.
+
+    The rows come in chunks of _NORMAL_CHUNK_ELEMENTS, the same numbers as one
+    (b, n) draw.  A short last chunk joins the one before it, so no chunk of
+    a longer block is small enough for the one-row or small-matrix kernels
+    of the BLAS, which round differently from its blocked product.
+    """
+    rows = max(1, _NORMAL_CHUNK_ELEMENTS // n)
+    lo = 0
+    while lo < b:
+        hi = b if b - lo < 2 * rows else lo + rows
+        yield lo, hi, gen.standard_normal((hi - lo, n))
+        lo = hi
 
 
 def simulate_fbm(
@@ -242,9 +278,16 @@ def simulate_fbm(
     n_paths: int,
     seed: int,
     stream: int = 0,
-) -> PathEnsemble:
+    linear_map: Optional[np.ndarray] = None,
+) -> PathEnsemble | np.ndarray:
     """Exact Gaussian sampling of fBm increments over the grid cells; the grid
-    size picks Cholesky (up to _CHOLESKY_MAX_STEPS steps) or circulant embedding."""
+    size picks Cholesky (up to _CHOLESKY_MAX_STEPS steps) or circulant embedding.
+
+    With ``linear_map``, an ``(r, n_steps)`` matrix A on a Cholesky grid,
+    the return value is instead the array ``A @ dz`` of shape
+    ``(r, n_paths)``, time-major, for the increments dz of the same paths:
+    the product A L with the factor is formed once and multiplied into the
+    normals, one product per row chunk, so no increment is formed."""
     if params.family is not Family.FBM:
         raise ValueError("simulate_fbm needs FBM parameters")
     _require_zero_start(grid)
@@ -256,6 +299,15 @@ def simulate_fbm(
         raise ValueError(f"the fBm increment autocovariance is not finite at grid step {grid.dt:g} "
                          f"and H = {params.h:g}; use a time window of moderate length")
     small = grid.n_steps <= _CHOLESKY_MAX_STEPS
+    if linear_map is not None:
+        linear_map = np.asarray(linear_map, dtype=float)
+        if linear_map.ndim != 2 or linear_map.shape[1] != grid.n_steps:
+            raise ValueError(f"linear_map must have shape (rows, {grid.n_steps}), "
+                             f"got {linear_map.shape}")
+        if not small:
+            raise ValueError(f"linear_map needs a Cholesky grid, at most "
+                             f"{_CHOLESKY_MAX_STEPS} steps")
+        return _fbm_image(_increment_cholesky(gamma), linear_map, n_paths, seed, stream)
     draw = (_fbm_cholesky_drawer if small else _fbm_circulant_drawer)(gamma)
 
     def run(block: int, sl: slice) -> np.ndarray:
@@ -266,31 +318,40 @@ def simulate_fbm(
 
 
 def _fbm_cholesky_drawer(gamma: np.ndarray):
-    # the Toeplitz matrix of gamma[:n] is the covariance of the n increments
-    n = gamma.size - 1
-    idx = np.arange(n)
-    try:
-        chol = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx)])
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance factorization failed: grid too fine")
-
-    rows = max(1, _NORMAL_CHUNK_ELEMENTS // n)
+    chol = _increment_cholesky(gamma)
 
     def draw(gen: np.random.Generator, b: int) -> np.ndarray:
-        # the normals come in row chunks, each multiplied straight into its
-        # rows of the output: the same numbers and products as one (b, n)
-        # draw.  A short last chunk joins the one before it, so no chunk of a
-        # longer block is small enough for the one-row or small-matrix kernels
-        # of the BLAS, which round differently from its blocked product
-        out = np.empty((b, n))
-        lo = 0
-        while lo < b:
-            hi = b if b - lo < 2 * rows else lo + rows
-            np.matmul(gen.standard_normal((hi - lo, n)), chol.T, out=out[lo:hi])
-            lo = hi
+        # each row chunk of normals is multiplied straight into its rows of
+        # the output: the same numbers and products as one (b, n) draw
+        out = np.empty((b, chol.shape[0]))
+        for lo, hi, normals in _normal_chunks(gen, b, chol.shape[0]):
+            np.matmul(normals, chol.T, out=out[lo:hi])
         return out
 
     return draw
+
+
+def _fbm_image(chol: np.ndarray, linear_map: np.ndarray, n_paths: int, seed: int,
+               stream: int) -> np.ndarray:
+    """``linear_map @ dz`` for the increments dz of the Cholesky draw of ``simulate_fbm``, time-major.
+
+    A block's increments are ``normals @ chol.T``, so ``A dz = (A chol) normals.T``.
+    The path blocks run on the ``rng.worker_threads`` pool, each writing its
+    own columns, from the same ``block_generator`` keys as the increments.
+    """
+    op = linear_map @ chol
+    out = np.empty((op.shape[0], n_paths))
+    blocks = list(path_blocks(n_paths))
+
+    def run(i: int) -> None:
+        block, sl = blocks[i]
+        gen = block_generator(seed, stream, block)
+        for lo, hi, normals in _normal_chunks(gen, sl.stop - sl.start, op.shape[1]):
+            np.matmul(op, normals.T, out=out[:, sl.start + lo:sl.start + hi])
+
+    for _ in map_ordered(run, len(blocks)):
+        pass
+    return out
 
 
 def _fbm_circulant_drawer(gamma: np.ndarray):

@@ -23,7 +23,14 @@ import numpy as np
 
 from .grids import StepFunction, TimeGrid
 from .integrals import LpKernelField, _dyadic_sum, _second_moment_z, _stops_decaying
-from .processes import FracParams, simulate_cylindrical, simulate_driver
+from .processes import (
+    _CHOLESKY_MAX_STEPS,
+    Family,
+    FracParams,
+    simulate_cylindrical,
+    simulate_driver,
+    simulate_fbm,
+)
 from .rng import map_ordered
 from .sobolev import _check_hurst, _dyadic_shell, dh_norm_exponential
 
@@ -364,16 +371,36 @@ def semigroup_smoothing_exponent(model: SpectralModel, alpha: float) -> float:
     return float(slope)
 
 
-def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
-    """Refuse an alpha not below ``model.existence_threshold``, then yield ``(k, steps)`` per mode.
+def _recursion_rows(lam_dt: float, n: int, first: int) -> np.ndarray:
+    """Rows ``first - 1 .. n - 1`` of R, the left-point recursion as a matrix on the increments.
 
-    ``steps[i - 1]`` holds the weighted coefficients of mode k at node i
-    >= 1 on all paths, shape ``(n_steps, n_paths)``: time-major, as the
-    recursion runs (node 0 is the zero start).  Modes come in ascending
-    order.  The check runs when this is called, the draws once the modes
-    are consumed: one mode per task on the ``rng.worker_threads`` pool,
-    through ``rng.map_ordered``.  Close the iterator when leaving it early,
-    so that no mode is left running.
+    ``R[i, a] = f^(i - a + 1)`` for ``a <= i``, ``f = e^(-lam dt)``, so
+    ``(R dz)_i`` is node ``i + 1`` of ``y(t_{i+1}) = f (y(t_i) + dz_i)`` from
+    ``y(0) = 0``.  R comes from the powers ``f^1 .. f^n``; for stiff modes
+    the far ones underflow to 0.
+    """
+    with np.errstate(under="ignore"):
+        powers = math.exp(-lam_dt) ** np.arange(1, n + 1)
+    # R[i, a] = powers[i - a], and 0 where i - a < 0
+    lag = np.arange(first - 1, n)[:, None] - np.arange(n)
+    return np.concatenate((np.zeros(n - 1), powers))[lag + n - 1]
+
+
+def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells, first):
+    """Refuse an alpha not below ``model.existence_threshold``, then yield ``(k, nodes)`` per mode.
+
+    ``nodes[i - first]`` holds the weighted coefficients of mode k at node i
+    for ``first <= i <= n`` on all paths, shape ``(n + 1 - first, n_paths)``:
+    time-major (node 0 is the zero start).  For an fBm driver on at most
+    ``_CHOLESKY_MAX_STEPS`` steps, each mode draws its nodes as
+    ``simulate_fbm(stream=k, linear_map=R)``, with R the rows of the
+    left-point recursion from ``_recursion_rows``: one product per row chunk
+    of its normals, with R folded into the Cholesky factor.  Other drivers
+    run the recursion over the increments of ``simulate_driver``.  Modes
+    come in ascending order.  The check runs when this is called, the draws
+    once the modes are consumed: one mode per task on the
+    ``rng.worker_threads`` pool, through ``rng.map_ordered``.  Close the
+    iterator when leaving it early, so that no mode is left running.
     """
     threshold = model.existence_threshold(params.h)
     if not alpha < threshold:
@@ -383,22 +410,29 @@ def _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells):
             "for the convolution diverges, so there is no mild solution "
             "to simulate. Lower alpha, raise H, or raise the operator order."
         )
-    lams = model.eigenvalues
+    lam_dts = model.eigenvalues * grid.dt
     weights = model.fractional_weights(alpha)
 
-    def mode(k: int) -> tuple[int, np.ndarray]:
-        # mode k is component k of simulate_cylindrical; its increments are
-        # dropped once copied time-major
-        y = np.ascontiguousarray(
-            simulate_driver(params, grid, n_paths, seed, k, n_noise_cells).increments.T
-        )
-        # exact one-step form of the left-point convolution
-        fade = math.exp(-lams[k] * grid.dt)
-        y *= fade
-        for i in range(1, y.shape[0]):
-            y[i] += fade * y[i - 1]
-        y *= weights[k]
-        return k, y
+    if params.family is Family.FBM and grid.n_steps <= _CHOLESKY_MAX_STEPS:
+        def mode(k: int) -> tuple[int, np.ndarray]:
+            rows = _recursion_rows(lam_dts[k], grid.n_steps, first)
+            with np.errstate(under="ignore"):  # products with the underflowed powers
+                y = simulate_fbm(params, grid, n_paths, seed, k, linear_map=rows)
+            y *= weights[k]
+            return k, y
+    else:
+        def mode(k: int) -> tuple[int, np.ndarray]:
+            # mode k is component k of simulate_cylindrical; its increments are
+            # dropped once copied time-major
+            y = np.ascontiguousarray(
+                simulate_driver(params, grid, n_paths, seed, k, n_noise_cells).increments.T
+            )
+            # exact one-step form of the left-point convolution
+            fade = math.exp(-lam_dts[k])
+            y *= fade
+            for i in range(1, y.shape[0]):
+                y[i] += fade * y[i - 1]
+            return k, weights[k] * y[first - 1:]
 
     # each task draws its path blocks serially; at most one mode per worker
     # exists at a time, counting one the caller holds and drops before asking
@@ -418,10 +452,14 @@ def mild_summary(
     n_noise_cells: int,
     fit_holder: bool,
 ) -> tuple[np.ndarray, float | None]:
-    """Mild solution by the left-point recursion, one independent driver per mode.
+    """Mild solution mode by mode, one independent driver per mode, drawn by ``_mode_paths``.
 
     The discrete convolution satisfies the exact per-step recursion
-    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``; an ``alpha`` not below
+    ``y(t_{i+1}) = e^{-lam dt} (y(t_i) + dz_i)``.  A mode's node values are
+    linear in its driver, so for an fBm driver on a Cholesky grid they come
+    straight from its normals, one product per path block, and only at the
+    nodes read here: the second half of the grid with ``fit_holder``, else
+    the last node.  Other drivers run the recursion.  An ``alpha`` not below
     ``model.existence_threshold(H)`` is refused, since the mode series
     diverges.  Returns ``(terminal, slope)``: ``terminal[path, mode]`` is
     the weighted mode value at the last node and, when ``fit_holder``,
@@ -432,15 +470,16 @@ def mild_summary(
     per lag, for p != 2 the second half of each mode's path.  Every
     argument is required.
     """
-    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
     fold = _LagFold(model, grid, n_paths) if fit_holder else None
+    first = grid.n_steps if fold is None else fold.i0
+    modes = _mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells, first)
     terminal = np.zeros((n_paths, model.truncation))
     with closing(modes):
-        for k, steps in modes:
-            terminal[:, k] = steps[-1]
+        for k, nodes in modes:
+            terminal[:, k] = nodes[-1]
             if fold is not None:
-                fold.add(k, steps)
-            del steps  # dropped before the next mode is asked for, which may start one
+                fold.add(k, nodes)
+            del nodes  # dropped before the next mode is asked for, which may start one
     return terminal, None if fold is None else fold.slope()
 
 
@@ -468,9 +507,8 @@ class _LagFold:
         else:
             self.window = np.zeros((n_paths, model.truncation, width))
 
-    def add(self, k: int, steps: np.ndarray) -> None:
-        """Fold in mode ``k``, nodes 1..n as ``(n_steps, n_paths)`` rows; modes ascend."""
-        w = steps[self.i0 - 1:]
+    def add(self, k: int, w: np.ndarray) -> None:
+        """Fold in mode ``k``, its window of nodes n/2 .. n as rows of paths; modes ascend."""
         if self.model.p != 2.0:
             self.window[:, k] = w.T
             return

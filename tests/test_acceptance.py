@@ -230,10 +230,10 @@ def test_c08_holder_exponent_floors():
 def _node_paths(model, params, grid, n_paths, seed):
     """``coeffs[path, mode, node]`` of the mild solve: the ``_mode_paths`` draws, stacked."""
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
-    modes = spde._mode_paths(model, params, grid, n_paths, 0.0, seed, 512)
+    modes = spde._mode_paths(model, params, grid, n_paths, 0.0, seed, 512, 1)
     with closing(modes):
-        for k, steps in modes:
-            coeffs[:, k, 1:] = steps.T
+        for k, nodes in modes:
+            coeffs[:, k, 1:] = nodes.T
     return coeffs
 
 

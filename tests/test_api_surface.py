@@ -147,7 +147,7 @@ def test_no_function_takes_a_thread_count():
 
 # public keyword options: the defaulted parameters of the __all__ functions and
 # of the public methods of __all__ classes; a new option has to raise this bound
-MAX_KEYWORD_OPTIONS = 15
+MAX_KEYWORD_OPTIONS = 16
 
 
 def _keyword_options(modules) -> dict:

@@ -244,6 +244,27 @@ class TestSimulateFbm:
                     got = simulate_fbm(p, grid, n_paths, seed=3, stream=1).increments
                 assert np.array_equal(got, want), (n_paths, workers)
 
+    def test_linear_map_maps_the_same_increments(self, monkeypatch):
+        # A @ dz, time-major, for the increments of the same paths, with A
+        # folded into the factor; 7-path blocks give three blocks, the last short
+        monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
+        n_steps = 64
+        grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
+        p = FracParams.fbm(0.35)
+        a = np.random.default_rng(0).standard_normal((5, n_steps))
+        dz = simulate_fbm(p, grid, 17, seed=4, stream=3).increments
+        want = a @ dz.T
+        got = simulate_fbm(p, grid, 17, seed=4, stream=3, linear_map=a)
+        assert got.shape == (5, 17)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        with worker_threads(3):
+            assert np.array_equal(simulate_fbm(p, grid, 17, seed=4, stream=3, linear_map=a), got)
+        with pytest.raises(ValueError, match="shape"):
+            simulate_fbm(p, grid, 17, seed=4, linear_map=a[:, 1:])
+        long = TimeGrid(0.0, 1.0 / 1025, 1025)
+        with pytest.raises(ValueError, match="Cholesky grid"):
+            simulate_fbm(p, long, 17, seed=4, linear_map=np.ones((1, 1025)))
+
     @pytest.mark.parametrize("n", [16, 256, 1024])
     @pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
     def test_increment_factor_accumulates_to_the_node_factor(self, h, n):

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fracwiener import processes, spde
+from fracwiener import processes, rng, spde
 from fracwiener.grids import StepFunction, TimeGrid
 from fracwiener.integrals import _dyadic_sum, gamma_norm_lp
 from fracwiener.processes import FracParams, simulate_cylindrical, simulate_fbm
@@ -381,13 +381,18 @@ class TestSmoothingExponent:
 GRID512 = TimeGrid(0.0, 1.0 / 512, 512)
 
 
-def _node_paths(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512):
-    """``coeffs[path, mode, node]`` of the mild solve: the ``_mode_paths`` draws, stacked."""
+def _node_paths(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512, first=1):
+    """``coeffs[path, mode, node]`` of the mild solve: the ``_mode_paths`` draws, stacked.
+
+    Nodes before ``first`` are not drawn and stay 0.  An exact comparison
+    with ``mild_summary`` asks for the nodes it reads: from ``n // 2`` with a
+    fit, else the last one.
+    """
     coeffs = np.zeros((n_paths, model.truncation, grid.n_steps + 1))
-    modes = spde._mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells)
+    modes = spde._mode_paths(model, params, grid, n_paths, alpha, seed, n_noise_cells, first)
     with closing(modes):
-        for k, steps in modes:
-            coeffs[:, k, 1:] = steps.T
+        for k, nodes in modes:
+            coeffs[:, k, first:] = nodes.T
     return coeffs
 
 
@@ -395,7 +400,7 @@ def _fold_slope(model, grid, coeffs):
     """The Hölder slope of stacked node paths, fed through the fold of ``mild_summary``."""
     fold = spde._LagFold(model, grid, coeffs.shape[0])
     for k in range(coeffs.shape[1]):
-        fold.add(k, coeffs[:, k, 1:].T)
+        fold.add(k, coeffs[:, k, fold.i0:].T)
     return fold.slope()
 
 
@@ -530,6 +535,58 @@ class TestModePaths:
         assert np.array_equal(coeffs[:, :3, :], low)
 
 
+class TestFbmModeRoute:
+    """The fBm route of ``_mode_paths``, one product per block, against the recursion it folds in."""
+
+    @pytest.mark.parametrize("lam_dt", [0.01, 1.0, 40.0, 800.0])
+    def test_matches_recursion_over_simulate_fbm(self, lam_dt):
+        # mode 2 of K = 2 at the given lam dt, drawn on stream 1 over two path
+        # blocks; at 40 and 800 the powers f^j reach subnormal and zero values
+        n, n_paths, seed = 64, BLOCK_PATHS + 3, 8
+        grid = TimeGrid(0.0, 1.0 / n, n)
+        mod = SpectralModel(2.0 * math.pi / math.sqrt(lam_dt / grid.dt), 1, 2)
+        params = FracParams.fbm(0.3)
+        coeffs = _node_paths(mod, params, grid, n_paths, seed=seed)[:, 1, 1:]
+        dz = simulate_fbm(params, grid, n_paths, seed, stream=1).increments
+        fade = math.exp(-mod.eigenvalues[1] * grid.dt)
+        want = np.empty_like(dz)
+        y = np.zeros(n_paths)
+        with np.errstate(under="ignore"):
+            for i in range(n):
+                y = fade * (y + dz[:, i])
+                want[:, i] = y
+        assert np.abs(coeffs - want).max() <= 1e-13 * np.abs(want).max()
+        rows = spde._recursion_rows(mod.eigenvalues[1] * grid.dt, n, 1)
+        if lam_dt >= 40.0:
+            assert rows[-1, 0] == 0.0  # the far powers underflow
+        assert np.any(coeffs) == (fade > 0.0)
+
+    def test_blocks_on_the_pool_fill_their_own_columns(self, monkeypatch):
+        # a one-mode solve runs its path blocks on the pool, each writing its
+        # columns of one array: 7-path blocks, 4 workers, a short switch interval
+        monkeypatch.setattr(rng, "BLOCK_PATHS", 7)
+        mod, grid = SpectralModel(L_PI, 1, 1), TimeGrid(0.0, 1.0 / 32, 32)
+        serial = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with worker_threads(4):
+                pooled = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial)
+
+    def test_rows_from_first_are_those_of_the_whole_path(self):
+        # the window a fit reads, and the last node alone, are the tail of
+        # the whole path up to the rounding of a product with fewer rows
+        mod, grid = SpectralModel(L_PI, 1, 3), TimeGrid(0.0, 1.0 / 32, 32)
+        whole = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=2)
+        for first in (16, 32):
+            tail = _node_paths(mod, FracParams.fbm(0.6), grid, 50, seed=2, first=first)
+            assert np.abs(tail[:, :, first:] - whole[:, :, first:]).max() <= 1e-14 * np.abs(whole).max()
+            assert not tail[:, :, :first].any()
+
+
 def _summary(model, params, grid, n_paths, alpha=0.0, seed=0, n_noise_cells=512,
              fit_holder=True):
     return mild_summary(model, params, grid, n_paths, alpha, seed=seed,
@@ -546,7 +603,7 @@ class TestMildSummary:
         mod = SpectralModel(L_PI, 1, 6, p=p)
         params = FracParams.fbm(0.75) if family == "fbm" else FracParams.rosenblatt(0.75)
         grid = TimeGrid(0.0, 1.0 / 32, 32)
-        coeffs = _node_paths(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
+        coeffs = _node_paths(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64, first=16)
         terminal, slope = _summary(mod, params, grid, 60, alpha, seed=4, n_noise_cells=64)
         assert np.array_equal(terminal, coeffs[:, :, -1])
         assert slope == _fold_slope(mod, grid, coeffs)
@@ -557,7 +614,8 @@ class TestMildSummary:
         terminal, slope = _summary(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8,
                                    seed=5, fit_holder=False)
         assert slope is None
-        coeffs = _node_paths(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5)
+        coeffs = _node_paths(SpectralModel(L_PI, 1, 3), FracParams.fbm(0.5), grid, 8, seed=5,
+                             first=4)
         assert np.array_equal(terminal, coeffs[:, :, -1])
 
     def test_short_grid_rejected(self, laplace8):
@@ -626,7 +684,8 @@ class TestModePool:
         for workers in (1, 2, 3):
             with worker_threads(workers):
                 terminal, slope = _summary(mod, params, grid, n_paths, seed=3, n_noise_cells=64)
-                coeffs = _node_paths(mod, params, grid, n_paths, seed=3, n_noise_cells=64)
+                coeffs = _node_paths(mod, params, grid, n_paths, seed=3, n_noise_cells=64,
+                                     first=16)
             runs.append((terminal, slope, coeffs))
         terminal, slope, coeffs = runs[0]
         assert np.array_equal(terminal, coeffs[:, :, -1])
@@ -658,22 +717,23 @@ class TestModePool:
             sys.setswitchinterval(interval)
         assert len(calls) == 1
 
-    def _driver_failing_at(self, monkeypatch, failing):
+    def _draw_failing_at(self, monkeypatch, failing):
+        # the per-mode draw of an fBm solve: one call per mode, on the mode's stream
         drawn = []
-        driver = spde.simulate_driver
+        fbm = spde.simulate_fbm
 
-        def draw(params, grid, n_paths, seed, stream, n_noise_cells):
+        def draw(params, grid, n_paths, seed, stream, linear_map):
             drawn.append(stream)
             if stream == failing:
                 raise RuntimeError(f"mode {stream} failed")
-            return driver(params, grid, n_paths, seed, stream, n_noise_cells)
+            return fbm(params, grid, n_paths, seed, stream, linear_map=linear_map)
 
-        monkeypatch.setattr(spde, "simulate_driver", draw)
+        monkeypatch.setattr(spde, "simulate_fbm", draw)
         return drawn
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_mode_surfaces_and_leaves_no_thread(self, monkeypatch, workers):
-        drawn = self._driver_failing_at(monkeypatch, 2)
+        drawn = self._draw_failing_at(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="mode 2 failed"), worker_threads(workers):
             _summary(SpectralModel(L_PI, 1, 12), FracParams.fbm(0.6), TimeGrid(0.0, 1.0 / 16, 16),
@@ -701,11 +761,11 @@ class TestModePool:
         assert threading.active_count() == before
 
     def test_early_stop_cancels_pending_modes(self, monkeypatch):
-        drawn = self._driver_failing_at(monkeypatch, None)
+        drawn = self._draw_failing_at(monkeypatch, None)
         before = threading.active_count()
         mod, grid = SpectralModel(L_PI, 1, 12), TimeGrid(0.0, 1.0 / 16, 16)
         with worker_threads(2):
-            modes = spde._mode_paths(mod, FracParams.fbm(0.6), grid, 40, 0.0, 1, 64)
+            modes = spde._mode_paths(mod, FracParams.fbm(0.6), grid, 40, 0.0, 1, 64, 1)
             with closing(modes):
                 for k, _ in modes:
                     if k == 1:
